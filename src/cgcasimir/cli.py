@@ -169,12 +169,18 @@ def cmd_solve(cfg: RunConfig) -> int:
 def _load_elements(cfg: RunConfig, alg) -> list[uea.UEAElement]:
     with open(cfg.input_path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise CliError(f"{cfg.input_path}: neither an element nor a report")
     if "terms" in data:
         return [uea.from_json_dict(alg, data)]
     if "canonical" in data:
-        if "spec" in data and parse_spec(**data["spec"]) != alg.spec:
-            raise CliError(f"{cfg.input_path} was produced for "
-                           f"d={data['spec']['d']} ell={data['spec']['ell']}")
+        if "spec" in data:
+            spec = data["spec"]
+            if not (isinstance(spec, dict) and "d" in spec and "ell" in spec):
+                raise CliError(f"{cfg.input_path}: report spec needs 'd' and 'ell'")
+            if parse_spec(spec["d"], spec["ell"]) != alg.spec:
+                raise CliError(f"{cfg.input_path} was produced for "
+                               f"d={spec['d']} ell={spec['ell']}")
         return solver.report_elements_from_json(alg, data)
     raise CliError(f"{cfg.input_path}: neither an element nor a report")
 

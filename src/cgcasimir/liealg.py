@@ -68,7 +68,7 @@ class AlgebraSpec:
 def parse_spec(d: int | str, ell: int | str | Fraction) -> AlgebraSpec:
     try:
         return AlgebraSpec(int(d), Fraction(ell))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         if isinstance(exc, InvalidSpecError):
             raise
         raise InvalidSpecError(f"cannot parse algebra spec d={d!r} ell={ell!r}") from exc

@@ -392,15 +392,6 @@ def realize_generator(spec: AlgebraSpec, g: GeneratorId) -> DiffOp:
     raise ValueError(f"no realisation rule for generator {g.name}")
 
 
-def realize_bracket_side(alg: LieAlgebra, i: int, j: int) -> DiffOp:
-    """Image of the bracket table entry [b_i, b_j] under the realisation."""
-    vs = VarSet.for_spec(alg.spec)
-    acc = DiffOp.zero(vs)
-    for k, c in alg.pair_table[i][j]:
-        acc += realize_generator(alg.spec, alg.basis[k]).scale(c)
-    return acc
-
-
 def verify_realization(alg: LieAlgebra,
                        ops: Optional[dict[GeneratorId, DiffOp]] = None
                        ) -> list[tuple[GeneratorId, GeneratorId, DiffOp]]:

@@ -69,8 +69,11 @@ def nullspace(sys: LinearSystem) -> list[Vector]:
 
     Forward elimination is fraction-free over the integers (cross
     multiplication with gcd reduction); back substitution is rational.
-    Pivots are chosen deterministically: leftmost column first, then the
-    smallest row tag."""
+    Pivot columns go leftmost first.  Of the active rows nonzero in the
+    pivot column, the one with the fewest nonzeros supplies the pivot, ties
+    going to the smallest row tag (Markowitz's fill-reducing choice).
+    The reduced echelon form of the row space does not depend on which row
+    supplies a pivot, so neither does the basis."""
     ncols = len(sys.columns)
     active: list[tuple[int, dict[int, int]]] = []
     for idx, row in enumerate(sys.matrix):
@@ -80,12 +83,10 @@ def nullspace(sys: LinearSystem) -> list[Vector]:
     pivot_rows: list[dict[int, int]] = []
     pivot_cols: list[int] = []
     for col in range(ncols):
-        best = None
-        for item in active:
-            if col in item[1] and (best is None or item[0] < best[0]):
-                best = item
-        if best is None:
+        cands = [item for item in active if col in item[1]]
+        if not cands:
             continue
+        best = min(cands, key=lambda item: (len(item[1]), item[0]))
         active.remove(best)
         piv = best[1]
         pv = piv[col]
@@ -422,6 +423,8 @@ class CasimirReport:
 
 def report_elements_from_json(alg: LieAlgebra, data: dict) -> list[UEAElement]:
     """Canonical elements of a serialized report (used by verify/realize)."""
+    if not isinstance(data.get("canonical"), list):
+        raise ValueError("a report needs a list under 'canonical'")
     return [from_json_dict(alg, entry) for entry in data["canonical"]]
 
 

@@ -127,26 +127,6 @@ class UEAElement:
         return pretty(self)
 
 
-def degree(a: UEAElement):
-    return a.degree()
-
-
-def is_zero(a: UEAElement) -> bool:
-    return a.is_zero()
-
-
-def add(a: UEAElement, b: UEAElement) -> UEAElement:
-    return a + b
-
-
-def subtract(a: UEAElement, b: UEAElement) -> UEAElement:
-    return a - b
-
-
-def scale(a: UEAElement, c) -> UEAElement:
-    return a.scale(c)
-
-
 def _first_descent(word: tuple[int, ...]) -> int:
     for i in range(len(word) - 1):
         if word[i] > word[i + 1]:
@@ -217,23 +197,41 @@ def multiply(alg: LieAlgebra, a: UEAElement, b: UEAElement) -> UEAElement:
 
 
 def commutator(alg: LieAlgebra, a: UEAElement, x: GeneratorId | int) -> UEAElement:
-    """[a, x] = a x - x a in normal form, for a basis generator x."""
+    """[a, x] = a x - x a in normal form, for a basis generator x.
+
+    ad x acts as a derivation: for a PBW word b_1...b_n the bracket is
+    sum_k b_1...b_(k-1) [b_k, x] b_(k+1)...b_n.  A substituted word that is
+    still ordered is a monomial as it stands; only the others are normal
+    ordered."""
     p = x if isinstance(x, int) else alg.position(x)
+    table = alg.pair_table
+    dim = alg.dim
     out: dict[Monomial, Fraction] = {}
     for mono, c in a.terms.items():
         w = monomial_word(mono)
-        for m2, ck in normal_order(alg, w + (p,)).terms.items():
-            newc = out.get(m2, Fraction(0)) + c * ck
-            if newc:
-                out[m2] = newc
-            elif m2 in out:
-                del out[m2]
-        for m2, ck in normal_order(alg, (p,) + w).terms.items():
-            newc = out.get(m2, Fraction(0)) - c * ck
-            if newc:
-                out[m2] = newc
-            elif m2 in out:
-                del out[m2]
+        for k, bk in enumerate(w):
+            brk = table[bk][p]
+            if not brk:
+                continue
+            head, tail = w[:k], w[k + 1:]
+            lo = head[-1] if head else 0
+            hi = tail[0] if tail else dim
+            for j, cj in brk:
+                if lo <= j <= hi:
+                    m2 = list(mono)
+                    m2[bk] -= 1
+                    m2[j] += 1
+                    expanded = ((tuple(m2), c * cj),)
+                else:
+                    cc = c * cj
+                    expanded = ((m2, cc * ck) for m2, ck in
+                                normal_order(alg, head + (j,) + tail).terms.items())
+                for m2, v in expanded:
+                    newc = out.get(m2, Fraction(0)) + v
+                    if newc:
+                        out[m2] = newc
+                    elif m2 in out:
+                        del out[m2]
     return UEAElement(alg, out)
 
 
@@ -338,12 +336,35 @@ def to_json(a: UEAElement) -> str:
     return json.dumps(to_json_dict(a), indent=2, sort_keys=True)
 
 
+def _json_coeff(value) -> Fraction:
+    """An exact coefficient from JSON: an integer or a rational string."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"coefficient {value!r} is not an integer or a 'p/q' string")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"coefficient {value!r} is not a finite rational") from None
+
+
 def from_json_dict(alg: LieAlgebra, data: dict) -> UEAElement:
+    """Inverse of ``to_json_dict``.  Raises ValueError on anything that is
+    not a list of terms with known generator names, integer exponents >= 0
+    and exact rational coefficients."""
+    entries = data.get("terms") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("an element needs a list under 'terms'")
     terms: dict[Monomial, Fraction] = {}
-    for entry in data["terms"]:
+    for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("monomial"), dict)
+                and "coeff" in entry):
+            raise ValueError(f"term {entry!r} needs a 'monomial' object and a 'coeff'")
         expo = [0] * alg.dim
         for name, e in entry["monomial"].items():
-            expo[alg.position(alg.generator(name))] = int(e)
+            if name not in alg.by_name:
+                raise ValueError(f"no generator named {name!r} in this algebra")
+            if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+                raise ValueError(f"exponent of {name} must be an integer >= 0, got {e!r}")
+            expo[alg.position(alg.by_name[name])] = e
         mono = tuple(expo)
-        terms[mono] = terms.get(mono, Fraction(0)) + Fraction(entry["coeff"])
+        terms[mono] = terms.get(mono, Fraction(0)) + _json_coeff(entry["coeff"])
     return UEAElement(alg, terms)

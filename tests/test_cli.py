@@ -247,3 +247,47 @@ def test_fixtures_match_transcriptions(algebra):
         with open(fixture(name)) as fh:
             stored = from_json_dict(alg, json.load(fh))
         assert stored == from_term_list(alg, terms), name
+
+
+def _verify_json(tmp_path, capsys, payload, d="1", ell="3/2"):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    return run(capsys, "verify", "--d", d, "--ell", ell, "--in", str(path))
+
+
+def _assert_rejected(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_rejects_terms_not_a_list(tmp_path, capsys):
+    _assert_rejected(*_verify_json(tmp_path, capsys, {"terms": 5}))
+
+
+def test_verify_rejects_zero_denominator(tmp_path, capsys):
+    payload = {"terms": [{"monomial": {"M": 1}, "coeff": "1/0"}]}
+    _assert_rejected(*_verify_json(tmp_path, capsys, payload))
+
+
+def test_verify_rejects_report_spec_without_ell(tmp_path, capsys):
+    payload = {"spec": {"d": 1}, "canonical": [
+        {"terms": [{"monomial": {"M": 1}, "coeff": "1"}]}]}
+    _assert_rejected(*_verify_json(tmp_path, capsys, payload))
+
+
+@pytest.mark.parametrize("exponent", [-1, 1.5, True, "2"])
+def test_verify_rejects_bad_exponent(tmp_path, capsys, exponent):
+    # {"H": -1} used to become the empty monomial and verify as central
+    payload = {"terms": [{"monomial": {"H": exponent}, "coeff": "1"}]}
+    _assert_rejected(*_verify_json(tmp_path, capsys, payload))
+
+
+@pytest.mark.parametrize("term", [
+    {"monomial": {"X9": 1}, "coeff": "1"},
+    {"monomial": {"M": 1}, "coeff": 0.5},
+    {"monomial": {"M": 1}, "coeff": "nan"},
+    {"monomial": {"M": 1}},
+])
+def test_verify_rejects_malformed_terms(tmp_path, capsys, term):
+    _assert_rejected(*_verify_json(tmp_path, capsys, {"terms": [term]}))

@@ -2,15 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+from cgcasimir.grading import enumerate_ansatz
 from cgcasimir.liealg import bb_count
 from cgcasimir.solver import (
     CasimirReport,
     LinearSystem,
+    _integerize,
     candidates_via_realization,
+    casimir_conditions_system,
     element_vector,
     nullspace,
     primitive,
     proportional,
+    realization_candidate_system,
     reduce_vector,
     rref,
     span_contains,
@@ -78,6 +82,86 @@ def test_nullspace_randomized_rank_nullity():
         # returned vectors are linearly independent
         rrows, _ = rref(basis, ncols)
         assert len(rrows) == len(basis)
+
+
+def _nullspace_smallest_tag(system):
+    """Reference elimination: pivot columns leftmost first, and each pivot
+    row the one with the smallest row tag."""
+    ncols = len(system.columns)
+    active = [(i, r) for i, r in enumerate(map(_integerize, system.matrix)) if r]
+    pivot_rows, pivot_cols = [], []
+    for col in range(ncols):
+        cands = [item for item in active if col in item[1]]
+        if not cands:
+            continue
+        best = min(cands, key=lambda item: item[0])
+        active.remove(best)
+        piv = best[1]
+        pv = piv[col]
+        reduced = []
+        for idx, r in active:
+            a = r.get(col)
+            if a:
+                r = {c: pv * r.get(c, 0) - a * piv.get(c, 0) for c in set(r) | set(piv)}
+                r = {c: x for c, x in r.items() if x}
+            if r:
+                reduced.append((idx, r))
+        active = reduced
+        pivot_rows.append({c: Fr(x, pv) for c, x in piv.items()})
+        pivot_cols.append(col)
+    for k in range(len(pivot_rows) - 1, -1, -1):
+        for i in range(k):
+            a = pivot_rows[i].get(pivot_cols[k])
+            if a:
+                for c, x in pivot_rows[k].items():
+                    pivot_rows[i][c] = pivot_rows[i].get(c, Fr(0)) - a * x
+    basis = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        v = [Fr(0)] * ncols
+        v[f] = Fr(1)
+        for row, col in zip(pivot_rows, pivot_cols):
+            if row.get(f):
+                v[col] = -row[f]
+        basis.append(tuple(v))
+    return basis
+
+
+def _assert_nullspace_matches_oracle(system):
+    basis = nullspace(system)
+    assert basis == _nullspace_smallest_tag(system)
+    for vec in basis:
+        for row in system.matrix:
+            assert sum(c * vec[j] for j, c in row.items()) == 0
+
+
+def test_nullspace_matches_smallest_tag_oracle_randomized():
+    import random
+
+    rng = random.Random(91)
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 10)
+        density = rng.choice([0.15, 0.3, 0.6])
+        rows = [[rng.randint(-5, 5) if rng.random() < density else 0
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.5:  # rank deficiency: append combinations
+            for _ in range(rng.randint(1, 4)):
+                a, b = rng.choice(rows), rng.choice(rows)
+                s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows.append([s * x + t * y for x, y in zip(a, b)])
+        rows.append([0] * ncols)
+        rng.shuffle(rows)
+        _assert_nullspace_matches_oracle(sys_from_rows(rows, ncols))
+
+
+@pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 2)])
+def test_nullspace_matches_smallest_tag_oracle_on_solver_systems(d, ell, algebra):
+    alg = algebra(d, ell)
+    grade = (0, 2 * alg.spec.two_ell) if d == 1 else (0, 2, 0)
+    basis = enumerate_ansatz(alg, grade, 4)
+    for build in (casimir_conditions_system, realization_candidate_system):
+        _assert_nullspace_matches_oracle(build(alg, basis))
 
 
 def test_rref_and_span_utilities():
