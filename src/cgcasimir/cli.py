@@ -12,29 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import liealg, realization, solver, theorems, uea
 from .grading import default_target_grades
 from .liealg import make_cga, parse_spec
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    d: Optional[int] = None
-    ell: Optional[str] = None
-    degree: Optional[int] = None
-    grade: str = "auto"
-    method: str = "pipeline"
-    trials: int = 5
-    seed: int = 0
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    format: str = "json"
-    which: Optional[str] = None
-    gen: Optional[str] = None
 
 
 class CliError(Exception):
@@ -91,21 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: Sequence[str]) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    cfg = RunConfig(subcommand=ns.subcommand)
-    for field in ("d", "ell", "degree", "grade", "method", "trials", "seed",
-                  "input_path", "output_path", "format", "which", "gen"):
-        if hasattr(ns, field):
-            setattr(cfg, field, getattr(ns, field))
-    return cfg
-
-
-def _spec(cfg: RunConfig):
+def _spec(cfg: argparse.Namespace):
     return parse_spec(cfg.d, cfg.ell)
 
 
-def _emit(cfg: RunConfig, payload: dict, text: str):
+def _emit(cfg: argparse.Namespace, payload: dict, text: str):
     print(text if cfg.format == "text" else json.dumps(payload, indent=2, sort_keys=True))
     if cfg.output_path:
         with open(cfg.output_path, "w") as fh:
@@ -113,7 +85,7 @@ def _emit(cfg: RunConfig, payload: dict, text: str):
             fh.write("\n")
 
 
-def _resolve_target(cfg: RunConfig, spec) -> tuple[tuple[int, ...], int]:
+def _resolve_target(cfg: argparse.Namespace, spec) -> tuple[tuple[int, ...], int]:
     if cfg.grade == "auto":
         for g, d in default_target_grades(spec):
             if d == cfg.degree:
@@ -130,14 +102,14 @@ def _resolve_target(cfg: RunConfig, spec) -> tuple[tuple[int, ...], int]:
     return grade, cfg.degree
 
 
-def cmd_algebra(cfg: RunConfig) -> int:
+def cmd_algebra(cfg: argparse.Namespace) -> int:
     alg = make_cga(_spec(cfg))
     payload = liealg.to_json_dict(alg)
     _emit(cfg, payload, f"{alg!r}: basis {', '.join(g.name for g in alg.basis)}")
     return 0
 
 
-def cmd_rank(cfg: RunConfig) -> int:
+def cmd_rank(cfg: argparse.Namespace) -> int:
     alg = make_cga(_spec(cfg))
     count = liealg.bb_count(alg, trials=cfg.trials, seed=cfg.seed)
     print(count)
@@ -149,7 +121,7 @@ def cmd_rank(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg: argparse.Namespace) -> int:
     spec = _spec(cfg)
     alg = make_cga(spec)
     grade, degree = _resolve_target(cfg, spec)
@@ -166,7 +138,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0 if report.verified else 1
 
 
-def _load_elements(cfg: RunConfig, alg) -> list[uea.UEAElement]:
+def _load_elements(cfg: argparse.Namespace, alg) -> list[uea.UEAElement]:
     with open(cfg.input_path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -185,7 +157,7 @@ def _load_elements(cfg: RunConfig, alg) -> list[uea.UEAElement]:
     raise CliError(f"{cfg.input_path}: neither an element nor a report")
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     alg = make_cga(_spec(cfg))
     elements = _load_elements(cfg, alg)
     failures = []
@@ -211,7 +183,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if not failures else 1
 
 
-def cmd_theorem(cfg: RunConfig) -> int:
+def cmd_theorem(cfg: argparse.Namespace) -> int:
     spec = _spec(cfg)
     tr, payload = theorems.theorem_casimir_report(spec, cfg.which, method=cfg.method)
     lines = [f"closed form {cfg.which} for d={spec.d} ell={spec.ell_str()}"]
@@ -227,7 +199,7 @@ def cmd_theorem(cfg: RunConfig) -> int:
     return 0 if payload["verified"] else 1
 
 
-def cmd_realize(cfg: RunConfig) -> int:
+def cmd_realize(cfg: argparse.Namespace) -> int:
     spec = _spec(cfg)
     alg = make_cga(spec)
     if cfg.gen is not None:
@@ -267,7 +239,7 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        cfg = parse_args(sys.argv[1:] if argv is None else list(argv))
+        cfg = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:  # argparse reports its own errors on code 2
         return int(exc.code or 0)
     try:
@@ -279,7 +251,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # covers bad specs, degree/trials bounds, out-of-range closed forms
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: bad input ({exc})", file=sys.stderr)
         return 2
     except solver.ReducedCheckError as exc:

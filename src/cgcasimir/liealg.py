@@ -22,6 +22,21 @@ from typing import Iterable, Optional
 SparseVec = dict[int, Fraction]  # basis position -> coefficient
 
 
+def accumulate(acc: dict, items: Iterable[tuple]) -> dict:
+    """Add each (key, value) of ``items`` into the sparse map ``acc``,
+    deleting a key whose sum becomes zero; returns ``acc``."""
+    for k, v in items:
+        if k in acc:
+            s = acc[k] + v
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        elif v:
+            acc[k] = v
+    return acc
+
+
 class InvalidSpecError(ValueError):
     """Raised for (d, ell) pairs outside the two supported families."""
 
@@ -255,12 +270,7 @@ def _ad_vec(alg: LieAlgebra, vec: SparseVec, k: int) -> SparseVec:
     """[vec, b_k] extended linearly."""
     out: SparseVec = {}
     for i, c in vec.items():
-        for u, cu in alg.pair_table[i][k]:
-            newc = out.get(u, 0) + c * cu
-            if newc:
-                out[u] = newc
-            elif u in out:
-                del out[u]
+        accumulate(out, ((u, c * cu) for u, cu in alg.pair_table[i][k]))
     return out
 
 
@@ -273,11 +283,9 @@ def jacobi_check(alg: LieAlgebra) -> Optional[tuple[GeneratorId, GeneratorId, Ge
             bij = dict(alg.pair_table[i][j])
             for k in range(j + 1, dim):
                 acc = _ad_vec(alg, bij, k)
-                for u, c in _ad_vec(alg, dict(alg.pair_table[j][k]), i).items():
-                    acc[u] = acc.get(u, 0) + c
-                for u, c in _ad_vec(alg, dict(alg.pair_table[k][i]), j).items():
-                    acc[u] = acc.get(u, 0) + c
-                if any(c != 0 for c in acc.values()):
+                accumulate(acc, _ad_vec(alg, dict(alg.pair_table[j][k]), i).items())
+                accumulate(acc, _ad_vec(alg, dict(alg.pair_table[k][i]), j).items())
+                if acc:
                     return (alg.basis[i], alg.basis[j], alg.basis[k])
     return None
 

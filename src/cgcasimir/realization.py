@@ -13,14 +13,13 @@ binomial coefficients.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
-from .liealg import AlgebraSpec, GeneratorId, LieAlgebra, central_pairing
+from .liealg import AlgebraSpec, GeneratorId, LieAlgebra, accumulate, central_pairing
 from .uea import UEAElement, monomial_word
 
 Expo = tuple[int, ...]
@@ -90,16 +89,11 @@ class Poly:
         return cls(vs, {tuple(e): Fraction(1)})
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly(self.vs, out)
+        return Poly(self.vs, accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return Poly(self.vs, out)
+        return Poly(self.vs, accumulate(dict(self.terms),
+                                        ((e, -c) for e, c in other.terms.items())))
 
     def __neg__(self) -> "Poly":
         return Poly(self.vs, {e: -c for e, c in self.terms.items()})
@@ -111,13 +105,8 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         out: dict[Expo, Fraction] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                newc = out.get(e, Fraction(0)) + c1 * c2
-                if newc:
-                    out[e] = newc
-                elif e in out:
-                    del out[e]
+            accumulate(out, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                             for e2, c2 in other.terms.items()))
         return Poly(self.vs, out)
 
     def deriv(self, var_i: int) -> "Poly":
@@ -131,10 +120,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def has_variables(self) -> bool:
-        nv = self.vs.nvars
-        return any(any(e[:nv]) for e in self.terms)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.vs == other.vs and self.terms == other.terms
@@ -506,7 +491,3 @@ def diffop_json_dict(op: DiffOp) -> dict:
             "poly": poly_entries,
         })
     return {"terms": entries}
-
-
-def diffop_json(op: DiffOp) -> str:
-    return json.dumps(diffop_json_dict(op), indent=2, sort_keys=True)

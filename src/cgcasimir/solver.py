@@ -26,7 +26,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .grading import AnsatzBasis, GradeVector, default_target_grades, enumerate_ansatz, grade_of
-from .liealg import AlgebraSpec, GeneratorId, LieAlgebra
+from .liealg import AlgebraSpec, GeneratorId, LieAlgebra, accumulate
 from .realization import VarSet, realize_element
 from .uea import Monomial, UEAElement, commutator, from_json_dict, multiply, omega, to_json_dict
 
@@ -41,8 +41,8 @@ class ReducedCheckError(RuntimeError):
 
 @dataclass
 class LinearSystem:
-    """Sparse exact system: one column per ansatz monomial, one row per
-    tagged constraint; entries reproduce the tagged coefficient exactly."""
+    """Sparse exact system: one column per unknown, one row per tagged
+    constraint; entries reproduce the tagged coefficient exactly."""
 
     columns: list
     rows: list[tuple]
@@ -96,13 +96,9 @@ def nullspace(sys: LinearSystem) -> list[Vector]:
             if not a:
                 reduced.append((idx, r))
                 continue
-            r2 = {c: pv * x for c, x in r.items()}
-            for c, x in piv.items():
-                v = r2.get(c, 0) - a * x
-                if v:
-                    r2[c] = v
-                elif c in r2:
-                    del r2[c]
+            na = -a
+            r2 = accumulate({c: pv * x for c, x in r.items()},
+                            ((c, na * x) for c, x in piv.items()))
             if r2:
                 g = 0
                 for v in r2.values():
@@ -122,12 +118,8 @@ def nullspace(sys: LinearSystem) -> list[Vector]:
         for i in range(k):
             a = frows[i].get(col)
             if a:
-                for c, x in frows[k].items():
-                    v = frows[i].get(c, Fraction(0)) - a * x
-                    if v:
-                        frows[i][c] = v
-                    elif c in frows[i]:
-                        del frows[i][c]
+                na = -a
+                accumulate(frows[i], ((c, na * x) for c, x in frows[k].items()))
 
     pivot_set = set(pivot_cols)
     basis: list[Vector] = []
@@ -162,12 +154,8 @@ def rref(vectors: Iterable[Vector], ncols: int) -> tuple[list[dict[int, Fraction
         for r in rows:
             a = r.get(p)
             if a:
-                for c, x in cur.items():
-                    v = r.get(c, Fraction(0)) - a * x
-                    if v:
-                        r[c] = v
-                    elif c in r:
-                        del r[c]
+                na = -a
+                accumulate(r, ((c, na * x) for c, x in cur.items()))
         pos = sum(1 for q in pivots if q < p)
         rows.insert(pos, cur)
         pivots.insert(pos, p)
@@ -180,12 +168,8 @@ def _reduce_row(rows: list[dict[int, Fraction]], pivots: list[int],
     for row, p in zip(rows, pivots):
         a = out.get(p)
         if a:
-            for c, x in row.items():
-                v = out.get(c, Fraction(0)) - a * x
-                if v:
-                    out[c] = v
-                elif c in out:
-                    del out[c]
+            na = -a
+            accumulate(out, ((c, na * x) for c, x in row.items()))
     return out
 
 
@@ -262,20 +246,20 @@ def _monomial_element(alg: LieAlgebra, mono: Monomial) -> UEAElement:
     return UEAElement(alg, {mono: Fraction(1)})
 
 
-def casimir_conditions_system(alg: LieAlgebra, basis: AnsatzBasis) -> LinearSystem:
+def casimir_conditions_system(alg: LieAlgebra, columns: list[UEAElement]) -> LinearSystem:
     """Rows: omega(K) = K plus [K, g] = 0 for the reduced generator set,
-    with one row per monomial appearing in a residual."""
+    where K is a combination of the column elements, with one row per
+    monomial appearing in a residual."""
     rows: dict[tuple, dict[int, Fraction]] = {}
     checks = reduced_check_generators(alg)
-    for ci, mono in enumerate(basis.monomials):
-        elem = _monomial_element(alg, mono)
+    for ci, elem in enumerate(columns):
         for g in checks:
             for m2, c in commutator(alg, elem, g).terms.items():
                 rows.setdefault(("comm", g.name, m2), {})[ci] = c
         for m2, c in (omega(alg, elem) - elem).terms.items():
             rows.setdefault(("omega", "", m2), {})[ci] = c
     tags = sorted(rows)
-    return LinearSystem(columns=list(basis.monomials), rows=tags,
+    return LinearSystem(columns=list(range(len(columns))), rows=tags,
                         matrix=[rows[t] for t in tags])
 
 
@@ -385,11 +369,9 @@ class CasimirReport:
     grade: GradeVector
     max_degree: int
     ansatz: AnsatzBasis
-    candidate_basis: Optional[list[UEAElement]]
     casimir_basis: list[UEAElement]
     canonical: list[UEAElement]
     lower_products: list[UEAElement]
-    verification: dict[str, int]
     verified: bool
     provenance: str
     casimir_vectors: list[Vector] = field(default_factory=list, repr=False)
@@ -397,9 +379,9 @@ class CasimirReport:
 
     @property
     def candidate_dim(self) -> Optional[int]:
-        if self.candidate_basis is None:
+        if self.candidate_vectors is None:
             return None
-        return len(self.candidate_basis)
+        return len(self.candidate_vectors)
 
     @property
     def casimir_dim(self) -> int:
@@ -489,19 +471,14 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
     cand_vecs: Optional[list[Vector]] = None
     if method == "pipeline":
         cand_vecs = candidate_vectors(alg, basis)
-        cand_elems = [vector_element(alg, basis, v) for v in cand_vecs]
-        rows: dict[tuple, dict[int, Fraction]] = {}
-        checks = reduced_check_generators(alg)
-        for ci, elem in enumerate(cand_elems):
-            for g in checks:
-                for m2, c in commutator(alg, elem, g).terms.items():
-                    rows.setdefault(("comm", g.name, m2), {})[ci] = c
-            for m2, c in (omega(alg, elem) - elem).terms.items():
-                rows.setdefault(("omega", "", m2), {})[ci] = c
-        tags = sorted(rows)
-        sub = LinearSystem(columns=list(range(len(cand_elems))), rows=tags,
-                           matrix=[rows[t] for t in tags])
-        combos = nullspace(sub)
+        columns = [vector_element(alg, basis, v) for v in cand_vecs]
+    else:
+        columns = [_monomial_element(alg, m) for m in basis.monomials]
+    combos = nullspace(casimir_conditions_system(alg, columns))
+    if cand_vecs is None:
+        raw = combos
+    else:
+        # candidate coordinates back to ansatz coordinates
         raw = []
         for combo in combos:
             acc = [Fraction(0)] * ncols
@@ -511,18 +488,14 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
                         if x:
                             acc[i] += coeff * x
             raw.append(tuple(acc))
-    else:
-        raw = nullspace(casimir_conditions_system(alg, basis))
 
     cas_vecs = rref_vectors(raw, ncols)
     cas_elems = [vector_element(alg, basis, v) for v in cas_vecs]
 
-    verification = {g.name: 0 for g in alg.basis}
     for e in cas_elems:
         for g in alg.basis:
             res = commutator(alg, e, g)
             if not res.is_zero():
-                verification[g.name] += len(res.terms)
                 raise ReducedCheckError(
                     f"reduced conditions accepted a non-Casimir: residual against "
                     f"{g.name} is {res}"
@@ -544,12 +517,9 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
         grade=tuple(grade),
         max_degree=max_degree,
         ansatz=basis,
-        candidate_basis=None if cand_vecs is None else
-            [primitive(vector_element(alg, basis, v)) for v in cand_vecs],
         casimir_basis=[primitive(e) for e in cas_elems],
         canonical=canonical,
         lower_products=[primitive(e) for e in lower],
-        verification=verification,
         verified=True,
         provenance=method,
         casimir_vectors=cas_vecs,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .grading import default_target_grades, enumerate_ansatz, grade_of
+from .grading import default_target_grades, grade_of
 from .liealg import AlgebraSpec, LieAlgebra, make_cga
 from .solver import (
     CasimirReport,
@@ -303,13 +303,11 @@ def theorem_report(spec: AlgebraSpec, which: str,
     """Build the closed form and check it; on failure, produce the
     solver-corrected element and per-term coefficient discrepancies."""
     alg = make_cga(spec)
-    terms = theorem_terms(spec, which)
-    built = UEAElement.zero(alg)
-    for t in terms:
-        built = built + t.element.scale(t.value)
+    built = build_theorem_casimir(spec, which)
     if verify_casimir(alg, built) is None:
         return TheoremReport(spec, which, built, True, [], None, None)
 
+    terms = theorem_terms(spec, which)
     grade, degree = theorem_target(spec, which)
     for t in terms:
         for mono in t.element.terms:

@@ -11,19 +11,14 @@ rewriting terminates.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .liealg import GeneratorId, LieAlgebra
+from .liealg import GeneratorId, LieAlgebra, accumulate
 
 Monomial = tuple[int, ...]  # exponents indexed by basis position
 
 NEG_INF = float("-inf")
-
-
-def monomial_degree(mono: Monomial) -> int:
-    return sum(mono)
 
 
 def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
@@ -76,16 +71,11 @@ class UEAElement:
 
     # -- linear structure ---------------------------------------------
     def __add__(self, other: "UEAElement") -> "UEAElement":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return UEAElement(self.alg, out)
+        return UEAElement(self.alg, accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "UEAElement") -> "UEAElement":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) - c
-        return UEAElement(self.alg, out)
+        return UEAElement(self.alg, accumulate(dict(self.terms),
+                                               ((m, -c) for m, c in other.terms.items())))
 
     def __neg__(self) -> "UEAElement":
         return UEAElement(self.alg, {m: -c for m, c in self.terms.items()})
@@ -147,26 +137,12 @@ def normal_order(alg: LieAlgebra, word: Iterable[GeneratorId | int]) -> UEAEleme
         w, c = work.popitem()
         i = _first_descent(w)
         if i < 0:
-            mono = word_monomial(dim, w)
-            newc = done.get(mono, Fraction(0)) + c
-            if newc:
-                done[mono] = newc
-            elif mono in done:
-                del done[mono]
+            accumulate(done, ((word_monomial(dim, w), c),))
             continue
         a, b = w[i], w[i + 1]
         head, tail = w[:i], w[i + 2:]
-        swapped = head + (b, a) + tail
-        work[swapped] = work.get(swapped, Fraction(0)) + c
-        if not work[swapped]:
-            del work[swapped]
-        for k, ck in table[a][b]:
-            shorter = head + (k,) + tail
-            newc = work.get(shorter, Fraction(0)) + c * ck
-            if newc:
-                work[shorter] = newc
-            elif shorter in work:
-                del work[shorter]
+        accumulate(work, ((head + (b, a) + tail, c),))
+        accumulate(work, ((head + (k,) + tail, c * ck) for k, ck in table[a][b]))
     return UEAElement(alg, done)
 
 
@@ -180,19 +156,10 @@ def multiply(alg: LieAlgebra, a: UEAElement, b: UEAElement) -> UEAElement:
             wb = monomial_word(mb)
             if not wa or not wb or wa[-1] <= wb[0]:
                 # concatenation already ordered: merge exponents directly
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                newc = out.get(mono, Fraction(0)) + c
-                if newc:
-                    out[mono] = newc
-                elif mono in out:
-                    del out[mono]
+                accumulate(out, ((tuple(x + y for x, y in zip(ma, mb)), c),))
             else:
-                for mono, ck in normal_order(alg, wa + wb).terms.items():
-                    newc = out.get(mono, Fraction(0)) + c * ck
-                    if newc:
-                        out[mono] = newc
-                    elif mono in out:
-                        del out[mono]
+                accumulate(out, ((m, c * ck) for m, ck in
+                                 normal_order(alg, wa + wb).terms.items()))
     return UEAElement(alg, out)
 
 
@@ -221,17 +188,11 @@ def commutator(alg: LieAlgebra, a: UEAElement, x: GeneratorId | int) -> UEAEleme
                     m2 = list(mono)
                     m2[bk] -= 1
                     m2[j] += 1
-                    expanded = ((tuple(m2), c * cj),)
+                    accumulate(out, ((tuple(m2), c * cj),))
                 else:
                     cc = c * cj
-                    expanded = ((m2, cc * ck) for m2, ck in
-                                normal_order(alg, head + (j,) + tail).terms.items())
-                for m2, v in expanded:
-                    newc = out.get(m2, Fraction(0)) + v
-                    if newc:
-                        out[m2] = newc
-                    elif m2 in out:
-                        del out[m2]
+                    accumulate(out, ((m2, cc * ck) for m2, ck in
+                                     normal_order(alg, head + (j,) + tail).terms.items()))
     return UEAElement(alg, out)
 
 
@@ -266,12 +227,7 @@ def omega(alg: LieAlgebra, a: UEAElement) -> UEAElement:
     out: dict[Monomial, Fraction] = {}
     for mono, c in a.terms.items():
         word = tuple(img[p] for p in reversed(monomial_word(mono)))
-        for m2, ck in normal_order(alg, word).terms.items():
-            newc = out.get(m2, Fraction(0)) + c * ck
-            if newc:
-                out[m2] = newc
-            elif m2 in out:
-                del out[m2]
+        accumulate(out, ((m2, c * ck) for m2, ck in normal_order(alg, word).terms.items()))
     return UEAElement(alg, out)
 
 
@@ -330,10 +286,6 @@ def to_json_dict(a: UEAElement) -> dict:
             "coeff": str(a.terms[mono]),
         })
     return {"terms": entries}
-
-
-def to_json(a: UEAElement) -> str:
-    return json.dumps(to_json_dict(a), indent=2, sort_keys=True)
 
 
 def _json_coeff(value) -> Fraction:

@@ -291,3 +291,14 @@ def test_verify_rejects_bad_exponent(tmp_path, capsys, exponent):
 ])
 def test_verify_rejects_malformed_terms(tmp_path, capsys, term):
     _assert_rejected(*_verify_json(tmp_path, capsys, {"terms": [term]}))
+
+
+def test_verify_input_directory_exits_2(tmp_path, capsys):
+    _assert_rejected(*run(capsys, "verify", "--d", "1", "--ell", "3/2",
+                          "--in", str(tmp_path)))
+
+
+def test_algebra_output_directory_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "algebra", "--d", "1", "--ell", "3/2", "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -160,8 +163,9 @@ def test_nullspace_matches_smallest_tag_oracle_on_solver_systems(d, ell, algebra
     alg = algebra(d, ell)
     grade = (0, 2 * alg.spec.two_ell) if d == 1 else (0, 2, 0)
     basis = enumerate_ansatz(alg, grade, 4)
-    for build in (casimir_conditions_system, realization_candidate_system):
-        _assert_nullspace_matches_oracle(build(alg, basis))
+    monomials = [UEAElement(alg, {m: Fr(1)}) for m in basis.monomials]
+    _assert_nullspace_matches_oracle(casimir_conditions_system(alg, monomials))
+    _assert_nullspace_matches_oracle(realization_candidate_system(alg, basis))
 
 
 def test_rref_and_span_utilities():
@@ -398,6 +402,34 @@ def test_report_json_schema(solved, algebra):
     alg = algebra(2, 1)
     parsed = [from_json_dict(alg, entry) for entry in data["canonical"]]
     assert parsed == rep.canonical
+
+
+GOLDEN_TARGETS = [
+    (1, "3/2", (0, 6), 4),
+    (1, "5/2", (0, 10), 4),
+    (2, 1, (0, 1, 0), 2),
+    (2, 2, (0, 1, 0), 2),
+    (2, 3, (0, 1, 0), 2),
+    (2, 1, (0, 2, 0), 4),
+    (2, 2, (0, 2, 0), 4),
+    (2, 3, (0, 2, 0), 4),
+]
+
+
+def test_solve_artifacts_match_golden_digests(solved):
+    # the exact bytes `cgcasimir solve --out` writes, frozen per target and method
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "solve_golden_sha256.json")
+    with open(path) as fh:
+        golden = json.load(fh)
+    seen = {}
+    for d, ell, grade, deg in GOLDEN_TARGETS:
+        for method in ("pipeline", "algebraic"):
+            rep = solved(d, ell, grade, deg, method)
+            artifact = json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n"
+            which = "quadratic" if deg == 2 else "quartic"
+            key = f"d{d}_ell_{str(ell).replace('/', '_')}_{which}_{method}"
+            seen[key] = hashlib.sha256(artifact.encode()).hexdigest()
+    assert seen == golden
 
 
 def test_element_vector_rejects_off_ansatz(solved, algebra):
