@@ -32,19 +32,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, need_spec=True):
-        if need_spec:
-            p.add_argument("--d", type=int, required=True, help="spatial dimension (1 or 2)")
-            p.add_argument("--ell", required=True, help="spin parameter, e.g. 3/2 or 2")
+    def common(p, summary=True):
+        p.add_argument("--d", type=int, required=True, help="spatial dimension (1 or 2)")
+        p.add_argument("--ell", required=True, help="spin parameter, e.g. 3/2 or 2")
         p.add_argument("--out", dest="output_path", help="write the JSON artifact here")
-        p.add_argument("--format", choices=["json", "text"], default="json",
-                       help="stdout summary format")
+        if summary:
+            p.add_argument("--format", choices=["json", "text"], default="json",
+                           help="stdout summary format")
 
     p = sub.add_parser("algebra", help="emit the bracket table")
     common(p)
 
     p = sub.add_parser("rank", help="invariant count from the structure matrix")
-    common(p)
+    common(p, summary=False)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
 
@@ -62,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem", help="build a closed-form Casimir and check it")
     common(p)
     p.add_argument("--which", choices=["quadratic", "quartic"], required=True)
-    p.add_argument("--method", choices=["pipeline", "algebraic"], default="pipeline",
-                   help="solver path used for ground truth when the closed form fails")
 
     p = sub.add_parser("realize", help="map an element to a differential operator")
     common(p)
@@ -185,7 +183,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 def cmd_theorem(cfg: argparse.Namespace) -> int:
     spec = _spec(cfg)
-    tr, payload = theorems.theorem_casimir_report(spec, cfg.which, method=cfg.method)
+    tr, payload = theorems.theorem_casimir_report(spec, cfg.which)
     lines = [f"closed form {cfg.which} for d={spec.d} ell={spec.ell_str()}"]
     if tr.verified:
         lines.append("as printed: verified against every generator")

@@ -302,10 +302,9 @@ def realize_generator(spec: AlgebraSpec, g: GeneratorId) -> DiffOp:
                 for j in range(n2 - n, half + 1):
                     coeff = math.comb(n, n2 - j) * central_pairing(spec, n2 - j)
                     acc += DiffOp.from_poly(
-                        mono(var("m"), var("t", n - n2 + j) if n - n2 + j else Poly.const(vs, 1),
-                             var(f"x{j}")).scale(coeff))
+                        mono(var("m"), var("t", n - n2 + j), var(f"x{j}")).scale(coeff))
             for j in range(0, min(n, half) + 1):
-                poly = var("t", n - j).scale(-math.comb(n, j)) if n - j else Poly.const(vs, -math.comb(n, j))
+                poly = var("t", n - j).scale(-math.comb(n, j))
                 acc += op(poly, f"x{j}")
             return acc
 
@@ -344,16 +343,15 @@ def realize_generator(spec: AlgebraSpec, g: GeneratorId) -> DiffOp:
             acc = DiffOp.zero(vs)
             if n <= ell:
                 for k in range(n + 1):
-                    poly = var("t", k).scale(-math.comb(n, k)) if k else Poly.const(vs, -math.comb(n, k))
+                    poly = var("t", k).scale(-math.comb(n, k))
                     acc += op(poly, f"x{n-k}")
             else:
                 for k in range(n - ell):
                     coeff = -math.comb(n, k) * central_pairing(spec, n - k)
                     acc += DiffOp.from_poly(
-                        mono(var("theta"), var("t", k) if k else Poly.const(vs, 1),
-                             var(f"y{n2 - n + k}")).scale(coeff))
+                        mono(var("theta"), var("t", k), var(f"y{n2 - n + k}")).scale(coeff))
                 for k in range(n - ell, n + 1):
-                    poly = var("t", k).scale(-math.comb(n, k)) if k else Poly.const(vs, -math.comb(n, k))
+                    poly = var("t", k).scale(-math.comb(n, k))
                     acc += op(poly, f"x{n-k}")
             return acc
         if g.kind == "P":
@@ -361,16 +359,15 @@ def realize_generator(spec: AlgebraSpec, g: GeneratorId) -> DiffOp:
             acc = DiffOp.zero(vs)
             if n < ell:
                 for k in range(n + 1):
-                    poly = var("t", k).scale(-math.comb(n, k)) if k else Poly.const(vs, -math.comb(n, k))
+                    poly = var("t", k).scale(-math.comb(n, k))
                     acc += op(poly, f"y{n-k}")
             else:
                 for k in range(n - ell + 1):
                     coeff = math.comb(n, k) * central_pairing(spec, n - k)
                     acc += DiffOp.from_poly(
-                        mono(var("theta"), var("t", k) if k else Poly.const(vs, 1),
-                             var(f"x{n2 - n + k}")).scale(coeff))
+                        mono(var("theta"), var("t", k), var(f"x{n2 - n + k}")).scale(coeff))
                 for k in range(n - ell + 1, n + 1):
-                    poly = var("t", k).scale(-math.comb(n, k)) if k else Poly.const(vs, -math.comb(n, k))
+                    poly = var("t", k).scale(-math.comb(n, k))
                     acc += op(poly, f"y{n-k}")
             return acc
 

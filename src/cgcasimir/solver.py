@@ -19,7 +19,6 @@ it aborts loudly rather than reporting.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -27,7 +26,7 @@ from typing import Iterable, Optional
 
 from .grading import AnsatzBasis, GradeVector, default_target_grades, enumerate_ansatz, grade_of
 from .liealg import AlgebraSpec, GeneratorId, LieAlgebra, accumulate
-from .realization import VarSet, realize_element
+from .realization import DiffOp, VarSet, realize_element, realize_generator
 from .uea import Monomial, UEAElement, commutator, from_json_dict, multiply, omega, to_json_dict
 
 Vector = tuple[Fraction, ...]
@@ -268,8 +267,6 @@ def _cartan_operator_basis(alg: LieAlgebra):
     A Casimir acts on the realisation's lowest-weight structure through
     these, so candidate combinations are those whose realisation lies in
     their span with parameter-polynomial coefficients."""
-    from .realization import DiffOp, realize_generator
-
     vs = VarSet.for_spec(alg.spec)
     ops = [DiffOp.identity(vs), realize_generator(alg.spec, alg.generator("D"))]
     if alg.spec.d == 2:
@@ -399,9 +396,6 @@ class CasimirReport:
             "provenance": self.provenance,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
 
 def report_elements_from_json(alg: LieAlgebra, data: dict) -> list[UEAElement]:
     """Canonical elements of a serialized report (used by verify/realize)."""
@@ -458,10 +452,12 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
                    method: str = "pipeline") -> CasimirReport:
     """Run the search at one (grade, degree) target.
 
-    The Casimir space is returned in reduced echelon form over the ansatz
-    (identical for both methods when they agree); canonical
-    representatives are the space reduced modulo products of lower
-    Casimirs, primitive and with positive leading coefficient.
+    ``method`` only chooses the columns of the condition system: the
+    realisation candidates (``pipeline``) or the ansatz monomials
+    (``algebraic``).  The Casimir space is returned in reduced echelon
+    form over the ansatz (identical for both methods when they agree);
+    canonical representatives are the space reduced modulo products of
+    lower Casimirs, primitive and with positive leading coefficient.
     """
     if method not in ("pipeline", "algebraic"):
         raise ValueError(f"unknown method {method!r}")
@@ -474,22 +470,14 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
         columns = [vector_element(alg, basis, v) for v in cand_vecs]
     else:
         columns = [_monomial_element(alg, m) for m in basis.monomials]
-    combos = nullspace(casimir_conditions_system(alg, columns))
-    if cand_vecs is None:
-        raw = combos
-    else:
-        # candidate coordinates back to ansatz coordinates
-        raw = []
-        for combo in combos:
-            acc = [Fraction(0)] * ncols
-            for coeff, cv in zip(combo, cand_vecs):
-                if coeff:
-                    for i, x in enumerate(cv):
-                        if x:
-                            acc[i] += coeff * x
-            raw.append(tuple(acc))
-
-    cas_vecs = rref_vectors(raw, ncols)
+    # nullspace combinations of the columns, back in ansatz coordinates
+    raw = []
+    for combo in nullspace(casimir_conditions_system(alg, columns)):
+        acc = accumulate({}, ((m, k * c) for k, col in zip(combo, columns) if k
+                              for m, c in col.terms.items()))
+        raw.append(element_vector(basis, UEAElement(alg, acc)))
+    crows, cpivots = rref(raw, ncols)
+    cas_vecs = [tuple(r.get(i, Fraction(0)) for i in range(ncols)) for r in crows]
     cas_elems = [vector_element(alg, basis, v) for v in cas_vecs]
 
     for e in cas_elems:
@@ -504,7 +492,6 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
     lower = lower_casimir_products(alg, grade, max_degree, method=method)
     lower_vecs = [element_vector(basis, e) for e in lower]
     lrows, lpivots = rref(lower_vecs, ncols)
-    crows, cpivots = rref(cas_vecs, ncols)
     for lv in lower_vecs:
         if not span_contains(crows, cpivots, lv):
             raise ReducedCheckError("a product of lower Casimirs escaped the solved space")

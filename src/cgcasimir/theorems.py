@@ -4,9 +4,11 @@ checks a built element against the solver's ground truth.
 
 The builder evaluates the tables exactly as printed.  When the assembled
 element fails the exhaustive centrality check, ``theorem_report`` solves
-the same target independently, projects the printed element onto the
-solved Casimir space, and reports every coefficient that had to change,
-keyed by the term it multiplies.  The formula is never silently patched.
+the same target independently on the solver's ``algebraic`` route (both
+routes give the same Casimir space, so the route only sets the speed),
+projects the printed element onto the solved Casimir space, and reports
+every coefficient that had to change, keyed by the term it multiplies.
+The formula is never silently patched.
 """
 
 from __future__ import annotations
@@ -298,10 +300,10 @@ class TheoremReport:
         return self.element if self.verified else self.corrected
 
 
-def theorem_report(spec: AlgebraSpec, which: str,
-                   method: str = "pipeline") -> TheoremReport:
-    """Build the closed form and check it; on failure, produce the
-    solver-corrected element and per-term coefficient discrepancies."""
+def theorem_report(spec: AlgebraSpec, which: str) -> TheoremReport:
+    """Build the closed form and check it; on failure, solve the target on
+    the algebraic route and produce the solver-corrected element and
+    per-term coefficient discrepancies."""
     alg = make_cga(spec)
     built = build_theorem_casimir(spec, which)
     if verify_casimir(alg, built) is None:
@@ -313,7 +315,7 @@ def theorem_report(spec: AlgebraSpec, which: str,
         for mono in t.element.terms:
             if grade_of(alg, mono) != grade:
                 raise AssertionError(f"term {t.name} is off-grade; bad transcription")
-    rep = solve_casimirs(alg, grade, degree, method=method)
+    rep = solve_casimirs(alg, grade, degree, method="algebraic")
     basis = rep.ansatz
     rows, pivots = rref(rep.casimir_vectors, len(basis.monomials))
     vec = element_vector(basis, built)
@@ -347,13 +349,12 @@ def theorem_report(spec: AlgebraSpec, which: str,
     return TheoremReport(spec, which, built, False, discrepancies, corrected, rep)
 
 
-def theorem_casimir_report(spec: AlgebraSpec, which: str,
-                           method: str = "pipeline") -> tuple[TheoremReport, dict]:
+def theorem_casimir_report(spec: AlgebraSpec, which: str) -> tuple[TheoremReport, dict]:
     """JSON-ready summary around ``theorem_report`` (CasimirReport schema
     plus the closed-form comparison block)."""
     from .uea import to_json_dict
 
-    tr = theorem_report(spec, which, method=method)
+    tr = theorem_report(spec, which)
     grade, degree = theorem_target(spec, which)
     alg = make_cga(spec)
     best = tr.best

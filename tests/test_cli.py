@@ -1,7 +1,12 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgcasimir.cli import main
 
@@ -302,3 +307,78 @@ def test_algebra_output_directory_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "algebra", "--d", "1", "--ell", "3/2", "--out", str(tmp_path))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_theorem_artifacts_match_golden_digests(tmp_path, capsys):
+    # the exact bytes `cgcasimir theorem --out` writes, frozen per target
+    with open(fixture("theorem_golden_sha256.json")) as fh:
+        golden = json.load(fh)
+    seen = {}
+    for d, ell, which in [(1, "5/2", "quartic"), (2, "3", "quadratic"), (2, "3", "quartic")]:
+        out_file = tmp_path / "theorem.json"
+        code, _, _ = run(capsys, "theorem", "--d", str(d), "--ell", ell, "--which", which,
+                         "--out", str(out_file))
+        assert code == 0
+        key = f"d{d}_ell_{ell.replace('/', '_')}_{which}"
+        seen[key] = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert seen == golden
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem", "--d", "1", "--ell", "5/2", "--which", "quartic", "--method", "pipeline"],
+    ["rank", "--d", "1", "--ell", "5/2", "--format", "text"],
+])
+def test_route_and_format_only_where_they_act(capsys, argv):
+    # solve alone picks the route; rank prints a bare count, so has no --format
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+# -- fuzzing the --in loader ------------------------------------------
+
+_D2_L1_NAMES = ["Theta", "Q0", "Q1", "Q2", "P0", "P1", "P2", "H", "D", "J", "C"]
+
+
+def _mostly(good, bad):
+    # three to one, so that well-formed elements often reach the centrality check
+    return st.sampled_from((good, good, good, bad)).flatmap(lambda s: s)
+
+
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4)
+# Exponents stay small: a huge exponent is a valid but enormous element, which
+# is a size limit to refuse up front, not a loader crash.
+_exponent = _mostly(st.integers(0, 3),
+                    st.integers(-2, -1) | st.booleans() | st.floats() | st.text(max_size=2))
+_monomial = _mostly(st.dictionaries(st.sampled_from(_D2_L1_NAMES), _exponent, max_size=3),
+                    st.dictionaries(st.text(max_size=3), _exponent, max_size=2) | _junk)
+_coeff = _mostly(st.sampled_from(["1", "-2/3", "5"]) | st.integers(-5, 5),
+                 st.sampled_from(["0", "1/0", "nan", "inf", "1.5", "x", ""]) | st.floats()
+                 | _junk)
+_term = _mostly(st.fixed_dictionaries({"monomial": _monomial, "coeff": _coeff}),
+                st.dictionaries(st.sampled_from(["monomial", "coeff", "extra"]), _junk,
+                                max_size=3))
+_element = st.fixed_dictionaries({"terms": _mostly(st.lists(_term, max_size=3), _junk)})
+_spec = _mostly(st.fixed_dictionaries({"d": st.just(2), "ell": st.sampled_from(["1", 1])}),
+                st.fixed_dictionaries({"d": st.sampled_from([1, 0, "2", 2.0, True, None]),
+                                       "ell": st.sampled_from(["3/2", "1/0", "x", -1, 1.0,
+                                                               None])})
+                | _junk)
+_report = st.fixed_dictionaries({"canonical": _mostly(st.lists(_element, max_size=2), _junk)},
+                                optional={"spec": _spec})
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=_mostly(_element | _report, _junk), command=st.sampled_from(["verify", "realize"]))
+def test_loader_fuzz_exits_cleanly(tmp_path_factory, payload, command):
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--d", "2", "--ell", "1", "--in", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -108,7 +108,7 @@ def test_d2_quartic_report_ell_4(algebra):
     # except the sign-alternating family whose printed exponent has the
     # right parity at even ell
     alg = algebra(2, 4)
-    tr = theorem_report(alg.spec, "quartic", method="algebraic")
+    tr = theorem_report(alg.spec, "quartic")
     assert not tr.verified
     terms = [d.term for d in tr.discrepancies]
     assert "Theta*Q0*P8" in terms and "Theta*Q2*P6" in terms
