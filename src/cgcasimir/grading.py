@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .liealg import AlgebraSpec, LieAlgebra
-from .uea import Monomial, grlex_key
+from .uea import Monomial, grlex_key, monomial_names
 
 GradeVector = tuple[int, ...]
 
@@ -143,20 +143,19 @@ def enumerate_ansatz(alg: LieAlgebra, grade: GradeVector, max_degree: int) -> An
 
 def ansatz_json_dict(alg: LieAlgebra, basis: AnsatzBasis) -> dict:
     """Debug dump: the enumerated monomials as name -> exponent maps."""
+    names = [g.name for g in alg.basis]
     return {
         "grade": list(basis.grade),
         "max_degree": basis.max_degree,
-        "monomials": [
-            {alg.basis[i].name: e for i, e in enumerate(m) if e}
-            for m in basis.monomials
-        ],
+        "monomials": [monomial_names(m, names) for m in basis.monomials],
     }
 
 
 def iter_exponents(dim: int, max_degree: int) -> Iterator[Monomial]:
-    """All exponent tuples with total degree <= max_degree (no grade
-    filter); the brute-force counterpart used to cross-check the pruned
-    enumeration."""
+    """All exponent tuples of length ``dim`` with total degree <=
+    max_degree, no grade filter, in lexicographic order.  Enumerates the
+    parameter monomials of the realisation candidate system, and serves as
+    the brute-force cross-check of the pruned ansatz enumeration."""
     def rec(pos: int, remaining: int, prefix: tuple[int, ...]):
         if pos == dim:
             yield prefix

@@ -12,7 +12,6 @@ threads.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -349,7 +348,3 @@ def to_json_dict(alg: LieAlgebra) -> dict:
         "basis": [g.name for g in alg.basis],
         "brackets": entries,
     }
-
-
-def to_json(alg: LieAlgebra) -> str:
-    return json.dumps(to_json_dict(alg), indent=2, sort_keys=True)

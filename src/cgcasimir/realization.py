@@ -20,7 +20,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .liealg import AlgebraSpec, GeneratorId, LieAlgebra, accumulate, central_pairing
-from .uea import UEAElement, monomial_word
+from .uea import (UEAElement, grlex_key, monomial_names, monomial_text, monomial_word,
+                  terms_text)
 
 Expo = tuple[int, ...]
 
@@ -129,25 +130,7 @@ class Poly:
 
 
 def pretty_poly(p: Poly) -> str:
-    if not p.terms:
-        return "0"
-    bits = []
-    for e in sorted(p.terms, key=lambda e: (sum(e), e), reverse=True):
-        c = p.terms[e]
-        names = [
-            p.vs.sym_name(i) if k == 1 else f"{p.vs.sym_name(i)}^{k}"
-            for i, k in enumerate(e) if k
-        ]
-        body = "*".join(names)
-        if not body:
-            txt = str(abs(c))
-        elif abs(c) == 1:
-            txt = body
-        else:
-            txt = f"{abs(c)}*{body}"
-        bits.append(("- " if c < 0 else "+ ") + txt)
-    out = " ".join(bits)
-    return out[2:] if out.startswith("+ ") else "-" + out[2:]
+    return terms_text(p.terms, p.vs.variables + p.vs.parameters)
 
 
 class DiffOp:
@@ -443,16 +426,12 @@ def pretty_diffop(op: DiffOp) -> str:
     if not op.terms:
         return "0"
     unicode_names = {"delta": "δ", "theta": "θ"}
+    sym_names = [unicode_names.get(n, n) for n in op.vs.variables + op.vs.parameters]
+    partials = [f"∂_{v}" for v in op.vs.variables]
     bits = []
-    for d in sorted(op.terms, key=lambda d: (sum(d), d)):
-        p = op.terms[d]
-        ptxt = pretty_poly(p)
-        for plain, pretty_name in unicode_names.items():
-            ptxt = ptxt.replace(plain, pretty_name)
-        dtxt = "*".join(
-            f"∂_{op.vs.variables[i]}" if k == 1 else f"∂_{op.vs.variables[i]}^{k}"
-            for i, k in enumerate(d) if k
-        )
+    for d in sorted(op.terms, key=grlex_key):
+        ptxt = terms_text(op.terms[d].terms, sym_names)
+        dtxt = monomial_text(d, partials)
         if not dtxt:
             bits.append(ptxt)
         elif ptxt == "1":
@@ -462,29 +441,15 @@ def pretty_diffop(op: DiffOp) -> str:
         else:
             joined = f"({ptxt})*{dtxt}" if (" + " in ptxt or " - " in ptxt) else f"{ptxt}*{dtxt}"
             bits.append(joined)
-    out = ""
-    for b in bits:
-        if not out:
-            out = b
-        elif b.startswith("-"):
-            out += " - " + b[1:]
-        else:
-            out += " + " + b
-    return out
+    return bits[0] + "".join(" - " + b[1:] if b.startswith("-") else " + " + b
+                             for b in bits[1:])
 
 
 def diffop_json_dict(op: DiffOp) -> dict:
-    entries = []
-    for d in sorted(op.terms):
-        p = op.terms[d]
-        poly_entries = []
-        for e in sorted(p.terms):
-            poly_entries.append({
-                "monomial": {op.vs.sym_name(i): k for i, k in enumerate(e) if k},
-                "coeff": str(p.terms[e]),
-            })
-        entries.append({
-            "deriv": {op.vs.variables[i]: k for i, k in enumerate(d) if k},
-            "poly": poly_entries,
-        })
-    return {"terms": entries}
+    syms = op.vs.variables + op.vs.parameters
+    return {"terms": [
+        {"deriv": monomial_names(d, op.vs.variables),
+         "poly": [{"monomial": monomial_names(e, syms), "coeff": str(c)}
+                  for e, c in sorted(op.terms[d].terms.items())]}
+        for d in sorted(op.terms)
+    ]}

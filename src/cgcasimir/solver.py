@@ -24,7 +24,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .grading import AnsatzBasis, GradeVector, default_target_grades, enumerate_ansatz, grade_of
+from .grading import (AnsatzBasis, GradeVector, default_target_grades, enumerate_ansatz, grade_of,
+                      iter_exponents)
 from .liealg import AlgebraSpec, GeneratorId, LieAlgebra, accumulate
 from .realization import DiffOp, VarSet, realize_element, realize_generator
 from .uea import Monomial, UEAElement, commutator, from_json_dict, multiply, omega, to_json_dict
@@ -274,22 +275,6 @@ def _cartan_operator_basis(alg: LieAlgebra):
     return ops
 
 
-def _param_monomials(vs: VarSet, max_degree: int):
-    """All parameter exponent tuples of total degree <= max_degree, as
-    full-length exponent tuples (variable slots zero)."""
-    nv, nparams = vs.nvars, len(vs.parameters)
-
-    def rec(k: int, remaining: int):
-        if k == nparams:
-            yield ()
-            return
-        for e in range(remaining + 1):
-            for rest in rec(k + 1, remaining - e):
-                yield (e,) + rest
-
-    return [(0,) * nv + tail for tail in rec(0, max_degree)]
-
-
 def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis) -> LinearSystem:
     """Rows demand that the realised combination equals a sum of the
     diagonal operators (identity, D, and J for d=2) with
@@ -313,10 +298,10 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis) -> LinearS
         for dkey, poly in op.terms.items():
             for e, c in poly.terms.items():
                 rows.setdefault(("real", dkey, e), {})[ci] = c
-    ncols = len(basis.monomials)
     columns: list = list(basis.monomials)
     for bi, bop in enumerate(_cartan_operator_basis(alg)):
-        for pm in _param_monomials(vs, pmax):
+        for tail in iter_exponents(len(vs.parameters), pmax):
+            pm = (0,) * nv + tail
             ci = len(columns)
             columns.append(("aux", bi, pm))
             for dkey, poly in bop.terms.items():

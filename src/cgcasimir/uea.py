@@ -244,48 +244,46 @@ def from_term_list(alg: LieAlgebra,
     return acc
 
 
-def _mono_names(alg: LieAlgebra, mono: Monomial) -> dict[str, int]:
-    return {alg.basis[i].name: e for i, e in enumerate(mono) if e}
+def monomial_text(mono: Sequence[int], names: Sequence[str]) -> str:
+    """``a*b^2`` for exponents (1, 2) over names (a, b); "" for the constant
+    monomial.  Serves PBW monomials, polynomial terms and derivative
+    multi-indices alike."""
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, mono) if e)
+
+
+def monomial_names(mono: Sequence[int], names: Sequence[str]) -> dict[str, int]:
+    """The JSON form of an exponent tuple: {name: exponent} over the nonzero
+    exponents."""
+    return {n: e for n, e in zip(names, mono) if e}
+
+
+def terms_text(terms: dict[Monomial, Fraction], names: Sequence[str]) -> str:
+    """Signed sum of a sparse exponent-tuple map, largest graded-lex term
+    first; "0" when empty."""
+    out = ""
+    for mono in sorted(terms, key=grlex_key, reverse=True):
+        c = terms[mono]
+        body = monomial_text(mono, names)
+        txt = str(abs(c)) if not body else body if abs(c) == 1 else f"{abs(c)}*{body}"
+        if out:
+            out += (" - " if c < 0 else " + ") + txt
+        else:
+            out = ("-" if c < 0 else "") + txt
+    return out or "0"
 
 
 def pretty_monomial(alg: LieAlgebra, mono: Monomial) -> str:
-    if not any(mono):
-        return "1"
-    parts = []
-    for i, e in enumerate(mono):
-        if e == 1:
-            parts.append(alg.basis[i].name)
-        elif e > 1:
-            parts.append(f"{alg.basis[i].name}^{e}")
-    return "*".join(parts)
+    return monomial_text(mono, [g.name for g in alg.basis]) or "1"
 
 
 def pretty(a: UEAElement) -> str:
-    if not a.terms:
-        return "0"
-    bits = []
-    for mono in sorted(a.terms, key=grlex_key, reverse=True):
-        c = a.terms[mono]
-        mtxt = pretty_monomial(a.alg, mono)
-        if mtxt == "1":
-            txt = str(abs(c))
-        elif abs(c) == 1:
-            txt = mtxt
-        else:
-            txt = f"{abs(c)}*{mtxt}"
-        bits.append(("- " if c < 0 else "+ ") + txt)
-    out = " ".join(bits)
-    return out[2:] if out.startswith("+ ") else "-" + out[2:]
+    return terms_text(a.terms, [g.name for g in a.alg.basis])
 
 
 def to_json_dict(a: UEAElement) -> dict:
-    entries = []
-    for mono in sorted(a.terms, key=grlex_key):
-        entries.append({
-            "monomial": _mono_names(a.alg, mono),
-            "coeff": str(a.terms[mono]),
-        })
-    return {"terms": entries}
+    names = [g.name for g in a.alg.basis]
+    return {"terms": [{"monomial": monomial_names(mono, names), "coeff": str(a.terms[mono])}
+                      for mono in sorted(a.terms, key=grlex_key)]}
 
 
 def _json_coeff(value) -> Fraction:

@@ -3,12 +3,14 @@ import hashlib
 import io
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgcasimir.cli import main
+from cgcasimir.liealg import make_cga, parse_spec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -298,6 +300,16 @@ def test_verify_rejects_malformed_terms(tmp_path, capsys, term):
     _assert_rejected(*_verify_json(tmp_path, capsys, {"terms": [term]}))
 
 
+@pytest.mark.parametrize("payload", [
+    {"terms": []},
+    {"terms": [{"monomial": {"Theta": 1}, "coeff": "0"}]},
+    {"canonical": []},
+], ids=["empty_element", "zero_coefficient", "empty_report"])
+def test_verify_rejects_zero_or_empty_input(tmp_path, capsys, payload):
+    # zero commutes with every generator, but it is not a Casimir
+    _assert_rejected(*_verify_json(tmp_path, capsys, payload, d="2", ell="1"))
+
+
 def test_verify_input_directory_exits_2(tmp_path, capsys):
     _assert_rejected(*run(capsys, "verify", "--d", "1", "--ell", "3/2",
                           "--in", str(tmp_path)))
@@ -321,6 +333,64 @@ def test_theorem_artifacts_match_golden_digests(tmp_path, capsys):
         assert code == 0
         key = f"d{d}_ell_{ell.replace('/', '_')}_{which}"
         seen[key] = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert seen == golden
+
+
+def _cli_golden_runs():
+    """(key, argv) of every CLI run whose stdout, and --out where given, is
+    pinned by cli_golden_sha256.json."""
+    runs = []
+
+    def spec(d, ell):
+        return f"d{d}_ell_{ell.replace('/', '_')}", ["--d", str(d), "--ell", ell]
+
+    def summary(key, argv):
+        # one run for the JSON summary and the artifact, one for the text summary
+        runs.append((f"{key}/json", argv + ["--out"]))
+        runs.append((f"{key}/text", argv + ["--format", "text"]))
+
+    for d, ell in [(1, "3/2"), (2, "2")]:
+        tag, flags = spec(d, ell)
+        summary(f"algebra_{tag}", ["algebra"] + flags)
+        runs.append((f"rank_{tag}", ["rank"] + flags + ["--out"]))
+    for d, ell in [(1, "5/2"), (2, "2")]:
+        tag, flags = spec(d, ell)
+        for g in make_cga(parse_spec(d, ell)).basis:
+            summary(f"realize_{tag}_{g.name}", ["realize"] + flags + ["--gen", g.name])
+    for name in sorted(os.listdir(FIXTURES)):
+        m = re.fullmatch(r"d(\d)_ell_(\d+(?:_\d+)?)_(\w+)\.json", name)
+        if not m:
+            continue
+        tag, flags = spec(int(m[1]), m[2].replace("_", "/"))
+        for command in ("realize", "verify"):
+            summary(f"{command}_{tag}_{m[3]}", [command] + flags + ["--in", fixture(name)])
+    for d, ell, degree in [(1, "3/2", "4"), (2, "1", "2"), (2, "2", "2")]:
+        tag, flags = spec(d, ell)
+        for method in ("pipeline", "algebraic"):
+            runs.append((f"solve_{tag}_degree_{degree}_{method}/text",
+                         ["solve"] + flags + ["--degree", degree, "--method", method,
+                                              "--format", "text"]))
+    tag, flags = spec(1, "5/2")
+    runs.append((f"theorem_{tag}_quartic/text",
+                 ["theorem"] + flags + ["--which", "quartic", "--format", "text"]))
+    return runs
+
+
+def test_cli_outputs_match_golden_digests(tmp_path, capsys):
+    # the exact stdout and --out bytes of the printing and naming paths
+    with open(fixture("cli_golden_sha256.json")) as fh:
+        golden = json.load(fh)
+    seen = {}
+    out_file = tmp_path / "artifact.json"
+    for key, argv in _cli_golden_runs():
+        with_out = argv[-1] == "--out"
+        code, out, err = run(capsys, *argv, *([str(out_file)] if with_out else []))
+        # the candidate fixtures are not Casimirs, so only they fail verification
+        assert code == (1 if key.startswith("verify_") and "candidate" in key else 0), key
+        assert err == "", key
+        seen[key] = hashlib.sha256(out.encode()).hexdigest()
+        if with_out:
+            seen[key.replace("/json", "/out")] = hashlib.sha256(out_file.read_bytes()).hexdigest()
     assert seen == golden
 
 

@@ -194,4 +194,4 @@ def test_json_schema(algebra):
         for v in e["value"]:
             frac = Fraction(v["coeff"])
             assert str(frac) == v["coeff"]
-    assert liealg.to_json(alg) == liealg.to_json(make_cga(alg.spec))
+    assert liealg.to_json_dict(alg) == liealg.to_json_dict(make_cga(alg.spec))
