@@ -17,7 +17,6 @@ from .liealg import (
 )
 from .realization import (
     DiffOp,
-    Poly,
     VarSet,
     compose,
     is_parameter_scalar,
@@ -45,7 +44,7 @@ from .uea import UEAElement, commutator, multiply, normal_order, omega
 
 __all__ = [
     "AlgebraSpec", "AnsatzBasis", "CasimirReport", "DiffOp", "GeneratorId",
-    "InvalidSpecError", "LieAlgebra", "LinearSystem", "Poly", "ReducedCheckError",
+    "InvalidSpecError", "LieAlgebra", "LinearSystem", "ReducedCheckError",
     "TheoremRangeError", "TheoremReport", "UEAElement", "VarSet", "bb_count",
     "bracket", "build_theorem_casimir", "candidates_via_realization", "commutator",
     "compose", "default_target_grades", "enumerate_ansatz", "grade_of",

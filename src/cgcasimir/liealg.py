@@ -313,9 +313,10 @@ def bb_count(alg: LieAlgebra, trials: int = 5, seed: int = 0) -> int:
     the structure matrix C(x)_ij = sum_k c_ij^k x_k.
 
     The generic rank is taken as the maximum exact rank over ``trials``
-    evaluations at pseudo-random integer points drawn from ``seed``.  The
-    result is a lower bound on the true count; the failure probability
-    (every sampled point non-generic) vanishes rapidly in ``trials``.
+    evaluations at pseudo-random integer points drawn from ``seed``.  A
+    sampled rank is at most the generic rank, so the result is an upper
+    bound on the true count; the failure probability (every sampled point
+    non-generic) vanishes rapidly in ``trials``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

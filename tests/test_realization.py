@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from cgcasimir.grading import iter_exponents
 from cgcasimir.liealg import GeneratorId
 from cgcasimir.realization import (
     DiffOp,
-    Poly,
     VarSet,
     compose,
     diffop_json_dict,
@@ -40,12 +40,12 @@ def test_generator_images(algebra):
     assert h == DiffOp.partial(vs, "t").scale(-1)
     assert pretty_diffop(h) == "-∂_t"
     m = realize_generator(spec, GeneratorId("M"))
-    assert m == DiffOp.from_poly(Poly.symbol(vs, "m"))
+    assert m == DiffOp.symbol(vs, "m")
     d = realize_generator(spec, GeneratorId("D"))
-    expect = (DiffOp.from_poly(Poly.symbol(vs, "delta"))
-              + compose(DiffOp.from_poly(Poly.symbol(vs, "t")), DiffOp.partial(vs, "t")).scale(-2)
-              + compose(DiffOp.from_poly(Poly.symbol(vs, "x0")), DiffOp.partial(vs, "x0")).scale(-3)
-              + compose(DiffOp.from_poly(Poly.symbol(vs, "x1")), DiffOp.partial(vs, "x1")).scale(-1))
+    expect = (DiffOp.symbol(vs, "delta")
+              + compose(DiffOp.symbol(vs, "t"), DiffOp.partial(vs, "t")).scale(-2)
+              + compose(DiffOp.symbol(vs, "x0"), DiffOp.partial(vs, "x0")).scale(-3)
+              + compose(DiffOp.symbol(vs, "x1"), DiffOp.partial(vs, "x1")).scale(-1))
     assert d == expect
 
 
@@ -53,13 +53,13 @@ def test_central_images_d2(algebra):
     alg = algebra(2, 1)
     theta = realize_generator(alg.spec, GeneratorId("Theta"))
     vs = VarSet.for_spec(alg.spec)
-    assert theta == DiffOp.from_poly(Poly.symbol(vs, "theta")).scale(-1)
+    assert theta == DiffOp.symbol(vs, "theta").scale(-1)
 
 
 def test_compose_leibniz_base(algebra):
     vs = VarSet.for_spec(algebra(1, "3/2").spec)
     dt = DiffOp.partial(vs, "t")
-    t = DiffOp.from_poly(Poly.symbol(vs, "t"))
+    t = DiffOp.symbol(vs, "t")
     # d/dt ∘ t = t d/dt + 1
     assert compose(dt, t) == compose(t, dt) + DiffOp.identity(vs)
     assert compose(DiffOp.identity(vs), dt) == dt
@@ -74,18 +74,17 @@ def test_compose_reproduces_bracket(algebra):
     assert compose(d, h) - compose(h, d) == h.scale(2)
 
 
-def _random_op(vs, rng, nterms=3):
+def _random_op(vs, rng, nterms=3, degree=2):
     terms = {}
     for _ in range(nterms):
         deriv = [0] * vs.nvars
-        for _ in range(rng.randint(0, 2)):
+        for _ in range(rng.randint(0, degree)):
             deriv[rng.randrange(vs.nvars)] += 1
         expo = [0] * vs.nsyms
-        for _ in range(rng.randint(0, 2)):
+        for _ in range(rng.randint(0, degree)):
             expo[rng.randrange(vs.nsyms)] += 1
-        poly = Poly(vs, {tuple(expo): Fraction(rng.randint(-3, 3), 1)})
-        key = tuple(deriv)
-        terms[key] = terms.get(key, Poly.zero(vs)) + poly
+        key = (tuple(deriv), tuple(expo))
+        terms[key] = terms.get(key, 0) + rng.randint(-3, 3)
     return DiffOp(vs, terms)
 
 
@@ -95,6 +94,38 @@ def test_compose_associative_randomized(algebra):
     for _ in range(25):
         a, b, c = (_random_op(vs, rng) for _ in range(3))
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
+
+
+def _apply(op, f):
+    """The operator acting on a polynomial ``f = {expo: coeff}``: each
+    monomial of f is differentiated by ``deriv`` one step at a time, then
+    multiplied by ``x^expo``."""
+    out = {}
+    for (deriv, expo), c in op.terms.items():
+        for fe, fc in f.items():
+            fe, fc = list(fe), fc * c
+            for i, k in enumerate(deriv):
+                for _ in range(k):
+                    fc *= fe[i]
+                    fe[i] -= 1
+            if fc:
+                key = tuple(a + b for a, b in zip(fe, expo))
+                out[key] = out.get(key, 0) + fc
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("d,ell", [(1, "3/2"), (2, 1)])
+def test_compose_matches_action_on_polynomials(d, ell, algebra):
+    # the Weyl algebra acts faithfully on polynomials: an operator of order
+    # <= n is fixed by its action on the monomials of degree <= n
+    vs = VarSet.for_spec(algebra(d, ell).spec)
+    rng = random.Random(53)
+    for _ in range(20):
+        a, b = _random_op(vs, rng, degree=4), _random_op(vs, rng, degree=4)
+        order = sum(max((sum(dv) for dv, _ in op.terms), default=0) for op in (a, b))
+        for mono in iter_exponents(vs.nvars, order):
+            f = {mono + (0,) * len(vs.parameters): 1}
+            assert _apply(compose(a, b), f) == _apply(a, _apply(b, f))
 
 
 @pytest.mark.parametrize("d,ell", [(1, "1/2"), (1, "3/2"), (1, "5/2"),
@@ -118,7 +149,7 @@ def test_realize_element_basics(algebra):
     assert realize_element(alg, UEAElement.one(alg)) == DiffOp.identity(vs)
     m2 = from_term_list(alg, [(1, ["M", "M"])])
     op = realize_element(alg, m2)
-    assert op == DiffOp.from_poly(Poly.symbol(vs, "m", 2))
+    assert op == DiffOp.symbol(vs, "m", 2)
     ok, residual = is_parameter_scalar(op)
     assert ok and residual.is_zero()
 
@@ -132,7 +163,8 @@ def test_realize_casimirs_are_parameter_scalars(algebra):
     scalar = parameter_scalar_part(op)
     vs = op.vs
     assert not scalar.is_zero()
-    used = {vs.sym_name(i) for e in scalar.terms for i, k in enumerate(e) if k}
+    names = vs.variables + vs.parameters
+    used = {names[i] for _, e in scalar.terms for i, k in enumerate(e) if k}
     assert used <= {"r", "theta"}
 
     alg1 = algebra(1, "3/2")
@@ -145,7 +177,7 @@ def test_is_parameter_scalar_residual(algebra):
     dt = DiffOp.partial(vs, "t")
     ok, residual = is_parameter_scalar(dt)
     assert not ok and residual == dt
-    tx = DiffOp.from_poly(Poly.symbol(vs, "t"))
+    tx = DiffOp.symbol(vs, "t")
     ok2, residual2 = is_parameter_scalar(tx)
     assert not ok2 and residual2 == tx
 
