@@ -11,7 +11,9 @@ derivatives.  An operator is one flat sparse map from (derivative
 multi-index, exponent tuple) to coefficient, so a polynomial is just an
 operator without derivatives.  Composition applies the Leibniz rule
 directly on those keys, with exact binomial and falling-factorial
-coefficients.
+coefficients.  Monomials are realised by one walk over their sorted
+words that composes each word onto the image of the longest prefix it
+shares with the previous word, keeping only the current path.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Optional
+from operator import add, sub
+from typing import Iterable, Iterator, Optional
 
 from .liealg import AlgebraSpec, GeneratorId, LieAlgebra, accumulate, central_pairing
-from .uea import (UEAElement, grlex_key, monomial_names, monomial_text, monomial_word,
+from .uea import (Monomial, UEAElement, grlex_key, monomial_names, monomial_text, monomial_word,
                   terms_text)
 
 Expo = tuple[int, ...]
@@ -123,7 +126,8 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     """Operator product a∘b in canonical form.  By the Leibniz rule,
     ``∂^α x^e`` is the sum over ``γ <= α`` of
     ``Πᵢ C(αᵢ, γᵢ) (eᵢ)↓γᵢ x^(e-γ) ∂^(α-γ)``; the falling factorial
-    vanishes once ``γᵢ > eᵢ``, so only those ``γ`` are visited."""
+    vanishes once ``γᵢ > eᵢ``, so only those ``γ`` are visited.  Most term
+    pairs have ``min(α, e) = 0`` and give the ``γ = 0`` term alone."""
     if a.vs != b.vs:
         raise ValueError("operands live over different variable sets")
     nv = a.vs.nvars
@@ -131,16 +135,19 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     def products():
         for (alpha, e1), c1 in a.terms.items():
             for (beta, e2), c2 in b.terms.items():
+                lim = tuple(map(min, alpha, e2))
+                deriv, expo = tuple(map(add, alpha, beta)), tuple(map(add, e1, e2))
                 c12 = c1 * c2
-                expo = tuple(x + y for x, y in zip(e1, e2))
-                for gamma in itertools.product(*(range(min(ai, ei) + 1)
-                                                 for ai, ei in zip(alpha, e2))):
+                if not any(lim):
+                    yield (deriv, expo), c12
+                    continue
+                for gamma in itertools.product(*[range(k + 1) for k in lim]):
                     c = c12
                     for ai, ei, gi in zip(alpha, e2, gamma):
                         if gi:
                             c *= math.comb(ai, gi) * math.perm(ei, gi)
-                    yield ((tuple(ai - gi + bi for ai, gi, bi in zip(alpha, gamma, beta)),
-                            tuple(x - gi for x, gi in zip(expo, gamma)) + expo[nv:]), c)
+                    yield ((tuple(map(sub, deriv, gamma)),
+                            tuple(map(sub, expo, gamma)) + expo[nv:]), c)
 
     return DiffOp(a.vs, accumulate({}, products()))
 
@@ -283,17 +290,36 @@ def verify_realization(alg: LieAlgebra,
     return failures
 
 
+def realize_monomials(alg: LieAlgebra, monomials: Iterable[Monomial]
+                      ) -> Iterator[tuple[int, DiffOp]]:
+    """Yield ``(index, image)`` for each monomial, walking the words in
+    sorted order.  ``path[j]`` is the image of the first ``j`` letters of
+    the current word, so each word is composed onto the longest prefix it
+    shares with the previous one, and only that path is kept alive.  A
+    first letter's image is the generator image itself."""
+    words = [monomial_word(m) for m in monomials]
+    path = [DiffOp.identity(VarSet.for_spec(alg.spec))]
+    word: tuple[int, ...] = ()
+    for i in sorted(range(len(words)), key=words.__getitem__):
+        prev, word = word, words[i]
+        k = next((j for j, (x, y) in enumerate(zip(prev, word)) if x != y),
+                 min(len(prev), len(word)))
+        del path[k + 1:]
+        for p in word[k:]:
+            img = realize_generator(alg.spec, alg.basis[p])
+            path.append(compose(path[-1], img) if len(path) > 1 else img)
+        yield i, path[-1]
+
+
 def realize_element(alg: LieAlgebra, a: UEAElement) -> DiffOp:
-    """Linear extension of the realisation to enveloping-algebra elements,
-    composing generator images in monomial position order."""
-    vs = VarSet.for_spec(alg.spec)
-    acc = DiffOp.zero(vs)
-    for mono, c in a.terms.items():
-        cur = DiffOp.identity(vs)
-        for p in monomial_word(mono):
-            cur = compose(cur, realize_generator(alg.spec, alg.basis[p]))
-        acc += cur.scale(c)
-    return acc
+    """Linear extension of the realisation to enveloping-algebra elements:
+    Σ c·image over the prefix walk of ``realize_monomials``, so a word
+    sharing a prefix with another reuses that prefix's image."""
+    coeffs = list(a.terms.values())
+    acc: dict = {}
+    for i, op in realize_monomials(alg, a.terms):
+        accumulate(acc, ((k, coeffs[i] * v) for k, v in op.terms.items()))
+    return DiffOp(VarSet.for_spec(alg.spec), acc)
 
 
 def is_parameter_scalar(op: DiffOp) -> tuple[bool, DiffOp]:
@@ -303,11 +329,6 @@ def is_parameter_scalar(op: DiffOp) -> tuple[bool, DiffOp]:
     res = DiffOp(op.vs, {(d, e): c for (d, e), c in op.terms.items()
                          if any(d) or any(e[:nv])})
     return res.is_zero(), res
-
-
-def parameter_scalar_part(op: DiffOp) -> DiffOp:
-    """The terms of the operator that are polynomials in the parameters."""
-    return op - is_parameter_scalar(op)[1]
 
 
 def _by_deriv(items) -> list[tuple[Expo, dict[Expo, object]]]:

@@ -27,8 +27,8 @@ from typing import Iterable, Optional
 from .grading import (AnsatzBasis, GradeVector, default_target_grades, enumerate_ansatz, grade_of,
                       iter_exponents)
 from .liealg import AlgebraSpec, GeneratorId, LieAlgebra, accumulate
-from .realization import DiffOp, VarSet, realize_element, realize_generator
-from .uea import Monomial, UEAElement, commutator, from_json_dict, multiply, omega, to_json_dict
+from .realization import DiffOp, VarSet, realize_generator, realize_monomials
+from .uea import UEAElement, commutator, from_json_dict, multiply, omega, to_json_dict
 
 Vector = tuple[Fraction, ...]
 
@@ -242,10 +242,6 @@ def reduced_check_generators(alg: LieAlgebra) -> list[GeneratorId]:
             alg.generator(f"P{n2}"), alg.generator(f"Q{n2}")]
 
 
-def _monomial_element(alg: LieAlgebra, mono: Monomial) -> UEAElement:
-    return UEAElement(alg, {mono: Fraction(1)})
-
-
 def casimir_conditions_system(alg: LieAlgebra, columns: list[UEAElement]) -> LinearSystem:
     """Rows: omega(K) = K plus [K, g] = 0 for the reduced generator set,
     where K is a combination of the column elements, with one row per
@@ -287,8 +283,7 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis) -> LinearS
     vs = VarSet.for_spec(alg.spec)
     nv = vs.nvars
     pmax = 0
-    for ci, mono in enumerate(basis.monomials):
-        op = realize_element(alg, _monomial_element(alg, mono))
+    for ci, op in realize_monomials(alg, basis.monomials):
         for (dkey, e), c in op.terms.items():
             pmax = max(pmax, sum(e[nv:]))
             rows.setdefault(("real", dkey, e), {})[ci] = c
@@ -449,7 +444,7 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
         cand_vecs = candidate_vectors(alg, basis)
         columns = [vector_element(alg, basis, v) for v in cand_vecs]
     else:
-        columns = [_monomial_element(alg, m) for m in basis.monomials]
+        columns = [UEAElement(alg, {m: 1}) for m in basis.monomials]
     # nullspace combinations of the columns, back in ansatz coordinates
     raw = []
     for combo in nullspace(casimir_conditions_system(alg, columns)):

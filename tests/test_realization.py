@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgcasimir.grading import iter_exponents
+from cgcasimir.grading import default_target_grades, enumerate_ansatz, iter_exponents
 from cgcasimir.liealg import GeneratorId
 from cgcasimir.realization import (
     DiffOp,
@@ -11,13 +11,14 @@ from cgcasimir.realization import (
     compose,
     diffop_json_dict,
     is_parameter_scalar,
-    parameter_scalar_part,
     pretty_diffop,
     realize_element,
     realize_generator,
+    realize_monomials,
     verify_realization,
 )
-from cgcasimir.uea import UEAElement, from_term_list, multiply
+from cgcasimir.solver import realization_candidate_system
+from cgcasimir.uea import UEAElement, from_term_list, monomial_word, multiply
 
 import known_casimirs as kc
 
@@ -154,13 +155,81 @@ def test_realize_element_basics(algebra):
     assert ok and residual.is_zero()
 
 
+def _word_fold(alg, mono):
+    """The monomial's image as a left fold of its generator images from
+    the identity, one compose per letter and no shared prefixes."""
+    op = DiffOp.identity(VarSet.for_spec(alg.spec))
+    for p in monomial_word(mono):
+        op = compose(op, realize_generator(alg.spec, alg.basis[p]))
+    return op
+
+
+def _quartic_ansatz(alg):
+    grade, degree = default_target_grades(alg.spec)[-1]
+    return enumerate_ansatz(alg, grade, degree)
+
+
+@pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 2)])
+def test_realize_monomials_matches_word_folds(d, ell, algebra):
+    alg = algebra(d, ell)
+    monos = _quartic_ansatz(alg).monomials
+    folds = [_word_fold(alg, m) for m in monos]
+    seen = []
+    for i, op in realize_monomials(alg, monos):
+        assert op == folds[i], monos[i]
+        seen.append(i)
+    assert sorted(seen) == list(range(len(monos)))
+
+
+@pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 2)])
+def test_candidate_system_matches_build_from_folds(d, ell, algebra):
+    alg = algebra(d, ell)
+    basis = _quartic_ansatz(alg)
+    vs = VarSet.for_spec(alg.spec)
+    rows, columns = {}, list(basis.monomials)
+    for ci, mono in enumerate(basis.monomials):
+        for (dk, e), c in _word_fold(alg, mono).terms.items():
+            rows.setdefault(("real", dk, e), {})[ci] = c
+    pmax = max(sum(e[vs.nvars:]) for _, _, e in rows)
+    diagonal = [DiffOp.identity(vs), realize_generator(alg.spec, alg.generator("D"))]
+    if d == 2:
+        diagonal.append(realize_generator(alg.spec, alg.generator("J")))
+    for bi, bop in enumerate(diagonal):
+        for tail in iter_exponents(len(vs.parameters), pmax):
+            pm = (0,) * vs.nvars + tail
+            columns.append(("aux", bi, pm))
+            for (dk, e), c in bop.terms.items():
+                key = ("real", dk, tuple(a + b for a, b in zip(e, pm)))
+                rows.setdefault(key, {})[len(columns) - 1] = -c
+    sys = realization_candidate_system(alg, basis)
+    assert sys.columns == columns
+    assert sys.rows == sorted(rows)
+    assert sys.matrix == [rows[t] for t in sys.rows]
+
+
+@pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 2)])
+def test_realize_element_ignores_term_order(d, ell, algebra):
+    alg = algebra(d, ell)
+    monos = list(_quartic_ansatz(alg).monomials)
+    rng = random.Random(59)
+    coeffs = {m: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)) for m in monos}
+    vs = VarSet.for_spec(alg.spec)
+    expect = DiffOp.zero(vs)
+    for m in monos:
+        expect += _word_fold(alg, m).scale(coeffs[m])
+    rng.shuffle(monos)
+    shuffled = UEAElement(alg, {m: coeffs[m] for m in monos})
+    assert list(shuffled.terms) == monos
+    assert realize_element(alg, shuffled) == expect
+
+
 def test_realize_casimirs_are_parameter_scalars(algebra):
     alg = algebra(2, 1)
     k2 = from_term_list(alg, kc.D2_L1_QUADRATIC)
     op = realize_element(alg, k2)
     ok, _ = is_parameter_scalar(op)
     assert ok
-    scalar = parameter_scalar_part(op)
+    scalar = op - is_parameter_scalar(op)[1]
     vs = op.vs
     assert not scalar.is_zero()
     names = vs.variables + vs.parameters
