@@ -111,7 +111,7 @@ def cmd_algebra(cfg: argparse.Namespace) -> int:
 def cmd_rank(cfg: argparse.Namespace) -> int:
     alg = make_cga(_spec(cfg))
     count = liealg.bb_count(alg, trials=cfg.trials, seed=cfg.seed)
-    payload = {"spec": {"d": alg.spec.d, "ell": alg.spec.ell_str()}, "invariant_count": count}
+    payload = {"spec": alg.spec.to_json_dict(), "invariant_count": count}
     _emit(cfg, payload, str(count))
     return 0
 
@@ -148,7 +148,9 @@ def _load_elements(cfg: argparse.Namespace, alg) -> list[uea.UEAElement]:
             if parse_spec(spec["d"], spec["ell"]) != alg.spec:
                 raise CliError(f"{cfg.input_path} was produced for "
                                f"d={spec['d']} ell={spec['ell']}")
-        elements = solver.report_elements_from_json(alg, data)
+        if not isinstance(data["canonical"], list):
+            raise ValueError("a report needs a list under 'canonical'")
+        elements = [uea.from_json_dict(alg, entry) for entry in data["canonical"]]
     else:
         raise CliError(f"{cfg.input_path}: neither an element nor a report")
     # zero commutes with everything, so neither it nor an empty report is a Casimir
@@ -170,7 +172,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
             failures.append({"element": idx, "generator": g.name,
                              "residual_terms": len(res.terms)})
     payload = {
-        "spec": {"d": alg.spec.d, "ell": alg.spec.ell_str()},
+        "spec": alg.spec.to_json_dict(),
         "elements": len(elements),
         "failures": failures,
         "verified": not failures,
@@ -188,7 +190,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 def cmd_theorem(cfg: argparse.Namespace) -> int:
     spec = _spec(cfg)
     tr, payload = theorems.theorem_casimir_report(spec, cfg.which)
-    lines = [f"closed form {cfg.which} for d={spec.d} ell={spec.ell_str()}"]
+    lines = [f"closed form {cfg.which} for d={spec.d} ell={spec.ell}"]
     if tr.verified:
         lines.append("as printed: verified against every generator")
     else:
@@ -217,7 +219,7 @@ def cmd_realize(cfg: argparse.Namespace) -> int:
         raise CliError("realize needs --in FILE or --gen NAME")
     scalar, residual = realization.is_parameter_scalar(op)
     payload = {
-        "spec": {"d": spec.d, "ell": spec.ell_str()},
+        "spec": spec.to_json_dict(),
         "input": label,
         "operator": realization.diffop_json_dict(op),
         "parameter_scalar": scalar,

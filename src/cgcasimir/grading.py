@@ -154,8 +154,9 @@ def ansatz_json_dict(alg: LieAlgebra, basis: AnsatzBasis) -> dict:
 def iter_exponents(dim: int, max_degree: int) -> Iterator[Monomial]:
     """All exponent tuples of length ``dim`` with total degree <=
     max_degree, no grade filter, in lexicographic order.  Enumerates the
-    parameter monomials of the realisation candidate system, and serves as
-    the brute-force cross-check of the pruned ansatz enumeration."""
+    parameter monomials of the realisation candidate system and the
+    exponents of products of lower Casimirs, and serves as the brute-force
+    cross-check of the pruned ansatz enumeration."""
     def rec(pos: int, remaining: int, prefix: tuple[int, ...]):
         if pos == dim:
             yield prefix

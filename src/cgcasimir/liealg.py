@@ -6,6 +6,10 @@ Two families are supported:
 * ``d=1`` with half-odd ``ell`` (central element ``M``),
 * ``d=2`` with integer ``ell`` (exotic central element ``Theta``).
 
+It also holds the two sparse helpers every layer shares: ``accumulate``
+(add and drop zeros) and ``echelon``, the one exact elimination behind the
+solver's nullspaces and spans and behind ``bb_count``'s rank.
+
 Everything here is immutable after construction and safe to share between
 threads.
 """
@@ -34,6 +38,79 @@ def accumulate(acc: dict, items: Iterable[tuple]) -> dict:
         elif v:
             acc[k] = v
     return acc
+
+
+def integerize(row: dict) -> dict:
+    """A sparse rational row scaled to coprime integers, zeros dropped."""
+    den = 1
+    for c in row.values():
+        den = math.lcm(den, c.denominator)
+    ints = {k: c.numerator * (den // c.denominator) for k, c in row.items() if c}
+    if not ints:
+        return {}
+    g = 0
+    for v in ints.values():
+        g = math.gcd(g, v)
+    if g > 1:
+        ints = {k: v // g for k, v in ints.items()}
+    return ints
+
+
+def echelon(rows: Iterable[dict[int, Fraction]], ncols: int
+            ) -> tuple[list[SparseVec], list[int]]:
+    """Reduced row echelon form of sparse rational rows over the columns
+    ``0 .. ncols-1``: (rows, pivot columns), rows sorted by pivot with a 1
+    at the pivot; zero and dependent rows drop out.
+
+    Forward elimination is fraction-free over the integers (cross
+    multiplication with gcd reduction); back substitution is rational.
+    Pivot columns go leftmost first.  Of the active rows nonzero in the
+    pivot column, the one with the fewest nonzeros supplies the pivot, ties
+    going to the earliest row (Markowitz's fill-reducing choice).
+    The reduced echelon form of the row space does not depend on which row
+    supplies a pivot, so neither does the result."""
+    active = [(idx, ints) for idx, ints in enumerate(map(integerize, rows)) if ints]
+    pivot_rows: list[dict[int, int]] = []
+    pivot_cols: list[int] = []
+    for col in range(ncols):
+        cands = [item for item in active if col in item[1]]
+        if not cands:
+            continue
+        best = min(cands, key=lambda item: (len(item[1]), item[0]))
+        active.remove(best)
+        piv = best[1]
+        pv = piv[col]
+        reduced: list[tuple[int, dict[int, int]]] = []
+        for idx, r in active:
+            a = r.get(col)
+            if not a:
+                reduced.append((idx, r))
+                continue
+            na = -a
+            r2 = accumulate({c: pv * x for c, x in r.items()},
+                            ((c, na * x) for c, x in piv.items()))
+            if r2:
+                g = 0
+                for v in r2.values():
+                    g = math.gcd(g, v)
+                if g > 1:
+                    r2 = {c: v // g for c, v in r2.items()}
+                reduced.append((idx, r2))
+        active = reduced
+        pivot_rows.append(piv)
+        pivot_cols.append(col)
+
+    frows = [{c: Fraction(x) for c, x in r.items()} for r in pivot_rows]
+    for k in range(len(frows) - 1, -1, -1):
+        col = pivot_cols[k]
+        pv = frows[k][col]
+        frows[k] = {c: x / pv for c, x in frows[k].items()}
+        for i in range(k):
+            a = frows[i].get(col)
+            if a:
+                na = -a
+                accumulate(frows[i], ((c, na * x) for c, x in frows[k].items()))
+    return frows, pivot_cols
 
 
 class InvalidSpecError(ValueError):
@@ -75,8 +152,8 @@ class AlgebraSpec:
     def central_kind(self) -> str:
         return "M" if self.d == 1 else "Theta"
 
-    def ell_str(self) -> str:
-        return str(self.ell)
+    def to_json_dict(self) -> dict:
+        return {"d": self.d, "ell": str(self.ell)}
 
 
 def parse_spec(d: int | str, ell: int | str | Fraction) -> AlgebraSpec:
@@ -289,25 +366,6 @@ def jacobi_check(alg: LieAlgebra) -> Optional[tuple[GeneratorId, GeneratorId, Ge
     return None
 
 
-def _exact_rank(matrix: list[list[Fraction]]) -> int:
-    """Row rank over the rationals by plain Gaussian elimination."""
-    rows = [row[:] for row in matrix]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                f = rows[r][col] / pv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def bb_count(alg: LieAlgebra, trials: int = 5, seed: int = 0) -> int:
     """Number of generalised invariants: dim(g) minus the generic rank of
     the structure matrix C(x)_ij = sum_k c_ij^k x_k.
@@ -324,13 +382,13 @@ def bb_count(alg: LieAlgebra, trials: int = 5, seed: int = 0) -> int:
     rng = random.Random(seed)
     best = 0
     for _ in range(trials):
-        x = [Fraction(rng.randint(-10**4, 10**4)) for _ in range(dim)]
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
+        x = [rng.randint(-10**4, 10**4) for _ in range(dim)]
+        rows: list[SparseVec] = [{} for _ in range(dim)]
         for (i, j), vec in alg.brackets.items():
-            val = sum((c * x[k] for k, c in vec.items()), Fraction(0))
-            mat[i][j] = val
-            mat[j][i] = -val
-        best = max(best, _exact_rank(mat))
+            val = sum(c * x[k] for k, c in vec.items())
+            rows[i][j] = val
+            rows[j][i] = -val
+        best = max(best, len(echelon(rows, dim)[1]))
     return dim - best
 
 
@@ -345,7 +403,7 @@ def to_json_dict(alg: LieAlgebra) -> dict:
                       for k in sorted(vec)],
         })
     return {
-        "spec": {"d": alg.spec.d, "ell": alg.spec.ell_str()},
+        "spec": alg.spec.to_json_dict(),
         "basis": [g.name for g in alg.basis],
         "brackets": entries,
     }

@@ -15,20 +15,23 @@ reduced conditions (omega-symmetry plus commutators with a small generator
 subset) provably imply full centrality for these families; if a reduced
 solution ever failed the full check that would falsify the reduction, so
 it aborts loudly rather than reporting.
+
+Every elimination here (the nullspace of each system, the echelon basis
+of a span) is ``liealg.echelon``; this module only builds the rows and
+reads results off the reduced echelon form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .grading import (AnsatzBasis, GradeVector, default_target_grades, enumerate_ansatz, grade_of,
                       iter_exponents)
-from .liealg import AlgebraSpec, GeneratorId, LieAlgebra, accumulate
+from .liealg import AlgebraSpec, GeneratorId, LieAlgebra, accumulate, echelon, integerize
 from .realization import DiffOp, VarSet, realize_generator, realize_monomials
-from .uea import UEAElement, commutator, from_json_dict, multiply, omega, to_json_dict
+from .uea import UEAElement, commutator, multiply, omega, to_json_dict
 
 Vector = tuple[Fraction, ...]
 
@@ -49,78 +52,12 @@ class LinearSystem:
     matrix: list[dict[int, Fraction]]
 
 
-def _integerize(row: dict[int, Fraction]) -> dict[int, int]:
-    den = 1
-    for c in row.values():
-        den = lcm(den, c.denominator)
-    ints = {k: int(c * den) for k, c in row.items() if c}
-    if not ints:
-        return {}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g > 1:
-        ints = {k: v // g for k, v in ints.items()}
-    return ints
-
-
 def nullspace(sys: LinearSystem) -> list[Vector]:
-    """Nullspace basis in reduced echelon form over the columns.
-
-    Forward elimination is fraction-free over the integers (cross
-    multiplication with gcd reduction); back substitution is rational.
-    Pivot columns go leftmost first.  Of the active rows nonzero in the
-    pivot column, the one with the fewest nonzeros supplies the pivot, ties
-    going to the smallest row tag (Markowitz's fill-reducing choice).
-    The reduced echelon form of the row space does not depend on which row
-    supplies a pivot, so neither does the basis."""
+    """Nullspace basis in reduced echelon form over the columns, read off
+    ``liealg.echelon`` of the matrix (its rows in tag order, so pivot ties
+    go to the smallest row tag)."""
     ncols = len(sys.columns)
-    active: list[tuple[int, dict[int, int]]] = []
-    for idx, row in enumerate(sys.matrix):
-        ints = _integerize(row)
-        if ints:
-            active.append((idx, ints))
-    pivot_rows: list[dict[int, int]] = []
-    pivot_cols: list[int] = []
-    for col in range(ncols):
-        cands = [item for item in active if col in item[1]]
-        if not cands:
-            continue
-        best = min(cands, key=lambda item: (len(item[1]), item[0]))
-        active.remove(best)
-        piv = best[1]
-        pv = piv[col]
-        reduced: list[tuple[int, dict[int, int]]] = []
-        for idx, r in active:
-            a = r.get(col)
-            if not a:
-                reduced.append((idx, r))
-                continue
-            na = -a
-            r2 = accumulate({c: pv * x for c, x in r.items()},
-                            ((c, na * x) for c, x in piv.items()))
-            if r2:
-                g = 0
-                for v in r2.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    r2 = {c: v // g for c, v in r2.items()}
-                reduced.append((idx, r2))
-        active = reduced
-        pivot_rows.append(piv)
-        pivot_cols.append(col)
-
-    frows = [{c: Fraction(x) for c, x in r.items()} for r in pivot_rows]
-    for k in range(len(frows) - 1, -1, -1):
-        col = pivot_cols[k]
-        pv = frows[k][col]
-        frows[k] = {c: x / pv for c, x in frows[k].items()}
-        for i in range(k):
-            a = frows[i].get(col)
-            if a:
-                na = -a
-                accumulate(frows[i], ((c, na * x) for c, x in frows[k].items()))
-
+    frows, pivot_cols = echelon(sys.matrix, ncols)
     pivot_set = set(pivot_cols)
     basis: list[Vector] = []
     for f in range(ncols):
@@ -141,25 +78,7 @@ def nullspace(sys: LinearSystem) -> list[Vector]:
 def rref(vectors: Iterable[Vector], ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Reduced row echelon form of a list of vectors; returns (rows,
     pivot columns), rows sorted by pivot."""
-    rows: list[dict[int, Fraction]] = []
-    pivots: list[int] = []
-    for vec in vectors:
-        cur = {i: c for i, c in enumerate(vec) if c}
-        cur = _reduce_row(rows, pivots, cur)
-        if not cur:
-            continue
-        p = min(cur)
-        pv = cur[p]
-        cur = {c: x / pv for c, x in cur.items()}
-        for r in rows:
-            a = r.get(p)
-            if a:
-                na = -a
-                accumulate(r, ((c, na * x) for c, x in cur.items()))
-        pos = sum(1 for q in pivots if q < p)
-        rows.insert(pos, cur)
-        pivots.insert(pos, p)
-    return rows, pivots
+    return echelon(({i: c for i, c in enumerate(vec) if c} for vec in vectors), ncols)
 
 
 def _reduce_row(rows: list[dict[int, Fraction]], pivots: list[int],
@@ -211,13 +130,7 @@ def primitive(elem: UEAElement) -> UEAElement:
     graded-lex leading monomial."""
     if elem.is_zero():
         return elem
-    den = 1
-    for c in elem.terms.values():
-        den = lcm(den, c.denominator)
-    num = 0
-    for c in elem.terms.values():
-        num = gcd(num, abs(c.numerator * (den // c.denominator)))
-    out = elem.scale(Fraction(den, num))
+    out = UEAElement(elem.alg, integerize(elem.terms))
     if out.terms[out.leading_monomial()] < 0:
         out = -out
     return out
@@ -305,8 +218,7 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis) -> LinearS
 def candidate_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[Vector]:
     sys = realization_candidate_system(alg, basis)
     n = len(basis.monomials)
-    projected = [v[:n] for v in nullspace(sys)]
-    return rref_vectors([v for v in projected if any(v)], n)
+    return rref_vectors((v[:n] for v in nullspace(sys)), n)
 
 
 def candidates_via_realization(alg: LieAlgebra, grade: GradeVector,
@@ -358,7 +270,7 @@ class CasimirReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "spec": {"d": self.spec.d, "ell": self.spec.ell_str()},
+            "spec": self.spec.to_json_dict(),
             "grade": list(self.grade),
             "max_degree": self.max_degree,
             "canonical": [to_json_dict(e) for e in self.canonical],
@@ -368,13 +280,6 @@ class CasimirReport:
             "verified": True,
             "provenance": self.provenance,
         }
-
-
-def report_elements_from_json(alg: LieAlgebra, data: dict) -> list[UEAElement]:
-    """Canonical elements of a serialized report (used by verify/realize)."""
-    if not isinstance(data.get("canonical"), list):
-        raise ValueError("a report needs a list under 'canonical'")
-    return [from_json_dict(alg, entry) for entry in data["canonical"]]
 
 
 def known_lower_casimirs(alg: LieAlgebra, max_degree: int
@@ -402,11 +307,9 @@ def lower_casimir_products(alg: LieAlgebra, grade: GradeVector, max_degree: int
     presenting canonical representatives)."""
     known = known_lower_casimirs(alg, max_degree)
     out: list[UEAElement] = []
-    exps: list[list[int]] = [[]]
-    for _, g0, d0 in known:
-        exps = [e + [k] for e in exps for k in range(max_degree // d0 + 1)]
     zero = tuple(0 for _ in grade)
-    for e in exps:
+    # sum(k) <= max_degree covers every sum(k * d0) <= max_degree, as d0 >= 1
+    for e in iter_exponents(len(known), max_degree):
         total_deg = sum(k * known[i][2] for i, k in enumerate(e))
         if not 1 <= total_deg <= max_degree:
             continue
@@ -471,7 +374,7 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
         if not span_contains(crows, cpivots, lv):
             raise ReducedCheckError("a product of lower Casimirs escaped the solved space")
     reduced = [reduce_vector(lrows, lpivots, v) for v in cas_vecs]
-    canonical_vecs = rref_vectors([v for v in reduced if any(v)], ncols)
+    canonical_vecs = rref_vectors(reduced, ncols)
     canonical = [primitive(vector_element(alg, basis, v)) for v in canonical_vecs]
 
     return CasimirReport(

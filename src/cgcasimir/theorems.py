@@ -355,7 +355,7 @@ def theorem_casimir_report(spec: AlgebraSpec, which: str) -> tuple[TheoremReport
     tr = theorem_report(spec, which)
     grade, degree = theorem_target(spec, which)
     payload = {
-        "spec": {"d": spec.d, "ell": spec.ell_str()},
+        "spec": spec.to_json_dict(),
         "grade": list(grade),
         "max_degree": degree,
         "canonical": [to_json_dict(tr.best)],

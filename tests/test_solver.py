@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 
 from cgcasimir.grading import enumerate_ansatz
-from cgcasimir.liealg import bb_count
+from cgcasimir.liealg import accumulate, bb_count, integerize
 from cgcasimir.solver import (
     CasimirReport,
     LinearSystem,
-    _integerize,
     candidates_via_realization,
     casimir_conditions_system,
     element_vector,
@@ -64,12 +63,29 @@ def test_nullspace_kills_fraction_rows():
         assert sum(c * v for c, v in zip(row, vec)) == 0
 
 
-def test_nullspace_randomized_rank_nullity():
-    # oracle: dense Gaussian elimination over Fraction (the liealg rank
-    # routine), an independent code path from the fraction-free solver
-    import random
+def _exact_rank(matrix: list[list[Fraction]]) -> int:
+    """Row rank over the rationals by plain Gaussian elimination."""
+    rows = [row[:] for row in matrix]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col] != 0:
+                f = rows[r][col] / pv
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
-    from cgcasimir.liealg import _exact_rank
+
+def test_nullspace_randomized_rank_nullity():
+    # oracle: dense Gaussian elimination over Fraction (_exact_rank above),
+    # an independent code path from the fraction-free solver
+    import random
 
     rng = random.Random(77)
     for _ in range(40):
@@ -91,7 +107,7 @@ def _nullspace_smallest_tag(system):
     """Reference elimination: pivot columns leftmost first, and each pivot
     row the one with the smallest row tag."""
     ncols = len(system.columns)
-    active = [(i, r) for i, r in enumerate(map(_integerize, system.matrix)) if r]
+    active = [(i, r) for i, r in enumerate(map(integerize, system.matrix)) if r]
     pivot_rows, pivot_cols = [], []
     for col in range(ncols):
         cands = [item for item in active if col in item[1]]
@@ -131,6 +147,31 @@ def _nullspace_smallest_tag(system):
     return basis
 
 
+def _rref_incremental(vectors, ncols):
+    """Reference rref: each vector is reduced by the rows so far, scaled to
+    a unit pivot and then cleared out of those rows, in rationals."""
+    rows, pivots = [], []
+    for vec in vectors:
+        cur = {i: Fr(c) for i, c in enumerate(vec) if c}
+        for row, p in zip(rows, pivots):
+            a = cur.get(p)
+            if a:
+                accumulate(cur, ((c, -a * x) for c, x in row.items()))
+        if not cur:
+            continue
+        p = min(cur)
+        pv = cur[p]
+        cur = {c: x / pv for c, x in cur.items()}
+        for r in rows:
+            a = r.get(p)
+            if a:
+                accumulate(r, ((c, -a * x) for c, x in cur.items()))
+        pos = sum(1 for q in pivots if q < p)
+        rows.insert(pos, cur)
+        pivots.insert(pos, p)
+    return rows, pivots
+
+
 def _assert_nullspace_matches_oracle(system):
     basis = nullspace(system)
     assert basis == _nullspace_smallest_tag(system)
@@ -156,6 +197,7 @@ def test_nullspace_matches_smallest_tag_oracle_randomized():
         rows.append([0] * ncols)
         rng.shuffle(rows)
         _assert_nullspace_matches_oracle(sys_from_rows(rows, ncols))
+        assert rref(rows, ncols) == _rref_incremental(rows, ncols)
 
 
 @pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 2)])
