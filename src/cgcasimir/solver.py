@@ -18,7 +18,9 @@ it aborts loudly rather than reporting.
 
 Every elimination here (the nullspace of each system, the echelon basis
 of a span) is ``liealg.echelon``; this module only builds the rows and
-reads results off the reduced echelon form.
+reads results off the reduced echelon form.  Every vector (a nullspace
+basis vector, an echelon row, a report's candidate and Casimir vectors)
+is a ``liealg.SparseVec``, a ``{column: coeff}`` map with no zero entries.
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ from typing import Iterable, Optional
 
 from .grading import (AnsatzBasis, GradeVector, default_target_grades, enumerate_ansatz, grade_of,
                       iter_exponents)
-from .liealg import AlgebraSpec, GeneratorId, LieAlgebra, accumulate, echelon, integerize
+from .liealg import (AlgebraSpec, GeneratorId, LieAlgebra, SparseVec, accumulate, echelon,
+                     integerize)
 from .realization import DiffOp, VarSet, realize_generator, realize_monomials
 from .uea import UEAElement, commutator, multiply, omega, to_json_dict
-
-Vector = tuple[Fraction, ...]
 
 
 class ReducedCheckError(RuntimeError):
@@ -52,38 +53,38 @@ class LinearSystem:
     matrix: list[dict[int, Fraction]]
 
 
-def nullspace(sys: LinearSystem) -> list[Vector]:
+def nullspace(sys: LinearSystem) -> list[SparseVec]:
     """Nullspace basis in reduced echelon form over the columns, read off
     ``liealg.echelon`` of the matrix (its rows in tag order, so pivot ties
-    go to the smallest row tag)."""
+    go to the smallest row tag): per free column f, ``{f: 1}`` plus
+    ``{pivot column: -entry}`` for each reduced row with an entry at f."""
     ncols = len(sys.columns)
     frows, pivot_cols = echelon(sys.matrix, ncols)
     pivot_set = set(pivot_cols)
-    basis: list[Vector] = []
+    basis: list[SparseVec] = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for k, col in enumerate(pivot_cols):
-            a = frows[k].get(f)
+        v = {f: Fraction(1)}
+        for row, col in zip(frows, pivot_cols):
+            a = row.get(f)
             if a:
                 v[col] = -a
-        basis.append(tuple(v))
+        basis.append(v)
     return basis
 
 
-# -- span utilities over dense rational vectors ------------------------
+# -- span utilities over sparse vectors (SparseVec, no zero entries) ---
 
-def rref(vectors: Iterable[Vector], ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
+def rref(vectors: Iterable[SparseVec], ncols: int) -> tuple[list[SparseVec], list[int]]:
     """Reduced row echelon form of a list of vectors; returns (rows,
     pivot columns), rows sorted by pivot."""
-    return echelon(({i: c for i, c in enumerate(vec) if c} for vec in vectors), ncols)
+    return echelon(vectors, ncols)
 
 
-def _reduce_row(rows: list[dict[int, Fraction]], pivots: list[int],
-                vec: dict[int, Fraction]) -> dict[int, Fraction]:
-    out = dict(vec)
+def reduce_vector(rows: list[SparseVec], pivots: list[int], vec: SparseVec) -> SparseVec:
+    """``vec`` minus its component in the span of the echelon ``rows``."""
+    out = {i: c for i, c in vec.items() if c}
     for row, p in zip(rows, pivots):
         a = out.get(p)
         if a:
@@ -92,37 +93,24 @@ def _reduce_row(rows: list[dict[int, Fraction]], pivots: list[int],
     return out
 
 
-def reduce_vector(rows: list[dict[int, Fraction]], pivots: list[int], vec: Vector) -> Vector:
-    cur = _reduce_row(rows, pivots, {i: c for i, c in enumerate(vec) if c})
-    return tuple(cur.get(i, Fraction(0)) for i in range(len(vec)))
-
-
-def span_contains(rows, pivots, vec: Vector) -> bool:
-    return not any(reduce_vector(rows, pivots, vec))
-
-
-def rref_vectors(vectors: Iterable[Vector], ncols: int) -> list[Vector]:
-    rows, _ = rref(vectors, ncols)
-    return [tuple(r.get(i, Fraction(0)) for i in range(ncols)) for r in rows]
+def span_contains(rows: list[SparseVec], pivots: list[int], vec: SparseVec) -> bool:
+    return not reduce_vector(rows, pivots, vec)
 
 
 # -- elements <-> vectors ----------------------------------------------
 
-def element_vector(basis: AnsatzBasis, elem: UEAElement) -> Vector:
+def element_vector(basis: AnsatzBasis, elem: UEAElement) -> SparseVec:
     index = basis.index()
-    vec = [Fraction(0)] * len(basis.monomials)
-    for mono, c in elem.terms.items():
-        try:
-            vec[index[mono]] = c
-        except KeyError:
-            raise ValueError(
-                f"element has a monomial outside the ansatz (grade/degree mismatch)"
-            ) from None
-    return tuple(vec)
+    try:
+        return {index[mono]: c for mono, c in elem.terms.items()}
+    except KeyError:
+        raise ValueError(
+            f"element has a monomial outside the ansatz (grade/degree mismatch)"
+        ) from None
 
 
-def vector_element(alg: LieAlgebra, basis: AnsatzBasis, vec: Iterable[Fraction]) -> UEAElement:
-    return UEAElement(alg, {m: c for m, c in zip(basis.monomials, vec) if c})
+def vector_element(alg: LieAlgebra, basis: AnsatzBasis, vec: SparseVec) -> UEAElement:
+    return UEAElement(alg, {basis.monomials[i]: c for i, c in vec.items()})
 
 
 def primitive(elem: UEAElement) -> UEAElement:
@@ -215,10 +203,11 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis) -> LinearS
                         matrix=[rows[t] for t in tags])
 
 
-def candidate_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[Vector]:
+def candidate_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
     sys = realization_candidate_system(alg, basis)
     n = len(basis.monomials)
-    return rref_vectors((v[:n] for v in nullspace(sys)), n)
+    rows, _ = rref(({i: c for i, c in v.items() if i < n} for v in nullspace(sys)), n)
+    return rows
 
 
 def candidates_via_realization(alg: LieAlgebra, grade: GradeVector,
@@ -245,7 +234,9 @@ def verify_casimir(alg: LieAlgebra, K: UEAElement
 
 @dataclass
 class CasimirReport:
-    """A solved Casimir subspace at one grade/degree target."""
+    """A solved Casimir subspace at one grade/degree target.  The vector
+    fields are ``SparseVec`` rows over the ansatz columns, in reduced
+    echelon form."""
 
     spec: AlgebraSpec
     grade: GradeVector
@@ -255,8 +246,8 @@ class CasimirReport:
     canonical: list[UEAElement]
     lower_products: list[UEAElement]
     provenance: str
-    casimir_vectors: list[Vector] = field(default_factory=list, repr=False)
-    candidate_vectors: Optional[list[Vector]] = field(default=None, repr=False)
+    casimir_vectors: list[SparseVec] = field(default_factory=list, repr=False)
+    candidate_vectors: Optional[list[SparseVec]] = field(default=None, repr=False)
 
     @property
     def candidate_dim(self) -> Optional[int]:
@@ -342,20 +333,16 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
     basis = enumerate_ansatz(alg, grade, max_degree)
     ncols = len(basis.monomials)
 
-    cand_vecs: Optional[list[Vector]] = None
+    cand_vecs: Optional[list[SparseVec]] = None
     if method == "pipeline":
-        cand_vecs = candidate_vectors(alg, basis)
-        columns = [vector_element(alg, basis, v) for v in cand_vecs]
+        cand_vecs = col_vecs = candidate_vectors(alg, basis)
     else:
-        columns = [UEAElement(alg, {m: 1}) for m in basis.monomials]
+        col_vecs = [{i: Fraction(1)} for i in range(ncols)]
+    columns = [vector_element(alg, basis, v) for v in col_vecs]
     # nullspace combinations of the columns, back in ansatz coordinates
-    raw = []
-    for combo in nullspace(casimir_conditions_system(alg, columns)):
-        acc = accumulate({}, ((m, k * c) for k, col in zip(combo, columns) if k
-                              for m, c in col.terms.items()))
-        raw.append(element_vector(basis, UEAElement(alg, acc)))
-    crows, cpivots = rref(raw, ncols)
-    cas_vecs = [tuple(r.get(i, Fraction(0)) for i in range(ncols)) for r in crows]
+    raw = [accumulate({}, ((i, k * c) for j, k in combo.items() for i, c in col_vecs[j].items()))
+           for combo in nullspace(casimir_conditions_system(alg, columns))]
+    cas_vecs, cpivots = rref(raw, ncols)
     cas_elems = [vector_element(alg, basis, v) for v in cas_vecs]
 
     for e in cas_elems:
@@ -371,10 +358,10 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
     lower_vecs = [element_vector(basis, e) for e in lower]
     lrows, lpivots = rref(lower_vecs, ncols)
     for lv in lower_vecs:
-        if not span_contains(crows, cpivots, lv):
+        if not span_contains(cas_vecs, cpivots, lv):
             raise ReducedCheckError("a product of lower Casimirs escaped the solved space")
     reduced = [reduce_vector(lrows, lpivots, v) for v in cas_vecs]
-    canonical_vecs = rref_vectors(reduced, ncols)
+    canonical_vecs, _ = rref(reduced, ncols)
     canonical = [primitive(vector_element(alg, basis, v)) for v in canonical_vecs]
 
     return CasimirReport(

@@ -318,17 +318,15 @@ def theorem_report(spec: AlgebraSpec, which: str) -> TheoremReport:
     rep = solve_casimirs(alg, grade, degree, method="algebraic")
     basis = rep.ansatz
     rows, pivots = rref(rep.casimir_vectors, len(basis.monomials))
-    vec = element_vector(basis, built)
-    residual = reduce_vector(rows, pivots, vec)
-    corrected_vec = tuple(a - b for a, b in zip(vec, residual))
-    corrected = vector_element(alg, basis, corrected_vec)
+    residual = reduce_vector(rows, pivots, element_vector(basis, built))
+    corrected = built - vector_element(alg, basis, residual)
     if corrected.is_zero() or verify_casimir(alg, corrected) is not None:
         raise AssertionError("projection onto the solved space failed")
 
     discrepancies: list[Discrepancy] = []
     seen: set = set()
     for t in terms:
-        monos = sorted(t.element.terms, key=lambda m: m)
+        monos = sorted(t.element.terms)
         seen.update(monos)
         ratios = {corrected.coefficient(m) / t.element.terms[m] for m in monos}
         if len(ratios) == 1:

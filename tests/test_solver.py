@@ -44,23 +44,19 @@ def test_nullspace_identity():
 
 def test_nullspace_zero_matrix():
     basis = nullspace(sys_from_rows([[0, 0, 0]], 3))
-    assert basis == [
-        (Fr(1), Fr(0), Fr(0)),
-        (Fr(0), Fr(1), Fr(0)),
-        (Fr(0), Fr(0), Fr(1)),
-    ]
+    assert basis == [{0: Fr(1)}, {1: Fr(1)}, {2: Fr(1)}]
 
 
 def test_nullspace_hand_checked():
     basis = nullspace(sys_from_rows([[1, 1, 0], [0, 1, 1]], 3))
-    assert basis == [(Fr(1), Fr(-1), Fr(1))]
+    assert basis == [{0: Fr(1), 1: Fr(-1), 2: Fr(1)}]
 
 
 def test_nullspace_kills_fraction_rows():
     rows = [[Fr(1, 2), Fr(1, 3), 0], [0, Fr(2, 7), Fr(1, 5)]]
     (vec,) = nullspace(sys_from_rows(rows, 3))
     for row in rows:
-        assert sum(c * v for c, v in zip(row, vec)) == 0
+        assert sum(c * vec.get(j, 0) for j, c in enumerate(row)) == 0
 
 
 def _exact_rank(matrix: list[list[Fraction]]) -> int:
@@ -97,7 +93,7 @@ def test_nullspace_randomized_rank_nullity():
         assert len(basis) == ncols - rank
         for vec in basis:
             for row in rows:
-                assert sum(c * v for c, v in zip(row, vec)) == 0
+                assert sum(c * vec.get(j, 0) for j, c in enumerate(row)) == 0
         # returned vectors are linearly independent
         rrows, _ = rref(basis, ncols)
         assert len(rrows) == len(basis)
@@ -138,12 +134,11 @@ def _nullspace_smallest_tag(system):
     for f in range(ncols):
         if f in pivot_cols:
             continue
-        v = [Fr(0)] * ncols
-        v[f] = Fr(1)
+        v = {f: Fr(1)}
         for row, col in zip(pivot_rows, pivot_cols):
             if row.get(f):
                 v[col] = -row[f]
-        basis.append(tuple(v))
+        basis.append(v)
     return basis
 
 
@@ -152,7 +147,7 @@ def _rref_incremental(vectors, ncols):
     a unit pivot and then cleared out of those rows, in rationals."""
     rows, pivots = [], []
     for vec in vectors:
-        cur = {i: Fr(c) for i, c in enumerate(vec) if c}
+        cur = {i: Fr(c) for i, c in vec.items() if c}
         for row, p in zip(rows, pivots):
             a = cur.get(p)
             if a:
@@ -176,8 +171,9 @@ def _assert_nullspace_matches_oracle(system):
     basis = nullspace(system)
     assert basis == _nullspace_smallest_tag(system)
     for vec in basis:
+        assert all(vec.values()) and all(j < len(system.columns) for j in vec)
         for row in system.matrix:
-            assert sum(c * vec[j] for j, c in row.items()) == 0
+            assert sum(c * vec.get(j, 0) for j, c in row.items()) == 0
 
 
 def test_nullspace_matches_smallest_tag_oracle_randomized():
@@ -196,8 +192,9 @@ def test_nullspace_matches_smallest_tag_oracle_randomized():
                 rows.append([s * x + t * y for x, y in zip(a, b)])
         rows.append([0] * ncols)
         rng.shuffle(rows)
-        _assert_nullspace_matches_oracle(sys_from_rows(rows, ncols))
-        assert rref(rows, ncols) == _rref_incremental(rows, ncols)
+        system = sys_from_rows(rows, ncols)
+        _assert_nullspace_matches_oracle(system)
+        assert rref(system.matrix, ncols) == _rref_incremental(system.matrix, ncols)
 
 
 @pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 2)])
@@ -211,12 +208,15 @@ def test_nullspace_matches_smallest_tag_oracle_on_solver_systems(d, ell, algebra
 
 
 def test_rref_and_span_utilities():
-    rows, pivots = rref([(Fr(2), Fr(4)), (Fr(1), Fr(2))], 2)
+    rows, pivots = rref([{0: Fr(2), 1: Fr(4)}, {0: Fr(1), 1: Fr(2)}], 2)
     assert pivots == [0]
     assert rows == [{0: Fr(1), 1: Fr(2)}]
-    assert span_contains(rows, pivots, (Fr(3), Fr(6)))
-    assert not span_contains(rows, pivots, (Fr(1), Fr(0)))
-    assert reduce_vector(rows, pivots, (Fr(1), Fr(2))) == (Fr(0), Fr(0))
+    assert span_contains(rows, pivots, {0: Fr(3), 1: Fr(6)})
+    assert not span_contains(rows, pivots, {0: Fr(1)})
+    assert reduce_vector(rows, pivots, {0: Fr(1), 1: Fr(2)}) == {}
+    # explicit zero entries are dropped, not kept as nonzero residue
+    assert span_contains(rows, pivots, {1: Fr(0)})
+    assert reduce_vector(rows, pivots, {0: Fr(0)}) == {}
 
 
 def test_primitive_normalization(algebra):
@@ -372,6 +372,8 @@ def test_path_agreement(d, ell, grade, deg, solved):
 def test_casimir_span_inside_candidate_span(d, ell, grade, deg, solved):
     rep = solved(d, ell, grade, deg, "pipeline")
     ncols = len(rep.ansatz.monomials)
+    for vec in rep.candidate_vectors + rep.casimir_vectors:
+        assert all(vec.values()) and all(j < ncols for j in vec)
     rows, pivots = rref(rep.candidate_vectors, ncols)
     for vec in rep.casimir_vectors:
         assert span_contains(rows, pivots, vec)
