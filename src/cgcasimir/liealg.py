@@ -8,7 +8,11 @@ Two families are supported:
 
 It also holds the two sparse helpers every layer shares: ``accumulate``
 (add and drop zeros) and ``echelon``, the one exact elimination behind the
-solver's nullspaces and spans and behind ``bb_count``'s rank.
+solver's nullspaces and spans and behind ``bb_count``'s rank.  When a
+system has more nonzero rows than columns, ``echelon`` first picks its
+pivot rows by one elimination modulo a prime, eliminates only those
+exactly, and certifies in integer arithmetic that every other row lies in
+their span; the result is the exact reduced echelon form either way.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -56,51 +60,83 @@ def integerize(row: dict) -> dict:
     return ints
 
 
-def echelon(rows: Iterable[dict[int, Fraction]], ncols: int
-            ) -> tuple[list[SparseVec], list[int]]:
-    """Reduced row echelon form of sparse rational rows over the columns
-    ``0 .. ncols-1``: (rows, pivot columns), rows sorted by pivot with a 1
-    at the pivot; zero and dependent rows drop out.
+# Residues fit one 30-bit CPython digit, so the modular pass stays on small ints.
+PRIME = 1_073_741_789  # the largest prime below 2**30
 
-    Forward elimination is fraction-free over the integers (cross
-    multiplication with gcd reduction); back substitution is rational.
-    Pivot columns go leftmost first.  Of the active rows nonzero in the
-    pivot column, the one with the fewest nonzeros supplies the pivot, ties
-    going to the earliest row (Markowitz's fill-reducing choice).
-    The reduced echelon form of the row space does not depend on which row
-    supplies a pivot, so neither does the result."""
-    active = [(idx, ints) for idx, ints in enumerate(map(integerize, rows)) if ints]
-    pivot_rows: list[dict[int, int]] = []
-    pivot_cols: list[int] = []
+
+def _exact_clearer(piv: dict, col: int):
+    """Clears ``col`` from a row over the integers: ``piv[col]*r -
+    r[col]*piv``, divided by its gcd, as a new row."""
+    pv = piv[col]
+
+    def clear(r: dict) -> dict:
+        na = -r[col]
+        r2 = accumulate({c: pv * x for c, x in r.items()}, ((c, na * x) for c, x in piv.items()))
+        g = 0
+        for v in r2.values():
+            g = math.gcd(g, v)
+        if g > 1:
+            r2 = {c: v // g for c, v in r2.items()}
+        return r2
+    return clear
+
+
+def _mod_clearer(piv: dict, col: int):
+    """Clears ``col`` from a row modulo ``PRIME``: ``r - (r[col]/piv[col])*piv``
+    in place, so only the pivot row's columns are touched; zeros dropped."""
+    inv = pow(piv[col], -1, PRIME)
+
+    def clear(r: dict) -> dict:
+        f = r[col] * inv
+        for c, x in piv.items():
+            v = (r.get(c, 0) - f * x) % PRIME
+            if v:
+                r[c] = v
+            else:
+                del r[c]
+        return r
+    return clear
+
+
+def _forward(rows: list[dict], ncols: int, clearer) -> list[tuple[int, int, dict]]:
+    """Forward elimination: (pivot column, input row index, pivot row) per
+    pivot, pivot columns leftmost first.  A row waits in the bucket of a
+    column no later than its leading one, starting at its leading column;
+    at each column the bucket's rows without an entry there move on to the
+    next.  Of those with one, the row with the fewest nonzeros supplies the
+    pivot, ties going to the earliest row (Markowitz's fill-reducing
+    choice), and ``clearer(piv, col)`` clears ``col`` from the others."""
+    by_col: dict[int, list[tuple[int, dict]]] = {}
+    for idx, r in enumerate(rows):
+        if r:
+            by_col.setdefault(min(r), []).append((idx, r))
+    pivots = []
     for col in range(ncols):
-        cands = [item for item in active if col in item[1]]
+        bucket = by_col.pop(col, None)
+        if not bucket:
+            continue
+        later = by_col.setdefault(col + 1, [])
+        cands = []
+        for item in bucket:
+            (cands if col in item[1] else later).append(item)
         if not cands:
             continue
-        best = min(cands, key=lambda item: (len(item[1]), item[0]))
-        active.remove(best)
-        piv = best[1]
-        pv = piv[col]
-        reduced: list[tuple[int, dict[int, int]]] = []
-        for idx, r in active:
-            a = r.get(col)
-            if not a:
-                reduced.append((idx, r))
-                continue
-            na = -a
-            r2 = accumulate({c: pv * x for c, x in r.items()},
-                            ((c, na * x) for c, x in piv.items()))
-            if r2:
-                g = 0
-                for v in r2.values():
-                    g = math.gcd(g, v)
-                if g > 1:
-                    r2 = {c: v // g for c, v in r2.items()}
-                reduced.append((idx, r2))
-        active = reduced
-        pivot_rows.append(piv)
-        pivot_cols.append(col)
+        best, piv = min(cands, key=lambda item: (len(item[1]), item[0]))
+        clear = clearer(piv, col)
+        for idx, r in cands:
+            if idx != best:
+                r = clear(r)
+                if r:
+                    later.append((idx, r))
+        pivots.append((col, best, piv))
+    return pivots
 
-    frows = [{c: Fraction(x) for c, x in r.items()} for r in pivot_rows]
+
+def _exact_echelon(rows: list[dict], ncols: int) -> tuple[list[SparseVec], list[int]]:
+    """``_forward`` over the integers, then rational back substitution."""
+    pivots = _forward(rows, ncols, _exact_clearer)
+    pivot_cols = [col for col, _, _ in pivots]
+    frows = [{c: Fraction(x) for c, x in r.items()} for _, _, r in pivots]
     for k in range(len(frows) - 1, -1, -1):
         col = pivot_cols[k]
         pv = frows[k][col]
@@ -110,6 +146,57 @@ def echelon(rows: Iterable[dict[int, Fraction]], ncols: int
             if a:
                 na = -a
                 accumulate(frows[i], ((c, na * x) for c, x in frows[k].items()))
+    return frows, pivot_cols
+
+
+def null_basis(frows: list[SparseVec], pivot_cols: list[int], ncols: int) -> list[SparseVec]:
+    """Nullspace basis read off a reduced echelon form (``echelon``'s
+    output): per free column f, ``{f: 1}`` plus ``{pivot column: -entry}``
+    for each row with an entry at f."""
+    pivot_set = set(pivot_cols)
+    basis: list[SparseVec] = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = {f: Fraction(1)}
+        for row, col in zip(frows, pivot_cols):
+            a = row.get(f)
+            if a:
+                v[col] = -a
+        basis.append(v)
+    return basis
+
+
+def echelon(rows: Iterable[dict[int, Fraction]], ncols: int
+            ) -> tuple[list[SparseVec], list[int]]:
+    """Reduced row echelon form of sparse rational rows over the columns
+    ``0 .. ncols-1``: (rows, pivot columns), rows sorted by pivot with a 1
+    at the pivot; zero and dependent rows drop out.
+
+    The rows are integerized.  Exact elimination is ``_forward`` over the
+    integers (cross multiplication with gcd reduction), then rational back
+    substitution.  The reduced echelon form of the row space does not
+    depend on which rows supply the pivots, so neither does the result.
+
+    Row selection: with more nonzero rows than columns, ``_forward`` first
+    runs modulo ``PRIME`` and records which input rows supply its pivots;
+    only those rows are eliminated exactly.  Rows independent modulo a
+    prime are independent over the rationals.  The certificate: every
+    dropped row has integer dot product 0 with each integerized nullspace
+    vector of the kept rows.  Then all rows span what the kept rows span,
+    and the result is the one that eliminating every row gives.  If a
+    dropped row fails, every row is eliminated exactly.  With at most
+    ``ncols`` nonzero rows the exact pass runs alone."""
+    ints = [r for r in map(integerize, rows) if r]
+    if len(ints) <= ncols:
+        return _exact_echelon(ints, ncols)
+    mods = [{c: x % PRIME for c, x in r.items() if x % PRIME} for r in ints]
+    kept = {idx for _, idx, _ in _forward(mods, ncols, _mod_clearer)}
+    frows, pivot_cols = _exact_echelon([r for i, r in enumerate(ints) if i in kept], ncols)
+    dropped = [r for i, r in enumerate(ints) if i not in kept]
+    for v in map(integerize, null_basis(frows, pivot_cols, ncols)):
+        if any(sum(x * v[c] for c, x in r.items() if c in v) for r in dropped):
+            return _exact_echelon(ints, ncols)
     return frows, pivot_cols
 
 
@@ -366,6 +453,9 @@ def jacobi_check(alg: LieAlgebra) -> Optional[tuple[GeneratorId, GeneratorId, Ge
     return None
 
 
+MAX_TRIALS = 1000  # a larger request is refused before any point is drawn
+
+
 def bb_count(alg: LieAlgebra, trials: int = 5, seed: int = 0) -> int:
     """Number of generalised invariants: dim(g) minus the generic rank of
     the structure matrix C(x)_ij = sum_k c_ij^k x_k.
@@ -376,8 +466,8 @@ def bb_count(alg: LieAlgebra, trials: int = 5, seed: int = 0) -> int:
     bound on the true count; the failure probability (every sampled point
     non-generic) vanishes rapidly in ``trials``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     dim = alg.dim
     rng = random.Random(seed)
     best = 0

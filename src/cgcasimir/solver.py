@@ -32,7 +32,7 @@ from typing import Iterable, Optional
 from .grading import (AnsatzBasis, GradeVector, default_target_grades, enumerate_ansatz, grade_of,
                       iter_exponents)
 from .liealg import (AlgebraSpec, GeneratorId, LieAlgebra, SparseVec, accumulate, echelon,
-                     integerize)
+                     integerize, null_basis)
 from .realization import DiffOp, VarSet, realize_generator, realize_monomials
 from .uea import UEAElement, commutator, multiply, omega, to_json_dict
 
@@ -54,24 +54,10 @@ class LinearSystem:
 
 
 def nullspace(sys: LinearSystem) -> list[SparseVec]:
-    """Nullspace basis in reduced echelon form over the columns, read off
-    ``liealg.echelon`` of the matrix (its rows in tag order, so pivot ties
-    go to the smallest row tag): per free column f, ``{f: 1}`` plus
-    ``{pivot column: -entry}`` for each reduced row with an entry at f."""
+    """Nullspace basis in reduced echelon form over the columns: the
+    ``liealg.null_basis`` of ``liealg.echelon`` of the matrix."""
     ncols = len(sys.columns)
-    frows, pivot_cols = echelon(sys.matrix, ncols)
-    pivot_set = set(pivot_cols)
-    basis: list[SparseVec] = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = {f: Fraction(1)}
-        for row, col in zip(frows, pivot_cols):
-            a = row.get(f)
-            if a:
-                v[col] = -a
-        basis.append(v)
-    return basis
+    return null_basis(*echelon(sys.matrix, ncols), ncols)
 
 
 # -- span utilities over sparse vectors (SparseVec, no zero entries) ---

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgcasimir import liealg
 from cgcasimir.cli import main
-from cgcasimir.liealg import make_cga, parse_spec
+from cgcasimir.liealg import MAX_TRIALS, make_cga, parse_spec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -131,6 +132,16 @@ def test_solve_rejects_degree_zero(capsys):
 def test_rank_rejects_zero_trials(capsys):
     code, _, err = run(capsys, "rank", "--d", "1", "--ell", "3/2", "--trials", "0")
     assert code == 2
+
+
+def test_rank_refuses_huge_trials_before_any_point(capsys, monkeypatch):
+    def no_rank(*args):
+        raise AssertionError("a structure matrix was evaluated")
+
+    monkeypatch.setattr(liealg, "echelon", no_rank)
+    code, out, err = run(capsys, "rank", "--d", "1", "--ell", "3/2", "--trials", "1000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(MAX_TRIALS) in err
 
 
 def test_solve_rejects_unresolvable_grade(capsys):

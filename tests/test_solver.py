@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from cgcasimir import liealg
 from cgcasimir.grading import enumerate_ansatz
-from cgcasimir.liealg import accumulate, bb_count, integerize
+from cgcasimir.liealg import PRIME, accumulate, bb_count, echelon, integerize
 from cgcasimir.solver import (
     CasimirReport,
     LinearSystem,
@@ -180,6 +181,7 @@ def test_nullspace_matches_smallest_tag_oracle_randomized():
     import random
 
     rng = random.Random(91)
+    cases = []
     for _ in range(120):
         nrows, ncols = rng.randint(1, 12), rng.randint(1, 10)
         density = rng.choice([0.15, 0.3, 0.6])
@@ -192,9 +194,52 @@ def test_nullspace_matches_smallest_tag_oracle_randomized():
                 rows.append([s * x + t * y for x, y in zip(a, b)])
         rows.append([0] * ncols)
         rng.shuffle(rows)
+        cases.append((rows, ncols))
+    # tall systems, the pipeline's shape: up to 5x as many rows as columns,
+    # most of them combinations of a few independent ones, so echelon
+    # selects its rows modulo PRIME
+    for _ in range(40):
+        ncols = rng.randint(2, 10)
+        density = rng.choice([0.3, 0.6])
+        base = [[rng.randint(-9, 9) if rng.random() < density else 0
+                 for _ in range(ncols)] for _ in range(rng.randint(1, ncols))]
+        rows = [row[:] for row in base]
+        for _ in range(rng.randint(ncols + 1, 5 * ncols) - len(base)):
+            combo = [0] * ncols
+            for row in rng.sample(base, rng.randint(1, len(base))):
+                s = Fr(rng.randint(-4, 4), rng.randint(1, 3))
+                combo = [x + s * y for x, y in zip(combo, row)]
+            rows.append(combo)
+        rng.shuffle(rows)
+        cases.append((rows, ncols))
+    for rows, ncols in cases:
         system = sys_from_rows(rows, ncols)
         _assert_nullspace_matches_oracle(system)
         assert rref(system.matrix, ncols) == _rref_incremental(system.matrix, ncols)
+
+
+def test_echelon_falls_back_when_the_prime_hides_a_pivot(monkeypatch):
+    # the first two rows differ by PRIME in one entry: modulo PRIME all three
+    # rows are multiples of the first, so only it is kept, and the
+    # certificate must send echelon back to eliminating every row
+    rows = [{0: Fr(1), 1: Fr(1)}, {0: Fr(1), 1: Fr(1 + PRIME)}, {0: Fr(2), 1: Fr(2 + PRIME)}]
+    exact_calls = []
+    exact = liealg._exact_echelon
+
+    def counted(ints, ncols):
+        exact_calls.append(len(ints))
+        return exact(ints, ncols)
+
+    monkeypatch.setattr(liealg, "_exact_echelon", counted)
+    assert echelon(rows, 2) == ([{0: Fr(1)}, {1: Fr(1)}], [0, 1])
+    assert exact_calls == [1, 3]
+    system = LinearSystem(columns=[0, 1], rows=[("r", i, ()) for i in range(3)], matrix=rows)
+    assert nullspace(system) == _nullspace_smallest_tag(system) == []
+    # a free third column, and a fourth row to keep the system tall
+    rows.append({0: Fr(3), 1: Fr(3)})
+    system = LinearSystem(columns=[0, 1, 2], rows=[("r", i, ()) for i in range(4)], matrix=rows)
+    assert nullspace(system) == _nullspace_smallest_tag(system) == [{2: Fr(1)}]
+    assert exact_calls == [1, 3, 1, 3, 1, 4]
 
 
 @pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 2)])
