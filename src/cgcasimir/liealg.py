@@ -1,5 +1,7 @@
 """Structure-constant Lie algebras for the centrally extended conformal
-Galilei families, with exact rational arithmetic throughout.
+Galilei families, in exact arithmetic: every structure constant is an
+integer and stays an ``int``; ``Fraction`` appears only where a value
+needs one.
 
 Two families are supported:
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-SparseVec = dict[int, Fraction]  # basis position -> coefficient
+SparseVec = dict[int, int | Fraction]  # basis position -> coefficient, int where exact
 
 
 def accumulate(acc: dict, items: Iterable[tuple]) -> dict:
@@ -46,15 +48,9 @@ def accumulate(acc: dict, items: Iterable[tuple]) -> dict:
 
 def integerize(row: dict) -> dict:
     """A sparse rational row scaled to coprime integers, zeros dropped."""
-    den = 1
-    for c in row.values():
-        den = math.lcm(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in row.values()))
     ints = {k: c.numerator * (den // c.denominator) for k, c in row.items() if c}
-    if not ints:
-        return {}
-    g = 0
-    for v in ints.values():
-        g = math.gcd(g, v)
+    g = math.gcd(*ints.values())
     if g > 1:
         ints = {k: v // g for k, v in ints.items()}
     return ints
@@ -72,9 +68,7 @@ def _exact_clearer(piv: dict, col: int):
     def clear(r: dict) -> dict:
         na = -r[col]
         r2 = accumulate({c: pv * x for c, x in r.items()}, ((c, na * x) for c, x in piv.items()))
-        g = 0
-        for v in r2.values():
-            g = math.gcd(g, v)
+        g = math.gcd(*r2.values())
         if g > 1:
             r2 = {c: v // g for c, v in r2.items()}
         return r2
@@ -167,7 +161,7 @@ def null_basis(frows: list[SparseVec], pivot_cols: list[int], ncols: int) -> lis
     return basis
 
 
-def echelon(rows: Iterable[dict[int, Fraction]], ncols: int
+def echelon(rows: Iterable[SparseVec], ncols: int
             ) -> tuple[list[SparseVec], list[int]]:
     """Reduced row echelon form of sparse rational rows over the columns
     ``0 .. ncols-1``: (rows, pivot columns), rows sorted by pivot with a 1
@@ -316,7 +310,8 @@ def _basis_d2(spec: AlgebraSpec) -> list[GeneratorId]:
 
 
 class LieAlgebra:
-    """A basis with a sparse bracket table over exact rationals.
+    """A basis with a sparse bracket table of exact coefficients, ``int``
+    for these families, whose structure constants are all integers.
 
     ``brackets`` stores [b_i, b_j] only for i < j; antisymmetry is
     synthesized on lookup.  ``pair_table`` is the dense per-pair expansion
@@ -335,7 +330,7 @@ class LieAlgebra:
         for (i, j), vec in brackets.items():
             if i >= j:
                 raise ValueError(f"bracket key ({i},{j}) must satisfy i < j")
-            vec = {k: Fraction(c) for k, c in vec.items() if c != 0}
+            vec = {k: c for k, c in vec.items() if c}
             if vec:
                 clean[(i, j)] = vec
         self.brackets = clean
@@ -380,9 +375,9 @@ def make_cga(spec: AlgebraSpec) -> LieAlgebra:
     pos = {g: i for i, g in enumerate(basis)}
     brackets: dict[tuple[int, int], SparseVec] = {}
 
-    def put(x: GeneratorId, y: GeneratorId, combo: dict[GeneratorId, int | Fraction]):
+    def put(x: GeneratorId, y: GeneratorId, combo: dict[GeneratorId, int]):
         i, j = pos[x], pos[y]
-        vec = {pos[g]: Fraction(c) for g, c in combo.items() if c != 0}
+        vec = {pos[g]: c for g, c in combo.items() if c}
         if not vec:
             return
         if i < j:

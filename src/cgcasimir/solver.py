@@ -26,7 +26,6 @@ is a ``liealg.SparseVec``, a ``{column: coeff}`` map with no zero entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .grading import (AnsatzBasis, GradeVector, default_target_grades, enumerate_ansatz, grade_of,
@@ -50,7 +49,7 @@ class LinearSystem:
 
     columns: list
     rows: list[tuple]
-    matrix: list[dict[int, Fraction]]
+    matrix: list[SparseVec]
 
 
 def nullspace(sys: LinearSystem) -> list[SparseVec]:
@@ -133,7 +132,7 @@ def casimir_conditions_system(alg: LieAlgebra, columns: list[UEAElement]) -> Lin
     """Rows: omega(K) = K plus [K, g] = 0 for the reduced generator set,
     where K is a combination of the column elements, with one row per
     monomial appearing in a residual."""
-    rows: dict[tuple, dict[int, Fraction]] = {}
+    rows: dict[tuple, SparseVec] = {}
     checks = reduced_check_generators(alg)
     for ci, elem in enumerate(columns):
         for g in checks:
@@ -166,7 +165,7 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis) -> LinearS
     Columns are the ansatz monomials followed by auxiliary columns, one
     per (diagonal operator, parameter monomial) pair; candidate vectors
     are nullspace vectors projected onto the ansatz block."""
-    rows: dict[tuple, dict[int, Fraction]] = {}
+    rows: dict[tuple, SparseVec] = {}
     vs = VarSet.for_spec(alg.spec)
     nv = vs.nvars
     pmax = 0
@@ -323,7 +322,7 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
     if method == "pipeline":
         cand_vecs = col_vecs = candidate_vectors(alg, basis)
     else:
-        col_vecs = [{i: Fraction(1)} for i in range(ncols)]
+        col_vecs = [{i: 1} for i in range(ncols)]
     columns = [vector_element(alg, basis, v) for v in col_vecs]
     # nullspace combinations of the columns, back in ansatz coordinates
     raw = [accumulate({}, ((i, k * c) for j, k in combo.items() for i, c in col_vecs[j].items()))

@@ -24,7 +24,6 @@ from .solver import (
     CasimirReport,
     element_vector,
     reduce_vector,
-    rref,
     solve_casimirs,
     vector_element,
     verify_casimir,
@@ -317,8 +316,8 @@ def theorem_report(spec: AlgebraSpec, which: str) -> TheoremReport:
                 raise AssertionError(f"term {t.name} is off-grade; bad transcription")
     rep = solve_casimirs(alg, grade, degree, method="algebraic")
     basis = rep.ansatz
-    rows, pivots = rref(rep.casimir_vectors, len(basis.monomials))
-    residual = reduce_vector(rows, pivots, element_vector(basis, built))
+    rows = rep.casimir_vectors  # already in reduced echelon form
+    residual = reduce_vector(rows, [min(v) for v in rows], element_vector(basis, built))
     corrected = built - vector_element(alg, basis, residual)
     if corrected.is_zero() or verify_casimir(alg, corrected) is not None:
         raise AssertionError("projection onto the solved space failed")
@@ -328,7 +327,7 @@ def theorem_report(spec: AlgebraSpec, which: str) -> TheoremReport:
     for t in terms:
         monos = sorted(t.element.terms)
         seen.update(monos)
-        ratios = {corrected.coefficient(m) / t.element.terms[m] for m in monos}
+        ratios = {Fraction(corrected.coefficient(m), t.element.terms[m]) for m in monos}
         if len(ratios) == 1:
             got = ratios.pop()
             if got != t.value:
@@ -337,7 +336,7 @@ def theorem_report(spec: AlgebraSpec, which: str) -> TheoremReport:
             # the solved element is not proportional to the printed term
             # grouping: report each monomial on its own
             for m in monos:
-                got = corrected.coefficient(m) / t.element.terms[m]
+                got = Fraction(corrected.coefficient(m), t.element.terms[m])
                 if got != t.value:
                     discrepancies.append(Discrepancy(
                         f"{t.name} [{pretty_monomial(alg, m)}]", t.value, got))

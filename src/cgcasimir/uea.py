@@ -1,12 +1,13 @@
 """Exact arithmetic in the universal enveloping algebra.
 
-Elements are sparse rational combinations of PBW monomials.  A monomial is
-an exponent tuple over the algebra's fixed basis order; the product it
-denotes is b_0^e_0 b_1^e_1 ... with factors in increasing position.
-Arbitrary products are rewritten into this basis by bubbling adjacent
-out-of-order pairs, x y -> y x + [x, y]; each swap strictly lowers the
-inversion count at fixed degree and bracket terms drop the degree, so the
-rewriting terminates.
+Elements are sparse exact combinations of PBW monomials, with ``int``
+coefficients where exact and ``Fraction`` where a value needs one.  A
+monomial is an exponent tuple over the algebra's fixed basis order; the
+product it denotes is b_0^e_0 b_1^e_1 ... with factors in increasing
+position.  Arbitrary products are rewritten into this basis by bubbling
+adjacent out-of-order pairs, x y -> y x + [x, y]; each swap strictly
+lowers the inversion count at fixed degree and bracket terms drop the
+degree, so the rewriting terminates.
 """
 
 from __future__ import annotations
@@ -41,18 +42,14 @@ def word_monomial(dim: int, word: Sequence[int]) -> Monomial:
 
 
 class UEAElement:
-    """Sparse map from PBW monomials to nonzero exact rationals."""
+    """Sparse map from PBW monomials to nonzero exact coefficients: ``int``
+    where exact, ``Fraction`` otherwise, kept as given."""
 
     __slots__ = ("alg", "terms")
 
-    def __init__(self, alg: LieAlgebra, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, alg: LieAlgebra, terms: dict[Monomial, int | Fraction] | None = None):
         self.alg = alg
-        clean: dict[Monomial, Fraction] = {}
-        for mono, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[mono] = c
-        self.terms = clean
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -61,13 +58,13 @@ class UEAElement:
 
     @classmethod
     def one(cls, alg: LieAlgebra) -> "UEAElement":
-        return cls(alg, {(0,) * alg.dim: Fraction(1)})
+        return cls(alg, {(0,) * alg.dim: 1})
 
     @classmethod
     def generator(cls, alg: LieAlgebra, g: GeneratorId) -> "UEAElement":
         expo = [0] * alg.dim
         expo[alg.position(g)] = 1
-        return cls(alg, {tuple(expo): Fraction(1)})
+        return cls(alg, {tuple(expo): 1})
 
     # -- linear structure ---------------------------------------------
     def __add__(self, other: "UEAElement") -> "UEAElement":
@@ -104,8 +101,8 @@ class UEAElement:
             return NEG_INF
         return max(sum(m) for m in self.terms)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Monomial) -> int | Fraction:
+        return self.terms.get(mono, 0)
 
     def leading_monomial(self) -> Monomial:
         return max(self.terms, key=grlex_key)
@@ -131,8 +128,8 @@ def normal_order(alg: LieAlgebra, word: Iterable[GeneratorId | int]) -> UEAEleme
     )
     table = alg.pair_table
     dim = alg.dim
-    done: dict[Monomial, Fraction] = {}
-    work: dict[tuple[int, ...], Fraction] = {positions: Fraction(1)}
+    done: dict[Monomial, int | Fraction] = {}
+    work: dict[tuple[int, ...], int | Fraction] = {positions: 1}
     while work:
         w, c = work.popitem()
         i = _first_descent(w)
@@ -148,7 +145,7 @@ def normal_order(alg: LieAlgebra, word: Iterable[GeneratorId | int]) -> UEAEleme
 
 def multiply(alg: LieAlgebra, a: UEAElement, b: UEAElement) -> UEAElement:
     """Bilinear extension of normal ordering on concatenated words."""
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int | Fraction] = {}
     for ma, ca in a.terms.items():
         wa = monomial_word(ma)
         for mb, cb in b.terms.items():
@@ -173,7 +170,7 @@ def commutator(alg: LieAlgebra, a: UEAElement, x: GeneratorId | int) -> UEAEleme
     p = x if isinstance(x, int) else alg.position(x)
     table = alg.pair_table
     dim = alg.dim
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int | Fraction] = {}
     for mono, c in a.terms.items():
         w = monomial_word(mono)
         for k, bk in enumerate(w):
@@ -224,7 +221,7 @@ def omega_positions(alg: LieAlgebra) -> tuple[int, ...]:
 def omega(alg: LieAlgebra, a: UEAElement) -> UEAElement:
     """Involutive anti-automorphism: products reverse, then re-order."""
     img = omega_positions(alg)
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int | Fraction] = {}
     for mono, c in a.terms.items():
         word = tuple(img[p] for p in reversed(monomial_word(mono)))
         accumulate(out, ((m2, c * ck) for m2, ck in normal_order(alg, word).terms.items()))
@@ -240,7 +237,7 @@ def from_term_list(alg: LieAlgebra,
     acc = UEAElement.zero(alg)
     for c, names in terms:
         word = [alg.generator(n) for n in names]
-        acc = acc + normal_order(alg, word).scale(Fraction(c))
+        acc = acc + normal_order(alg, word).scale(c)
     return acc
 
 
@@ -257,7 +254,7 @@ def monomial_names(mono: Sequence[int], names: Sequence[str]) -> dict[str, int]:
     return {n: e for n, e in zip(names, mono) if e}
 
 
-def terms_text(terms: dict[Monomial, Fraction], names: Sequence[str]) -> str:
+def terms_text(terms: dict[Monomial, int | Fraction], names: Sequence[str]) -> str:
     """Signed sum of a sparse exponent-tuple map, largest graded-lex term
     first; "0" when empty."""
     out = ""

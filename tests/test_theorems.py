@@ -72,6 +72,14 @@ def test_d1_quartic_report_ell_52(algebra):
     assert (tr.corrected - from_term_list(alg, kc.D1_L52_QUARTIC)).is_zero()
 
 
+@pytest.mark.parametrize("ell", ["5/2", "9/2"])
+def test_d1_quartic_discrepancies_are_fractions(ell, algebra):
+    # the solver's ratios are exact: an int / int division would be a float
+    tr = theorem_report(algebra(1, ell).spec, "quartic")
+    assert tr.discrepancies
+    assert all(type(d.solver) is Fraction for d in tr.discrepancies)
+
+
 def test_d1_quartic_report_ell_72(algebra):
     alg = algebra(1, "7/2")
     tr = theorem_report(alg.spec, "quartic")

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgcasimir.grading import default_target_grades, enumerate_ansatz
+from cgcasimir.solver import casimir_conditions_system, vector_element
 from cgcasimir.uea import (
     UEAElement,
     commutator,
@@ -141,6 +143,31 @@ def test_commutator_matches_product_oracle(d, ell, algebra):
         a = _random_element(alg, rng, max_terms=4, max_degree=4)
         for p in range(alg.dim):
             assert commutator(alg, a, p) == _commutator_by_products(alg, a, p)
+
+
+@pytest.mark.parametrize("d,ell", [(1, "3/2"), (1, "5/2"), (1, "7/2"), (1, "9/2"),
+                                   (2, 1), (2, 2), (2, 3)])
+def test_coefficients_stay_int_where_exact(d, ell, algebra):
+    # every structure constant is an integer, so brackets, normal ordering,
+    # commutators and the algebraic route's condition matrix stay int
+    alg = algebra(d, ell)
+
+    def ints(values):
+        return all(type(c) is int for c in values)
+
+    assert all(ints(vec.values()) for vec in alg.brackets.values())
+    assert all(ints(c for _, c in entry) for row in alg.pair_table for entry in row)
+    word = [alg.generator(n) for n in ("C", f"P{alg.spec.two_ell}", "D", "H", "P0")]
+    ordered = normal_order(alg, word)
+    assert len(ordered.terms) > 1 and ints(ordered.terms.values())
+    for x in alg.basis:
+        gen = UEAElement.generator(alg, x)
+        assert all(ints(commutator(alg, gen, y).terms.values()) for y in alg.basis)
+    grade, degree = default_target_grades(alg.spec)[0]
+    basis = enumerate_ansatz(alg, grade, degree)
+    columns = [vector_element(alg, basis, {i: 1}) for i in range(len(basis))]
+    matrix = casimir_conditions_system(alg, columns).matrix
+    assert matrix and all(ints(row.values()) for row in matrix)
 
 
 def test_omega_fixes_diagonal(algebra):
