@@ -7,7 +7,10 @@ product it denotes is b_0^e_0 b_1^e_1 ... with factors in increasing
 position.  Arbitrary products are rewritten into this basis by bubbling
 adjacent out-of-order pairs, x y -> y x + [x, y]; each swap strictly
 lowers the inversion count at fixed degree and bracket terms drop the
-degree, so the rewriting terminates.
+degree, so the rewriting terminates.  Every product, commutator and
+omega image is one combination of words put through one rewriting pass,
+``_normal_form``, where equal words from different terms merge before
+they are rewritten again.
 """
 
 from __future__ import annotations
@@ -121,76 +124,61 @@ def _first_descent(word: tuple[int, ...]) -> int:
     return -1
 
 
-def normal_order(alg: LieAlgebra, word: Iterable[GeneratorId | int]) -> UEAElement:
-    """PBW expansion of the left-to-right product of ``word``."""
-    positions = tuple(
-        g if isinstance(g, int) else alg.position(g) for g in word
-    )
+def _normal_form(alg: LieAlgebra, work: dict[tuple[int, ...], int | Fraction]) -> UEAElement:
+    """PBW expansion of a combination ``{word: coeff}`` of position words;
+    consumes ``work``.  Each word's first out-of-order pair is swapped and
+    its bracket terms added back, so equal words from different terms merge
+    (or cancel) before they are rewritten again; ordered words become
+    monomials at the end."""
     table = alg.pair_table
-    dim = alg.dim
-    done: dict[Monomial, int | Fraction] = {}
-    work: dict[tuple[int, ...], int | Fraction] = {positions: 1}
+    done: dict[tuple[int, ...], int | Fraction] = {}
     while work:
         w, c = work.popitem()
         i = _first_descent(w)
         if i < 0:
-            accumulate(done, ((word_monomial(dim, w), c),))
+            accumulate(done, ((w, c),))
             continue
         a, b = w[i], w[i + 1]
         head, tail = w[:i], w[i + 2:]
         accumulate(work, ((head + (b, a) + tail, c),))
         accumulate(work, ((head + (k,) + tail, c * ck) for k, ck in table[a][b]))
-    return UEAElement(alg, done)
+    dim = alg.dim
+    return UEAElement(alg, {word_monomial(dim, w): c for w, c in done.items()})
+
+
+def normal_order(alg: LieAlgebra, word: Iterable[GeneratorId | int]) -> UEAElement:
+    """PBW expansion of the left-to-right product of ``word``."""
+    positions = tuple(g if isinstance(g, int) else alg.position(g) for g in word)
+    return _normal_form(alg, {positions: 1})
 
 
 def multiply(alg: LieAlgebra, a: UEAElement, b: UEAElement) -> UEAElement:
     """Bilinear extension of normal ordering on concatenated words."""
-    out: dict[Monomial, int | Fraction] = {}
+    words_b = [(monomial_word(mb), cb) for mb, cb in b.terms.items()]
+    work: dict[tuple[int, ...], int | Fraction] = {}
     for ma, ca in a.terms.items():
         wa = monomial_word(ma)
-        for mb, cb in b.terms.items():
-            c = ca * cb
-            wb = monomial_word(mb)
-            if not wa or not wb or wa[-1] <= wb[0]:
-                # concatenation already ordered: merge exponents directly
-                accumulate(out, ((tuple(x + y for x, y in zip(ma, mb)), c),))
-            else:
-                accumulate(out, ((m, c * ck) for m, ck in
-                                 normal_order(alg, wa + wb).terms.items()))
-    return UEAElement(alg, out)
+        accumulate(work, ((wa + wb, ca * cb) for wb, cb in words_b))
+    return _normal_form(alg, work)
 
 
 def commutator(alg: LieAlgebra, a: UEAElement, x: GeneratorId | int) -> UEAElement:
     """[a, x] = a x - x a in normal form, for a basis generator x.
 
     ad x acts as a derivation: for a PBW word b_1...b_n the bracket is
-    sum_k b_1...b_(k-1) [b_k, x] b_(k+1)...b_n.  A substituted word that is
-    still ordered is a monomial as it stands; only the others are normal
-    ordered."""
+    sum_k b_1...b_(k-1) [b_k, x] b_(k+1)...b_n, and every substituted word
+    goes into one normal-ordering pass."""
     p = x if isinstance(x, int) else alg.position(x)
     table = alg.pair_table
-    dim = alg.dim
-    out: dict[Monomial, int | Fraction] = {}
+    work: dict[tuple[int, ...], int | Fraction] = {}
     for mono, c in a.terms.items():
         w = monomial_word(mono)
         for k, bk in enumerate(w):
             brk = table[bk][p]
-            if not brk:
-                continue
-            head, tail = w[:k], w[k + 1:]
-            lo = head[-1] if head else 0
-            hi = tail[0] if tail else dim
-            for j, cj in brk:
-                if lo <= j <= hi:
-                    m2 = list(mono)
-                    m2[bk] -= 1
-                    m2[j] += 1
-                    accumulate(out, ((tuple(m2), c * cj),))
-                else:
-                    cc = c * cj
-                    accumulate(out, ((m2, cc * ck) for m2, ck in
-                                     normal_order(alg, head + (j,) + tail).terms.items()))
-    return UEAElement(alg, out)
+            if brk:
+                head, tail = w[:k], w[k + 1:]
+                accumulate(work, ((head + (j,) + tail, c * cj) for j, cj in brk))
+    return _normal_form(alg, work)
 
 
 def omega_positions(alg: LieAlgebra) -> tuple[int, ...]:
@@ -221,11 +209,8 @@ def omega_positions(alg: LieAlgebra) -> tuple[int, ...]:
 def omega(alg: LieAlgebra, a: UEAElement) -> UEAElement:
     """Involutive anti-automorphism: products reverse, then re-order."""
     img = omega_positions(alg)
-    out: dict[Monomial, int | Fraction] = {}
-    for mono, c in a.terms.items():
-        word = tuple(img[p] for p in reversed(monomial_word(mono)))
-        accumulate(out, ((m2, c * ck) for m2, ck in normal_order(alg, word).terms.items()))
-    return UEAElement(alg, out)
+    return _normal_form(alg, {tuple(img[p] for p in reversed(monomial_word(mono))): c
+                              for mono, c in a.terms.items()})
 
 
 def from_term_list(alg: LieAlgebra,
@@ -234,11 +219,10 @@ def from_term_list(alg: LieAlgebra,
 
     Words need not be pre-ordered; they are normal ordered as products.
     """
-    acc = UEAElement.zero(alg)
-    for c, names in terms:
-        word = [alg.generator(n) for n in names]
-        acc = acc + normal_order(alg, word).scale(c)
-    return acc
+    work: dict[tuple[int, ...], Fraction] = {}
+    accumulate(work, ((tuple(alg.position(alg.generator(n)) for n in names), Fraction(c))
+                      for c, names in terms))
+    return _normal_form(alg, work)
 
 
 def monomial_text(mono: Sequence[int], names: Sequence[str]) -> str:

@@ -61,7 +61,7 @@ def test_multiply_ordered_pair(algebra):
     assert multiply(alg, h, c) == elem(alg, [(1, ["H", "C"])])
 
 
-def test_multiply_matches_word_oracle(algebra):
+def test_multiply_reorders_concatenated_word(algebra):
     # oracle: the product of monomials is the normal ordering of the
     # concatenated word
     alg = algebra(1, "3/2")
@@ -72,16 +72,51 @@ def test_multiply_matches_word_oracle(algebra):
     assert prod == elem(alg, [(1, ["P0", "P3", "P3"]), (-6, ["M", "P3"])])
 
 
-def _random_element(alg, rng, max_terms=2, max_degree=3):
+def _random_element(alg, rng, max_terms=2, max_degree=3, positions=None):
+    positions = positions or range(alg.dim)
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         deg = rng.randint(0, max_degree)
-        word = sorted(rng.randrange(alg.dim) for _ in range(deg))
+        word = sorted(positions[rng.randrange(len(positions))] for _ in range(deg))
         expo = [0] * alg.dim
         for p in word:
             expo[p] += 1
         terms[tuple(expo)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return UEAElement(alg, terms)
+
+
+def _multiply_by_words(alg, a, b):
+    """Reference: normal order each concatenated word alone, then sum."""
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            for m, ck in normal_order(alg, monomial_word(ma) + monomial_word(mb)).terms.items():
+                out[m] = out.get(m, 0) + ca * cb * ck
+    return UEAElement(alg, out)
+
+
+@pytest.mark.parametrize("d,ell", [(1, "5/2"), (2, 2)])
+def test_multiply_matches_word_oracle(d, ell, algebra):
+    # multi-term factors over three generators, so that equal words from
+    # different term pairs meet and merge inside one rewriting pass
+    alg = algebra(d, ell)
+    rng = random.Random(29)
+    for _ in range(20):
+        pool = rng.sample(range(alg.dim), 3)
+        a, b = (_random_element(alg, rng, max_terms=4, max_degree=3, positions=pool)
+                for _ in range(2))
+        assert multiply(alg, a, b) == _multiply_by_words(alg, a, b)
+
+
+@pytest.mark.parametrize("d,ell,words", [
+    (1, "3/2", [(1, ["C", "H"]), (-1, ["H", "C"]), (-1, ["D"])]),
+    (2, 2, [(1, ["J", "P0"]), (-1, ["P0", "J"]), (1, ["P0"])]),
+], ids=["d1-CH", "d2-JP0"])
+def test_from_term_list_merged_words_cancel(d, ell, words, algebra):
+    # x y - y x - [x, y] = 0: the rewritten word merges with the other two
+    # and every term cancels, leaving no zero-valued entry behind
+    zero = from_term_list(algebra(d, ell), words)
+    assert zero.terms == {} and zero.is_zero()
 
 
 def test_multiply_associative_randomized(algebra):
@@ -149,7 +184,8 @@ def test_commutator_matches_product_oracle(d, ell, algebra):
                                    (2, 1), (2, 2), (2, 3)])
 def test_coefficients_stay_int_where_exact(d, ell, algebra):
     # every structure constant is an integer, so brackets, normal ordering,
-    # commutators and the algebraic route's condition matrix stay int
+    # products, omega, commutators and the algebraic route's condition
+    # matrix stay int
     alg = algebra(d, ell)
 
     def ints(values):
@@ -160,6 +196,10 @@ def test_coefficients_stay_int_where_exact(d, ell, algebra):
     word = [alg.generator(n) for n in ("C", f"P{alg.spec.two_ell}", "D", "H", "P0")]
     ordered = normal_order(alg, word)
     assert len(ordered.terms) > 1 and ints(ordered.terms.values())
+    assert ints(omega(alg, ordered).terms.values())
+    gens = [UEAElement.generator(alg, alg.generator(n)) for n in ("C", "H")]
+    product = multiply(alg, *gens)
+    assert len(product.terms) > 1 and ints(product.terms.values())
     for x in alg.basis:
         gen = UEAElement.generator(alg, x)
         assert all(ints(commutator(alg, gen, y).terms.values()) for y in alg.basis)
