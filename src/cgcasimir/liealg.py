@@ -48,12 +48,12 @@ def accumulate(acc: dict, items: Iterable[tuple]) -> dict:
 
 def integerize(row: dict) -> dict:
     """A sparse rational row scaled to coprime integers, zeros dropped."""
-    den = math.lcm(*(c.denominator for c in row.values()))
-    ints = {k: c.numerator * (den // c.denominator) for k, c in row.items() if c}
+    ints = row
+    if not all(type(c) is int for c in row.values()):
+        den = math.lcm(*(c.denominator for c in row.values()))
+        ints = {k: c.numerator * (den // c.denominator) for k, c in row.items()}
     g = math.gcd(*ints.values())
-    if g > 1:
-        ints = {k: v // g for k, v in ints.items()}
-    return ints
+    return {k: v // g for k, v in ints.items() if v}
 
 
 # Residues fit one 30-bit CPython digit, so the modular pass stays on small ints.

@@ -8,22 +8,24 @@ checked literally, not at sampled parameter values.
 
 Canonical form keeps all multiplication operators to the left of all
 derivatives.  An operator is one flat sparse map from (derivative
-multi-index, exponent tuple) to coefficient, so a polynomial is just an
-operator without derivatives.  Composition applies the Leibniz rule
-directly on those keys, with exact binomial and falling-factorial
-coefficients.  Monomials are realised by one walk over their sorted
-words that composes each word onto the image of the longest prefix it
-shares with the previous word, keeping only the current path.
+multi-index, exponent tuple), packed into one int with a guarded 32-bit
+field per entry, to coefficient, so a polynomial is just an operator
+without derivatives.  Composition applies the Leibniz rule directly on
+those keys, with exact binomial and falling-factorial coefficients.
+Monomials are realised by one walk over their sorted words that composes
+each word onto the image of the longest prefix it shares with the
+previous word, keeping only the current path.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import add, sub
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from .liealg import AlgebraSpec, GeneratorId, LieAlgebra, accumulate, central_pairing
@@ -31,6 +33,8 @@ from .uea import (Monomial, UEAElement, grlex_key, monomial_names, monomial_text
                   terms_text)
 
 Expo = tuple[int, ...]
+
+FIELD_MAX = 2**31 - 1  # largest entry of a packed key; bit 31 of a field is its guard
 
 
 @dataclass(frozen=True)
@@ -60,23 +64,52 @@ class VarSet:
     def nsyms(self) -> int:
         return len(self.variables) + len(self.parameters)
 
-    def sym_index(self, name: str) -> int:
-        syms = self.variables + self.parameters
-        return syms.index(name)
+    @cached_property
+    def _fields(self) -> struct.Struct:
+        return struct.Struct(f"<{self.nvars + self.nsyms}I")
+
+    @property
+    def guard(self) -> int:
+        """Bit 31 of every field, which no entry of a packed key may set."""
+        return int.from_bytes(b"\0\0\0\x80" * (self.nvars + self.nsyms), "little")
+
+    def pack(self, deriv: Expo, expo: Expo) -> int:
+        """Packed exponent vector (Monagan & Pearce, CASC 2007): ``deriv[i]``
+        in 32-bit field ``i`` and ``expo[j]`` in field ``nvars + j``."""
+        if not all(0 <= f <= FIELD_MAX for f in (*deriv, *expo)):
+            raise ValueError(f"exponent outside 0 .. {FIELD_MAX}: {deriv}, {expo}")
+        return int.from_bytes(self._fields.pack(*deriv, *expo), "little")
+
+    def unpack(self, key: int) -> tuple[Expo, Expo]:
+        fields = self._fields.unpack(key.to_bytes(self._fields.size, "little"))
+        return fields[:self.nvars], fields[self.nvars:]
 
 
 class DiffOp:
-    """Weyl-algebra element as one sparse map ``(deriv, expo) -> coeff``:
-    the term ``coeff * x^expo * ∂^deriv``, with ``deriv`` over the variables
-    and ``expo`` over the variables then the parameters.  A polynomial is
-    the operator whose terms all have the zero ``deriv``.  Coefficients are
-    ``int`` where exact and ``Fraction`` only where a value needs one."""
+    """Weyl-algebra element as one sparse map ``vs.pack(deriv, expo) ->
+    coeff``: the term ``coeff * x^expo * ∂^deriv``, with ``deriv`` over the
+    variables and ``expo`` over the variables then the parameters.  A
+    polynomial is the operator whose terms all have the zero ``deriv``.
+    Coefficients are ``int`` where exact and ``Fraction`` only where a
+    value needs one.  Only the constructor and ``terms`` unpack keys."""
 
-    __slots__ = ("vs", "terms")
+    __slots__ = ("vs", "packed")
 
     def __init__(self, vs: VarSet, terms: dict[tuple[Expo, Expo], object] | None = None):
         self.vs = vs
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+        self.packed = {vs.pack(d, e): c for (d, e), c in (terms or {}).items() if c}
+
+    @classmethod
+    def _of(cls, vs: VarSet, packed: dict[int, object]) -> "DiffOp":
+        """An operator over a packed map that already has no zero entry."""
+        op = cls.__new__(cls)
+        op.vs, op.packed = vs, packed
+        return op
+
+    @property
+    def terms(self) -> dict[tuple[Expo, Expo], object]:
+        """The map ``(deriv, expo) -> coeff``, unpacked afresh."""
+        return {self.vs.unpack(k): c for k, c in self.packed.items()}
 
     @classmethod
     def zero(cls, vs: VarSet) -> "DiffOp":
@@ -90,7 +123,7 @@ class DiffOp:
     def symbol(cls, vs: VarSet, name: str, power: int = 1) -> "DiffOp":
         """Multiplication by a variable or parameter raised to ``power``."""
         e = [0] * vs.nsyms
-        e[vs.sym_index(name)] = power
+        e[(vs.variables + vs.parameters).index(name)] = power
         return cls(vs, {((0,) * vs.nvars, tuple(e)): 1})
 
     @classmethod
@@ -100,23 +133,22 @@ class DiffOp:
         return cls(vs, {(tuple(d), (0,) * vs.nsyms): 1})
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
-        return DiffOp(self.vs, accumulate(dict(self.terms), other.terms.items()))
+        return DiffOp._of(self.vs, accumulate(dict(self.packed), other.packed.items()))
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return DiffOp(self.vs, accumulate(dict(self.terms),
-                                          ((k, -c) for k, c in other.terms.items())))
+        return self + other.scale(-1)
 
     def __neg__(self) -> "DiffOp":
         return self.scale(-1)
 
     def scale(self, c) -> "DiffOp":
-        return DiffOp(self.vs, {k: c * v for k, v in self.terms.items()})
+        return DiffOp._of(self.vs, {k: c * v for k, v in self.packed.items()} if c else {})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def __eq__(self, other):
-        return isinstance(other, DiffOp) and self.vs == other.vs and self.terms == other.terms
+        return isinstance(other, DiffOp) and self.vs == other.vs and self.packed == other.packed
 
     def __repr__(self):
         return f"DiffOp({pretty_diffop(self)})"
@@ -126,30 +158,39 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     """Operator product a∘b in canonical form.  By the Leibniz rule,
     ``∂^α x^e`` is the sum over ``γ <= α`` of
     ``Πᵢ C(αᵢ, γᵢ) (eᵢ)↓γᵢ x^(e-γ) ∂^(α-γ)``; the falling factorial
-    vanishes once ``γᵢ > eᵢ``, so only those ``γ`` are visited.  Most term
-    pairs have ``min(α, e) = 0`` and give the ``γ = 0`` term alone."""
-    if a.vs != b.vs:
+    vanishes once ``γᵢ > eᵢ``, so only those ``γ`` are visited.
+
+    The ``γ = 0`` key is ``k₁ + k₂``; it is the only term when ``k₁``
+    misses the mask of the derivative fields with ``eᵢ > 0``, as in most
+    pairs.  Each ``γ`` subtracts ``γᵢ`` from fields ``i`` and ``nvars + i``.
+    Fields of guard-clean operands never carry or borrow, so a key reaching
+    a guard bit is an entry above ``FIELD_MAX`` and raises ``ValueError``."""
+    vs = a.vs
+    if vs != b.vs:
         raise ValueError("operands live over different variable sets")
-    nv = a.vs.nvars
+    unit = 1 + (1 << 32 * vs.nvars)  # 1 in field 0 and in field nvars
+    right = []  # (k₂, c₂, mask, [(i, eᵢ) for eᵢ > 0])
+    for k2, c2 in b.packed.items():
+        lims = [(i, e) for i, e in enumerate(vs.unpack(k2)[1][:vs.nvars]) if e]
+        right.append((k2, c2, sum(0xFFFFFFFF << 32 * i for i, _ in lims), lims))
 
     def products():
-        for (alpha, e1), c1 in a.terms.items():
-            for (beta, e2), c2 in b.terms.items():
-                lim = tuple(map(min, alpha, e2))
-                deriv, expo = tuple(map(add, alpha, beta)), tuple(map(add, e1, e2))
-                c12 = c1 * c2
-                if not any(lim):
-                    yield (deriv, expo), c12
+        for k1, c1 in a.packed.items():
+            for k2, c2, mask, lims in right:
+                if not k1 & mask:
+                    yield k1 + k2, c1 * c2
                     continue
-                for gamma in itertools.product(*[range(k + 1) for k in lim]):
-                    c = c12
-                    for ai, ei, gi in zip(alpha, e2, gamma):
-                        if gi:
-                            c *= math.comb(ai, gi) * math.perm(ei, gi)
-                    yield ((tuple(map(sub, deriv, gamma)),
-                            tuple(map(sub, expo, gamma)) + expo[nv:]), c)
+                terms = [(k1 + k2, c1 * c2)]
+                for i, e in lims:
+                    al = k1 >> 32 * i & 0xFFFFFFFF
+                    terms = [(k - (g * unit << 32 * i), c * math.comb(al, g) * math.perm(e, g))
+                             for k, c in terms for g in range(min(al, e) + 1)]
+                yield from terms
 
-    return DiffOp(a.vs, accumulate({}, products()))
+    out = accumulate({}, products())
+    if reduce(or_, out, 0) & vs.guard:
+        raise ValueError(f"an exponent of the product exceeds {FIELD_MAX}")
+    return DiffOp._of(vs, out)
 
 
 @lru_cache(maxsize=None)
@@ -277,14 +318,11 @@ def verify_realization(alg: LieAlgebra,
         ops = {g: realize_generator(alg.spec, g) for g in alg.basis}
     failures = []
     images = [ops[g] for g in alg.basis]
-    vs = images[0].vs
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            lhs = compose(images[i], images[j]) - compose(images[j], images[i])
-            rhs = DiffOp.zero(vs)
+            residual = compose(images[i], images[j]) - compose(images[j], images[i])
             for k, c in alg.pair_table[i][j]:
-                rhs += images[k].scale(c)
-            residual = lhs - rhs
+                residual -= images[k].scale(c)
             if not residual.is_zero():
                 failures.append((alg.basis[i], alg.basis[j], residual))
     return failures
@@ -318,16 +356,16 @@ def realize_element(alg: LieAlgebra, a: UEAElement) -> DiffOp:
     coeffs = list(a.terms.values())
     acc: dict = {}
     for i, op in realize_monomials(alg, a.terms):
-        accumulate(acc, ((k, coeffs[i] * v) for k, v in op.terms.items()))
-    return DiffOp(VarSet.for_spec(alg.spec), acc)
+        accumulate(acc, ((k, coeffs[i] * v) for k, v in op.packed.items()))
+    return DiffOp._of(VarSet.for_spec(alg.spec), acc)
 
 
 def is_parameter_scalar(op: DiffOp) -> tuple[bool, DiffOp]:
     """True when the operator is multiplication by a polynomial in the
-    parameters alone; the residual collects every offending term."""
-    nv = op.vs.nvars
-    res = DiffOp(op.vs, {(d, e): c for (d, e), c in op.terms.items()
-                         if any(d) or any(e[:nv])})
+    parameters alone; the residual collects every offending term.  The
+    derivative and variable-exponent fields are the low ``2·nvars``."""
+    var_fields = (1 << 64 * op.vs.nvars) - 1
+    res = DiffOp._of(op.vs, {k: c for k, c in op.packed.items() if k & var_fields})
     return res.is_zero(), res
 
 
@@ -349,13 +387,10 @@ def pretty_diffop(op: DiffOp) -> str:
         dtxt = monomial_text(d, partials)
         if not dtxt:
             bits.append(ptxt)
-        elif ptxt == "1":
-            bits.append(dtxt)
-        elif ptxt == "-1":
-            bits.append(f"-{dtxt}")
+        elif ptxt in ("1", "-1"):
+            bits.append(ptxt[:-1] + dtxt)
         else:
-            joined = f"({ptxt})*{dtxt}" if (" + " in ptxt or " - " in ptxt) else f"{ptxt}*{dtxt}"
-            bits.append(joined)
+            bits.append(f"({ptxt})*{dtxt}" if (" + " in ptxt or " - " in ptxt) else f"{ptxt}*{dtxt}")
     return bits[0] + "".join(" - " + b[1:] if b.startswith("-") else " + " + b
                              for b in bits[1:])
 

@@ -165,14 +165,14 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis) -> LinearS
     Columns are the ansatz monomials followed by auxiliary columns, one
     per (diagonal operator, parameter monomial) pair; candidate vectors
     are nullspace vectors projected onto the ansatz block."""
-    rows: dict[tuple, SparseVec] = {}
+    image: dict[int, SparseVec] = {}
     vs = VarSet.for_spec(alg.spec)
     nv = vs.nvars
-    pmax = 0
     for ci, op in realize_monomials(alg, basis.monomials):
-        for (dkey, e), c in op.terms.items():
-            pmax = max(pmax, sum(e[nv:]))
-            rows.setdefault(("real", dkey, e), {})[ci] = c
+        for k, c in op.packed.items():
+            image.setdefault(k, {})[ci] = c
+    rows: dict[tuple, SparseVec] = {("real", *vs.unpack(k)): v for k, v in image.items()}
+    pmax = max((sum(e[nv:]) for _, _, e in rows), default=0)
     columns: list = list(basis.monomials)
     for bi, bop in enumerate(_cartan_operator_basis(alg)):
         for tail in iter_exponents(len(vs.parameters), pmax):

@@ -232,6 +232,16 @@ def test_realize_casimir_fixture_is_scalar(capsys):
     assert syms <= {"r", "theta"}
 
 
+def test_realize_exponents_wider_than_16_bits(capsys, tmp_path):
+    # M^40000 realises as m^40000: the exponent fills more than 16 bits
+    path = tmp_path / "m40000.json"
+    path.write_text('{"terms":[{"monomial":{"M":40000,"H":2},"coeff":"1"}]}')
+    code, out, _ = run(capsys, "realize", "--d", "1", "--ell", "3/2", "--in", str(path))
+    assert code == 0
+    assert json.loads(out)["operator"]["terms"] == [
+        {"deriv": {"t": 2}, "poly": [{"coeff": "1", "monomial": {"m": 40000}}]}]
+
+
 def test_realize_needs_input(capsys):
     code, _, err = run(capsys, "realize", "--d", "1", "--ell", "3/2")
     assert code == 2

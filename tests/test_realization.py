@@ -1,10 +1,12 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from cgcasimir.grading import default_target_grades, enumerate_ansatz, iter_exponents
-from cgcasimir.liealg import GeneratorId
+from cgcasimir.liealg import GeneratorId, accumulate
 from cgcasimir.realization import (
     DiffOp,
     VarSet,
@@ -95,6 +97,73 @@ def test_compose_associative_randomized(algebra):
     for _ in range(25):
         a, b, c = (_random_op(vs, rng) for _ in range(3))
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
+
+
+def _leibniz_oracle(a, b):
+    """a∘b by the Leibniz rule on unpacked ``(deriv, expo)`` tuples: each
+    term pair gives, for every ``γ <= min(α, e₂)``, the coefficient
+    ``Πᵢ C(αᵢ, γᵢ) (e₂ᵢ)↓γᵢ`` at ``(α + β - γ, e₁ + e₂ - γ)``."""
+    nv = a.vs.nvars
+
+    def products():
+        for (alpha, e1), c1 in a.terms.items():
+            for (beta, e2), c2 in b.terms.items():
+                lim = tuple(map(min, alpha, e2))
+                deriv = tuple(x + y for x, y in zip(alpha, beta))
+                expo = tuple(x + y for x, y in zip(e1, e2))
+                for gamma in itertools.product(*[range(k + 1) for k in lim]):
+                    c = c1 * c2
+                    for ai, ei, gi in zip(alpha, e2, gamma):
+                        c *= math.comb(ai, gi) * math.perm(ei, gi)
+                    yield ((tuple(x - g for x, g in zip(deriv, gamma)),
+                            tuple(x - g for x, g in zip(expo, gamma)) + expo[nv:]), c)
+
+    return DiffOp(a.vs, accumulate({}, products()))
+
+
+def _shifted(op, deriv_by, expo_by):
+    """The operator with every derivative order raised by ``deriv_by`` and
+    every exponent by ``expo_by``."""
+    return DiffOp(op.vs, {(tuple(x + deriv_by for x in d), tuple(x + expo_by for x in e)): c
+                          for (d, e), c in op.terms.items()})
+
+
+@pytest.mark.parametrize("d,ell", [(1, "3/2"), (2, 1)])
+def test_compose_matches_leibniz_oracle(d, ell, algebra):
+    vs = VarSet.for_spec(algebra(d, ell).spec)
+    rng = random.Random(67)
+    big = 2**30
+    for _ in range(20):
+        a, b = _random_op(vs, rng, degree=4), _random_op(vs, rng, degree=4)
+        assert compose(a, b) == _leibniz_oracle(a, b)
+        # entries near 2^30: fields sum to just under the guard bit, and
+        # Leibniz terms come from large orders (left) or exponents (right)
+        pairs = [(_shifted(a, big - 3, big - 5), b), (a, _shifted(b, big - 7, big + 4))]
+        for x, y in pairs:
+            assert compose(x, y) == _leibniz_oracle(x, y)
+
+
+def test_compose_refuses_a_carry_into_the_guard_bit(algebra):
+    vs = VarSet.for_spec(algebra(1, "3/2").spec)
+    top = DiffOp.symbol(vs, "t", 2**31 - 1)
+    assert compose(DiffOp.partial(vs, "t"), top).terms  # stays inside its field
+    with pytest.raises(ValueError):
+        compose(top, DiffOp.symbol(vs, "t"))
+    with pytest.raises(ValueError):
+        compose(DiffOp.symbol(vs, "m", 2**30), DiffOp.symbol(vs, "m", 2**30))
+
+
+def test_diffop_entries_must_fit_a_field(algebra):
+    vs = VarSet.for_spec(algebra(1, "3/2").spec)
+    deriv, expo = (0,) * vs.nvars, (0,) * vs.nsyms
+    key = (deriv[:-1] + (2**31 - 1,), expo[:-1] + (5,))
+    assert vs.unpack(vs.pack(*key)) == key
+    assert DiffOp(vs, {key: 3}).terms == {key: 3}
+    for bad in (2**31, -1):
+        with pytest.raises(ValueError):
+            DiffOp(vs, {(deriv, (bad,) + expo[1:]): 1})
+        with pytest.raises(ValueError):
+            DiffOp.symbol(vs, "delta", bad)
 
 
 def _apply(op, f):

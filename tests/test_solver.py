@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -250,6 +251,26 @@ def test_nullspace_matches_smallest_tag_oracle_on_solver_systems(d, ell, algebra
     monomials = [UEAElement(alg, {m: Fr(1)}) for m in basis.monomials]
     _assert_nullspace_matches_oracle(casimir_conditions_system(alg, monomials))
     _assert_nullspace_matches_oracle(realization_candidate_system(alg, basis))
+
+
+def _integerize_via_lcm(row):
+    """Scale by the lcm of the denominators, then divide by the gcd."""
+    den = math.lcm(*(Fr(c).denominator for c in row.values()))
+    ints = {k: int(c * den) for k, c in row.items() if c}
+    g = math.gcd(*ints.values())
+    return {k: v // g for k, v in ints.items()}
+
+
+@pytest.mark.parametrize("row", [
+    {0: 6, 2: -9, 5: 12},                 # all int, common factor 3
+    {0: 2, 1: Fr(1, 3), 3: Fr(-5, 6)},   # int and Fraction entries
+    {0: 0, 1: 4, 2: 10},                 # a zero entry, all int
+])
+def test_integerize_matches_lcm_path(row):
+    out = integerize(row)
+    assert out == _integerize_via_lcm(row)
+    assert all(type(v) is int and v for v in out.values())
+    assert math.gcd(*out.values()) == 1
 
 
 def test_rref_and_span_utilities():
