@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .liealg import AlgebraSpec, LieAlgebra
-from .uea import Monomial, grlex_key, monomial_names
+from .uea import Monomial, grlex_key
 
 GradeVector = tuple[int, ...]
 
@@ -139,16 +139,6 @@ def enumerate_ansatz(alg: LieAlgebra, grade: GradeVector, max_degree: int) -> An
     walk(0, max_degree, grade)
     found.sort(key=grlex_key)
     return AnsatzBasis(grade=grade, max_degree=max_degree, monomials=found)
-
-
-def ansatz_json_dict(alg: LieAlgebra, basis: AnsatzBasis) -> dict:
-    """Debug dump: the enumerated monomials as name -> exponent maps."""
-    names = [g.name for g in alg.basis]
-    return {
-        "grade": list(basis.grade),
-        "max_degree": basis.max_degree,
-        "monomials": [monomial_names(m, names) for m in basis.monomials],
-    }
 
 
 def iter_exponents(dim: int, max_degree: int) -> Iterator[Monomial]:

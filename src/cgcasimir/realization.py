@@ -6,6 +6,19 @@ towers of position variables, with free parameters (the conformal weight
 for d=2) treated as commuting indeterminates so that every identity is
 checked literally, not at sampled parameter values.
 
+One tower rule serves both families.  Each translation kind has a
+derivative tower ``u``, a partner tower ``v`` and a tail sign ``s``:
+d=1 ``P`` uses ``(x, x, +1)`` with ``z = m``, d=2 ``Q`` uses
+``(x, y, -1)`` and ``P`` uses ``(y, x, +1)`` with ``z = theta``.  Then,
+with ``cp`` the central pairing and each sum over the indices inside
+its tower,
+
+    rho(P_n) = -Σₖ C(n,k) tᵏ ∂_{u[n-k]} + s Σₖ C(n,k) cp(n-k) z tᵏ v[2ell-n+k].
+
+``D`` is ``delta - 2t∂_t - Σⱼ (2ell-2j) T_j ∂_{T_j}`` over the x and y
+towers; ``C`` is ``t∘D + t²∂_t - Σⱼ (2ell-j) T_j ∂_{T_(j+1)}`` plus one
+central term per family.
+
 Canonical form keeps all multiplication operators to the left of all
 derivatives.  An operator is one flat sparse map from (derivative
 multi-index, exponent tuple), packed into one int with a guarded 32-bit
@@ -195,116 +208,62 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
 
 @lru_cache(maxsize=None)
 def realize_generator(spec: AlgebraSpec, g: GeneratorId) -> DiffOp:
-    """The differential-operator image of one generator."""
+    """The differential-operator image of one generator, by the tower rule
+    of the module docstring."""
     vs = VarSet.for_spec(spec)
-    n2 = spec.two_ell
+    n2, syms = spec.two_ell, vs.variables + vs.parameters
+    x = [v for v in vs.variables if v[0] == "x"]
+    y = [v for v in vs.variables if v[0] == "y"]
+    # per family: the central parameter z, the central generators, each
+    # translation kind's (derivative tower, partner tower, tail sign), and
+    # the central term of C
+    if spec.d == 1:
+        w = math.factorial((n2 + 1) // 2)
+        # w²/2 is a whole number except at ell=1/2, where w = 1
+        c_tail = (w * w // 2 if w % 2 == 0 else Fraction(w * w, 2), {"m": 1, x[-1]: 2})
+        z, centre, towers = "m", {"M": 1}, {"P": (x, x, 1)}
+    else:
+        c_tail = (-(n2 // 2) * central_pairing(spec, n2 // 2 + 1),
+                  {"theta": 1, x[-1]: 1, y[-1]: 1})
+        z, centre, towers = "theta", {"Theta": -1}, {"Q": (x, y, -1), "P": (y, x, 1)}
+    terms: dict[int, object] = {}
 
-    def var(name, power=1):
-        return DiffOp.symbol(vs, name, power)
-
-    def mono(*factors):
-        return reduce(compose, factors)
-
-    def op(poly: DiffOp, dname: str) -> DiffOp:
-        return compose(poly, DiffOp.partial(vs, dname))
+    def add(c, mono: dict[str, int], deriv: Optional[str] = None):
+        """Add the term ``c · Π name^power · ∂_deriv`` over ``mono``."""
+        key = vs.pack([int(v == deriv) for v in vs.variables], [mono.get(s, 0) for s in syms])
+        accumulate(terms, [(key, c)])
 
     if g.kind == "H":
-        return DiffOp.partial(vs, "t").scale(-1)
-
-    if spec.d == 1:
-        half = (n2 - 1) // 2
-        if g.kind == "M":
-            return var("m")
-        if g.kind == "D":
-            acc = var("delta")
-            acc += op(var("t").scale(-2), "t")
-            for j in range(half + 1):
-                acc += op(var(f"x{j}").scale(-(n2 - 2 * j)), f"x{j}")
-            return acc
-        if g.kind == "C":
-            t = var("t")
-            acc = compose(t, realize_generator(spec, GeneratorId("D")))
-            acc += op(var("t", 2), "t")
-            w = math.factorial((n2 + 1) // 2)
-            # w²/2 is a whole number except at ell=1/2, where w = 1
-            half_w2 = w * w // 2 if w % 2 == 0 else Fraction(w * w, 2)
-            acc += mono(var("m"), var(f"x{half}", 2)).scale(half_w2)
-            for j in range(half):
-                acc += op(var(f"x{j}").scale(-(n2 - j)), f"x{j+1}")
-            return acc
-        if g.kind == "P":
-            n = g.index
-            acc = DiffOp.zero(vs)
-            if n > half:
-                for j in range(n2 - n, half + 1):
-                    coeff = math.comb(n, n2 - j) * central_pairing(spec, n2 - j)
-                    acc += mono(var("m"), var("t", n - n2 + j), var(f"x{j}")).scale(coeff)
-            for j in range(0, min(n, half) + 1):
-                poly = var("t", n - j).scale(-math.comb(n, j))
-                acc += op(poly, f"x{j}")
-            return acc
-
+        add(-1, {}, "t")
+    elif g.kind in centre:
+        add(centre[g.kind], {z: 1})
+    elif g.kind in towers:
+        (u, v, sign), n = towers[g.kind], g.index
+        for k in range(n + 1):
+            if n - k < len(u):
+                add(-math.comb(n, k), {"t": k}, u[n - k])
+            if n2 - n + k < len(v):
+                add(sign * math.comb(n, k) * central_pairing(spec, n - k),
+                    {z: 1, "t": k, v[n2 - n + k]: 1})
+    elif g.kind in ("D", "C"):
+        t = int(g.kind == "C")  # C = t∘D + t²∂_t + the shifts T_j ∂_{T_(j+1)} + c_tail
+        add(1, {"delta": 1, "t": t})
+        add(t - 2, {"t": 1 + t}, "t")
+        for tower in (x, y):
+            for j, v in enumerate(tower):
+                add(2 * j - n2, {"t": t, v: 1}, v)
+                if t and j + 1 < len(tower):
+                    add(j - n2, {v: 1}, tower[j + 1])
+        if t:
+            add(*c_tail)
+    elif g.kind == "J" and spec.d == 2:
+        add(1, {"r": 1})
+        for sign, tower in ((-1, x), (1, y)):
+            for v in tower:
+                add(sign, {v: 1}, v)
     else:
-        ell = int(spec.ell)
-        if g.kind == "Theta":
-            return -var("theta")
-        if g.kind == "D":
-            acc = var("delta")
-            acc += op(var("t").scale(-2), "t")
-            for n in range(ell):
-                acc += op(var(f"x{n}").scale(-2 * (ell - n)), f"x{n}")
-                acc += op(var(f"y{n}").scale(-2 * (ell - n)), f"y{n}")
-            return acc
-        if g.kind == "J":
-            acc = var("r")
-            for n in range(ell + 1):
-                acc += op(-var(f"x{n}"), f"x{n}")
-            for n in range(ell):
-                acc += op(var(f"y{n}"), f"y{n}")
-            return acc
-        if g.kind == "C":
-            t = var("t")
-            acc = compose(t, realize_generator(spec, GeneratorId("D")))
-            acc += op(var("t", 2), "t")
-            acc += (mono(var("theta"), var(f"x{ell}"), var(f"y{ell-1}"))
-                .scale(-ell * central_pairing(spec, ell + 1)))
-            for n in range(ell):
-                acc += op(var(f"x{n}").scale(-(n2 - n)), f"x{n+1}")
-            for n in range(ell - 1):
-                acc += op(var(f"y{n}").scale(-(n2 - n)), f"y{n+1}")
-            return acc
-        if g.kind == "Q":
-            n = g.index
-            acc = DiffOp.zero(vs)
-            if n <= ell:
-                for k in range(n + 1):
-                    poly = var("t", k).scale(-math.comb(n, k))
-                    acc += op(poly, f"x{n-k}")
-            else:
-                for k in range(n - ell):
-                    coeff = -math.comb(n, k) * central_pairing(spec, n - k)
-                    acc += mono(var("theta"), var("t", k), var(f"y{n2 - n + k}")).scale(coeff)
-                for k in range(n - ell, n + 1):
-                    poly = var("t", k).scale(-math.comb(n, k))
-                    acc += op(poly, f"x{n-k}")
-            return acc
-        if g.kind == "P":
-            n = g.index
-            acc = DiffOp.zero(vs)
-            if n < ell:
-                for k in range(n + 1):
-                    poly = var("t", k).scale(-math.comb(n, k))
-                    acc += op(poly, f"y{n-k}")
-            else:
-                for k in range(n - ell + 1):
-                    coeff = math.comb(n, k) * central_pairing(spec, n - k)
-                    acc += mono(var("theta"), var("t", k), var(f"x{n2 - n + k}")).scale(coeff)
-                for k in range(n - ell + 1, n + 1):
-                    poly = var("t", k).scale(-math.comb(n, k))
-                    acc += op(poly, f"y{n-k}")
-            return acc
-
-    raise ValueError(f"no realisation rule for generator {g.name}")
+        raise ValueError(f"no realisation rule for generator {g.name}")
+    return DiffOp._of(vs, terms)
 
 
 def verify_realization(alg: LieAlgebra,

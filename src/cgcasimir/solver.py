@@ -328,8 +328,8 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
     raw = [accumulate({}, ((i, k * c) for j, k in combo.items() for i, c in col_vecs[j].items()))
            for combo in nullspace(casimir_conditions_system(alg, columns))]
     cas_vecs, cpivots = rref(raw, ncols)
-    cas_elems = [vector_element(alg, basis, v) for v in cas_vecs]
-
+    # primitive integer multiples: they commute exactly when the RREF rows do
+    cas_elems = [primitive(vector_element(alg, basis, v)) for v in cas_vecs]
     for e in cas_elems:
         for g in alg.basis:
             res = commutator(alg, e, g)
@@ -354,7 +354,7 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
         grade=tuple(grade),
         max_degree=max_degree,
         ansatz=basis,
-        casimir_basis=[primitive(e) for e in cas_elems],
+        casimir_basis=cas_elems,
         canonical=canonical,
         lower_products=[primitive(e) for e in lower],
         provenance=method,

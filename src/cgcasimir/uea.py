@@ -24,6 +24,10 @@ Monomial = tuple[int, ...]  # exponents indexed by basis position
 
 NEG_INF = float("-inf")
 
+# Largest total degree of a loaded element: every word is spelled out one
+# letter at a time, so a larger request is refused before any work starts.
+MAX_DEGREE = 2**16
+
 
 def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
     return (sum(mono), mono)
@@ -267,24 +271,26 @@ def to_json_dict(a: UEAElement) -> dict:
                       for mono in sorted(a.terms, key=grlex_key)]}
 
 
-def _json_coeff(value) -> Fraction:
-    """An exact coefficient from JSON: an integer or a rational string."""
+def _json_coeff(value) -> int | Fraction:
+    """An exact coefficient from JSON: an integer or a rational string,
+    loaded as an ``int`` where whole."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"coefficient {value!r} is not an integer or a 'p/q' string")
     try:
-        return Fraction(value)
+        c = Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"coefficient {value!r} is not a finite rational") from None
+    return c.numerator if c.denominator == 1 else c
 
 
 def from_json_dict(alg: LieAlgebra, data: dict) -> UEAElement:
     """Inverse of ``to_json_dict``.  Raises ValueError on anything that is
-    not a list of terms with known generator names, integer exponents >= 0
-    and exact rational coefficients."""
+    not a list of terms with known generator names, integer exponents >= 0,
+    total degree at most ``MAX_DEGREE`` and exact rational coefficients."""
     entries = data.get("terms") if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise ValueError("an element needs a list under 'terms'")
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, int | Fraction] = {}
     for entry in entries:
         if not (isinstance(entry, dict) and isinstance(entry.get("monomial"), dict)
                 and "coeff" in entry):
@@ -296,6 +302,9 @@ def from_json_dict(alg: LieAlgebra, data: dict) -> UEAElement:
             if isinstance(e, bool) or not isinstance(e, int) or e < 0:
                 raise ValueError(f"exponent of {name} must be an integer >= 0, got {e!r}")
             expo[alg.position(alg.by_name[name])] = e
+        if sum(expo) > MAX_DEGREE:
+            raise ValueError(f"a term of degree {sum(expo)} is above the largest accepted "
+                             f"degree, {MAX_DEGREE}")
         mono = tuple(expo)
-        terms[mono] = terms.get(mono, Fraction(0)) + _json_coeff(entry["coeff"])
+        terms[mono] = terms.get(mono, 0) + _json_coeff(entry["coeff"])
     return UEAElement(alg, terms)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgcasimir import liealg
+from cgcasimir import liealg, realization, solver
 from cgcasimir.cli import main
 from cgcasimir.liealg import MAX_TRIALS, make_cga, parse_spec
 
@@ -242,6 +242,21 @@ def test_realize_exponents_wider_than_16_bits(capsys, tmp_path):
         {"deriv": {"t": 2}, "poly": [{"coeff": "1", "monomial": {"m": 40000}}]}]
 
 
+@pytest.mark.parametrize("command", ["realize", "verify"])
+def test_oversized_element_refused_up_front(capsys, tmp_path, monkeypatch, command):
+    # M^1000000000 would spell out a word of 10**9 letters; its degree alone refuses it
+    def never(*args):
+        raise AssertionError("work started on an oversized element")
+
+    monkeypatch.setattr(realization, "realize_monomials", never)
+    monkeypatch.setattr(solver, "commutator", never)
+    path = tmp_path / "huge.json"
+    path.write_text('{"terms":[{"monomial":{"M":1000000000},"coeff":"1"}]}')
+    code, out, err = run(capsys, command, "--d", "1", "--ell", "3/2", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "degree" in err
+
+
 def test_realize_needs_input(capsys):
     code, _, err = run(capsys, "realize", "--d", "1", "--ell", "3/2")
     assert code == 2
@@ -374,7 +389,8 @@ def _cli_golden_runs():
         tag, flags = spec(d, ell)
         summary(f"algebra_{tag}", ["algebra"] + flags)
         runs.append((f"rank_{tag}", ["rank"] + flags + ["--out"]))
-    for d, ell in [(1, "5/2"), (2, "2")]:
+    # ell=1/2 holds the only Fraction coefficient of an image, w²/2 in C
+    for d, ell in [(1, "1/2"), (1, "5/2"), (1, "9/2"), (2, "2"), (2, "3")]:
         tag, flags = spec(d, ell)
         for g in make_cga(parse_spec(d, ell)).basis:
             summary(f"realize_{tag}_{g.name}", ["realize"] + flags + ["--gen", g.name])

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from cgcasimir.grading import (
-    ansatz_json_dict,
     default_target_grades,
     enumerate_ansatz,
     generator_grades,
@@ -151,12 +150,6 @@ def test_empty_ansatz_is_valid(algebra):
 def test_max_degree_validated(algebra):
     with pytest.raises(ValueError):
         enumerate_ansatz(algebra(1, "3/2"), (0, 6), 0)
-
-
-def test_ansatz_json_dump(algebra):
-    alg = algebra(2, 1)
-    data = ansatz_json_dict(alg, enumerate_ansatz(alg, (0, 1, 0), 1))
-    assert data == {"grade": [0, 1, 0], "max_degree": 1, "monomials": [{"Theta": 1}]}
 
 
 def test_default_targets():

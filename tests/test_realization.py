@@ -198,8 +198,8 @@ def test_compose_matches_action_on_polynomials(d, ell, algebra):
             assert _apply(compose(a, b), f) == _apply(a, _apply(b, f))
 
 
-@pytest.mark.parametrize("d,ell", [(1, "1/2"), (1, "3/2"), (1, "5/2"),
-                                   (2, 1), (2, 2), (2, 3)])
+@pytest.mark.parametrize("d,ell", [(1, f"{n}/2") for n in range(1, 18, 2)]
+                         + [(2, ell) for ell in range(1, 6)])
 def test_verify_realization(d, ell, algebra):
     assert verify_realization(algebra(d, ell)) == []
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cgcasimir.grading import default_target_grades, enumerate_ansatz
 from cgcasimir.solver import casimir_conditions_system, vector_element
 from cgcasimir.uea import (
+    MAX_DEGREE,
     UEAElement,
     commutator,
     from_json_dict,
@@ -329,3 +330,21 @@ def test_json_skips_zero_exponents(algebra):
     alg = algebra(1, "3/2")
     data = to_json_dict(elem(alg, [(Fraction(-6), ["M", "M", "D"])]))
     assert data == {"terms": [{"monomial": {"M": 2, "D": 1}, "coeff": "-6"}]}
+
+
+def test_json_coefficients_are_int_where_whole(algebra):
+    alg = algebra(1, "3/2")
+    coeffs = {"M": "6", "H": 6, "D": "7/3", "C": "4/2"}
+    data = {"terms": [{"monomial": {n: 1}, "coeff": c} for n, c in coeffs.items()]}
+    terms = from_json_dict(alg, data).terms
+    assert sorted((type(c).__name__, c) for c in terms.values()) == [
+        ("Fraction", Fraction(7, 3)), ("int", 2), ("int", 6), ("int", 6)]
+
+
+def test_json_refuses_degree_above_bound(algebra):
+    alg = algebra(1, "3/2")
+    ok = {"terms": [{"monomial": {"M": MAX_DEGREE - 1, "H": 1}, "coeff": 1}]}
+    assert from_json_dict(alg, ok).degree() == MAX_DEGREE
+    ok["terms"][0]["monomial"]["H"] = 2
+    with pytest.raises(ValueError, match="degree"):
+        from_json_dict(alg, ok)
