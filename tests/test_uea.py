@@ -343,8 +343,9 @@ def test_json_coefficients_are_int_where_whole(algebra):
 
 def test_json_refuses_degree_above_bound(algebra):
     alg = algebra(1, "3/2")
-    ok = {"terms": [{"monomial": {"M": MAX_DEGREE - 1, "H": 1}, "coeff": 1}]}
-    assert from_json_dict(alg, ok).degree() == MAX_DEGREE
-    ok["terms"][0]["monomial"]["H"] = 2
+    def element(h):
+        return {"terms": [{"monomial": {"M": MAX_DEGREE - 1, "H": h}, "coeff": 1}]}
+
+    assert from_json_dict(alg, element(1)).degree() == MAX_DEGREE
     with pytest.raises(ValueError, match="degree"):
-        from_json_dict(alg, ok)
+        from_json_dict(alg, element(2))
