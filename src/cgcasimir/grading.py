@@ -10,18 +10,26 @@ For d=1 the natural exponents are rationals with denominator 2*ell; they
 are stored multiplied by 2*ell so that all arithmetic stays in integers
 (a grading isomorphism).  Grade vectors have length 2 for d=1 and length
 3 for d=2.
+
+The ansatz of one grade is enumerated by a join of half-words on their
+grade (``enumerate_ansatz``), with no search and no recursion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .liealg import AlgebraSpec, LieAlgebra
-from .uea import Monomial, grlex_key
+from .uea import Monomial, grlex_key, word_monomial
 
 GradeVector = tuple[int, ...]
+
+# largest number of words the half-word tables of one ansatz may hold
+MAX_HALF_WORDS = 10**5
 
 
 @lru_cache(maxsize=None)
@@ -91,52 +99,41 @@ class AnsatzBasis:
 
 
 def enumerate_ansatz(alg: LieAlgebra, grade: GradeVector, max_degree: int) -> AnsatzBasis:
-    """Exhaustive grade-restricted enumeration by depth-first search over
-    exponent vectors in basis order, pruning on degree and on the grade
-    range reachable with the remaining generators."""
+    """Exhaustive grade-restricted enumeration by a join on grade.  Each
+    monomial is a sorted word of basis positions, and a word of length k
+    splits uniquely into a head of its first k // 2 letters and a tail of
+    the rest, with head[-1] <= tail[0].  The sorted words of each length up
+    to ceil(max_degree / 2) are listed once, keyed by grade, and each head
+    is joined with the tails whose grade is the target minus its own.  A
+    request whose word tables would hold more than ``MAX_HALF_WORDS`` words
+    is refused before any table is built."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     grades = generator_grades(alg)
-    ncomp = len(grade)
-    if any(len(gv) != ncomp for gv in grades):
+    if any(len(gv) != len(grade) for gv in grades):
         raise ValueError("grade vector length does not match this algebra")
     dim = alg.dim
-
-    # per-suffix component bounds of a single degree unit
-    lo = [[0] * ncomp for _ in range(dim + 1)]
-    hi = [[0] * ncomp for _ in range(dim + 1)]
-    for i in range(dim - 1, -1, -1):
-        for c in range(ncomp):
-            lo[i][c] = min(grades[i][c], lo[i + 1][c]) if i < dim - 1 else grades[i][c]
-            hi[i][c] = max(grades[i][c], hi[i + 1][c]) if i < dim - 1 else grades[i][c]
-
+    half = (max_degree + 1) // 2
+    size = math.comb(dim + half, half)
+    if size > MAX_HALF_WORDS:
+        raise ValueError(f"a degree-{max_degree} ansatz over {dim} generators needs {size} "
+                         f"half-words, above the largest accepted, {MAX_HALF_WORDS}")
+    zero = (0,) * len(grade)
+    tables: list[dict[GradeVector, list[tuple[int, ...]]]] = []
+    for n in range(half + 1):
+        tables.append({})
+        for word in combinations_with_replacement(range(dim), n):
+            g = tuple(map(sum, zip(zero, *(grades[p] for p in word))))
+            tables[n].setdefault(g, []).append(word)
     found: list[Monomial] = []
-    expo = [0] * dim
-
-    def feasible(pos: int, remaining: int, need: GradeVector) -> bool:
-        if pos == dim:
-            return all(v == 0 for v in need)
-        for c in range(ncomp):
-            low = min(0, remaining * lo[pos][c])
-            high = max(0, remaining * hi[pos][c])
-            if not low <= need[c] <= high:
-                return False
-        return True
-
-    def walk(pos: int, remaining: int, need: GradeVector):
-        if pos == dim:
-            if all(v == 0 for v in need):
-                found.append(tuple(expo))
-            return
-        gv = grades[pos]
-        for e in range(remaining + 1):
-            nxt = tuple(need[c] - e * gv[c] for c in range(ncomp))
-            if feasible(pos + 1, remaining - e, nxt):
-                expo[pos] = e
-                walk(pos + 1, remaining - e, nxt)
-        expo[pos] = 0
-
-    walk(0, max_degree, grade)
+    for k in range(max_degree + 1):
+        tails = tables[k - k // 2]
+        for head_grade, heads in tables[k // 2].items():
+            need = tuple(t - h for t, h in zip(grade, head_grade))
+            for tail in tails.get(need, ()):
+                for head in heads:
+                    if not head or head[-1] <= tail[0]:
+                        found.append(word_monomial(dim, head + tail))
     found.sort(key=grlex_key)
     return AnsatzBasis(grade=grade, max_degree=max_degree, monomials=found)
 
@@ -145,8 +142,8 @@ def iter_exponents(dim: int, max_degree: int) -> Iterator[Monomial]:
     """All exponent tuples of length ``dim`` with total degree <=
     max_degree, no grade filter, in lexicographic order.  Enumerates the
     parameter monomials of the realisation candidate system and the
-    exponents of products of lower Casimirs, and serves as the brute-force
-    cross-check of the pruned ansatz enumeration."""
+    exponents of products of lower Casimirs, and is the brute-force oracle
+    that the tests hold ``enumerate_ansatz`` to."""
     def rec(pos: int, remaining: int, prefix: tuple[int, ...]):
         if pos == dim:
             yield prefix

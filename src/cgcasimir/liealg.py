@@ -127,19 +127,18 @@ def _forward(rows: list[dict], ncols: int, clearer) -> list[tuple[int, int, dict
 
 
 def _exact_echelon(rows: list[dict], ncols: int) -> tuple[list[SparseVec], list[int]]:
-    """``_forward`` over the integers, then rational back substitution."""
+    """``_forward`` and back substitution over the integers, then one
+    division of each row by its pivot."""
     pivots = _forward(rows, ncols, _exact_clearer)
     pivot_cols = [col for col, _, _ in pivots]
-    frows = [{c: Fraction(x) for c, x in r.items()} for _, _, r in pivots]
-    for k in range(len(frows) - 1, -1, -1):
+    ints = [r for _, _, r in pivots]
+    for k in range(len(ints) - 1, 0, -1):
         col = pivot_cols[k]
-        pv = frows[k][col]
-        frows[k] = {c: x / pv for c, x in frows[k].items()}
+        clear = _exact_clearer(ints[k], col)
         for i in range(k):
-            a = frows[i].get(col)
-            if a:
-                na = -a
-                accumulate(frows[i], ((c, na * x) for c, x in frows[k].items()))
+            if col in ints[i]:
+                ints[i] = clear(ints[i])
+    frows = [{c: Fraction(x, r[col]) for c, x in r.items()} for r, col in zip(ints, pivot_cols)]
     return frows, pivot_cols
 
 
@@ -168,9 +167,10 @@ def echelon(rows: Iterable[SparseVec], ncols: int
     at the pivot; zero and dependent rows drop out.
 
     The rows are integerized.  Exact elimination is ``_forward`` over the
-    integers (cross multiplication with gcd reduction), then rational back
-    substitution.  The reduced echelon form of the row space does not
-    depend on which rows supply the pivots, so neither does the result.
+    integers (cross multiplication with gcd reduction), then back
+    substitution with the same clearer and one division of each row by its
+    pivot.  The reduced echelon form of the row space does not depend on
+    which rows supply the pivots, so neither does the result.
 
     Row selection: with more nonzero rows than columns, ``_forward`` first
     runs modulo ``PRIME`` and records which input rows supply its pivots;

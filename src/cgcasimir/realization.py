@@ -125,25 +125,8 @@ class DiffOp:
         return {self.vs.unpack(k): c for k, c in self.packed.items()}
 
     @classmethod
-    def zero(cls, vs: VarSet) -> "DiffOp":
-        return cls(vs)
-
-    @classmethod
     def identity(cls, vs: VarSet) -> "DiffOp":
         return cls(vs, {((0,) * vs.nvars, (0,) * vs.nsyms): 1})
-
-    @classmethod
-    def symbol(cls, vs: VarSet, name: str, power: int = 1) -> "DiffOp":
-        """Multiplication by a variable or parameter raised to ``power``."""
-        e = [0] * vs.nsyms
-        e[(vs.variables + vs.parameters).index(name)] = power
-        return cls(vs, {((0,) * vs.nvars, tuple(e)): 1})
-
-    @classmethod
-    def partial(cls, vs: VarSet, var_name: str) -> "DiffOp":
-        d = [0] * vs.nvars
-        d[vs.variables.index(var_name)] = 1
-        return cls(vs, {(tuple(d), (0,) * vs.nsyms): 1})
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
         return DiffOp._of(self.vs, accumulate(dict(self.packed), other.packed.items()))

@@ -261,11 +261,11 @@ def theorem_terms(spec: AlgebraSpec, which: str) -> list[TheoremTerm]:
 
 def build_theorem_casimir(spec: AlgebraSpec, which: str) -> UEAElement:
     """The closed form exactly as printed, expanded into PBW monomials."""
-    alg = make_cga(spec)
-    acc = UEAElement.zero(alg)
-    for t in theorem_terms(spec, which):
-        acc = acc + t.element.scale(t.value)
-    return acc
+    return _summed(theorem_terms(spec, which))
+
+
+def _summed(terms: list[TheoremTerm]) -> UEAElement:
+    return sum((t.element.scale(t.value) for t in terms), UEAElement.zero(terms[0].element.alg))
 
 
 def theorem_target(spec: AlgebraSpec, which: str) -> tuple[tuple[int, ...], int]:
@@ -293,6 +293,7 @@ class TheoremReport:
     discrepancies: list[Discrepancy]
     corrected: Optional[UEAElement]
     solver_report: Optional[CasimirReport]
+    target: tuple[tuple[int, ...], int]  # (grade, degree)
 
     @property
     def best(self) -> UEAElement:
@@ -303,13 +304,13 @@ def theorem_report(spec: AlgebraSpec, which: str) -> TheoremReport:
     """Build the closed form and check it; on failure, solve the target on
     the algebraic route and produce the solver-corrected element and
     per-term coefficient discrepancies."""
-    alg = make_cga(spec)
-    built = build_theorem_casimir(spec, which)
-    if verify_casimir(alg, built) is None:
-        return TheoremReport(spec, which, built, True, [], None, None)
-
     terms = theorem_terms(spec, which)
-    grade, degree = theorem_target(spec, which)
+    alg = terms[0].element.alg
+    built = _summed(terms)
+    grade, degree = target = theorem_target(spec, which)
+    if verify_casimir(alg, built) is None:
+        return TheoremReport(spec, which, built, True, [], None, None, target)
+
     for t in terms:
         for mono in t.element.terms:
             if grade_of(alg, mono) != grade:
@@ -343,14 +344,14 @@ def theorem_report(spec: AlgebraSpec, which: str) -> TheoremReport:
     for mono, c in sorted(corrected.terms.items()):
         if mono not in seen:
             discrepancies.append(Discrepancy(pretty_monomial(alg, mono), Fraction(0), c))
-    return TheoremReport(spec, which, built, False, discrepancies, corrected, rep)
+    return TheoremReport(spec, which, built, False, discrepancies, corrected, rep, target)
 
 
 def theorem_casimir_report(spec: AlgebraSpec, which: str) -> tuple[TheoremReport, dict]:
     """JSON-ready summary around ``theorem_report`` (CasimirReport schema
     plus the closed-form comparison block)."""
     tr = theorem_report(spec, which)
-    grade, degree = theorem_target(spec, which)
+    grade, degree = tr.target
     payload = {
         "spec": spec.to_json_dict(),
         "grade": list(grade),

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgcasimir import liealg, realization, solver
+from cgcasimir import grading, liealg, realization, solver
 from cgcasimir.cli import main
+from cgcasimir.grading import MAX_HALF_WORDS
 from cgcasimir.liealg import MAX_TRIALS, make_cga, parse_spec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -142,6 +143,24 @@ def test_rank_refuses_huge_trials_before_any_point(capsys, monkeypatch):
     code, out, err = run(capsys, "rank", "--d", "1", "--ell", "3/2", "--trials", "1000000000")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and str(MAX_TRIALS) in err
+
+
+def test_solve_over_a_thousand_generators(capsys):
+    code, out, _ = run(capsys, "solve", "--d", "1", "--ell", "999/2", "--degree", "2",
+                       "--grade", "0,1998", "--method", "algebraic")
+    assert code == 0
+    assert json.loads(out)["casimir_dim"] == 1  # M^2
+
+
+def test_solve_refuses_oversized_ansatz_before_any_table(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a half-word table was built")
+
+    monkeypatch.setattr(grading, "combinations_with_replacement", never)
+    code, out, err = run(capsys, "solve", "--d", "1", "--ell", "999/2", "--degree", "6",
+                         "--grade", "0,1998")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(MAX_HALF_WORDS) in err
 
 
 def test_solve_rejects_unresolvable_grade(capsys):

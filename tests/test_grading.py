@@ -2,14 +2,16 @@ import random
 
 import pytest
 
+from cgcasimir import grading
 from cgcasimir.grading import (
+    MAX_HALF_WORDS,
     default_target_grades,
     enumerate_ansatz,
     generator_grades,
     grade_of,
     iter_exponents,
 )
-from cgcasimir.uea import UEAElement, from_term_list, multiply, normal_order
+from cgcasimir.uea import UEAElement, from_term_list, grlex_key, multiply, normal_order
 
 
 def mono(alg, names):
@@ -101,11 +103,17 @@ def brute_force_ansatz(alg, grade, max_degree):
     (2, 1, (0, 1, 0), 2),
     (2, 1, (0, 2, 0), 4),
     (2, 2, (0, 1, 0), 2),
+    (1, "17/2", (0, 34), 4),
+    (2, 5, (0, 2, 0), 4),
+    # odd degrees: the longest words split into unequal head and tail
+    (1, "3/2", (0, 6), 5),
+    (2, 1, (0, 2, 0), 5),
 ])
 def test_enumerate_matches_brute_force(d, ell, grade, deg, algebra):
     alg = algebra(d, ell)
     basis = enumerate_ansatz(alg, grade, deg)
     assert sorted(basis.monomials) == brute_force_ansatz(alg, grade, deg)
+    assert basis.monomials == sorted(basis.monomials, key=grlex_key)
     assert len(set(basis.monomials)) == len(basis.monomials)
     for m in basis.monomials:
         assert grade_of(alg, m) == tuple(grade)
@@ -150,6 +158,28 @@ def test_empty_ansatz_is_valid(algebra):
 def test_max_degree_validated(algebra):
     with pytest.raises(ValueError):
         enumerate_ansatz(algebra(1, "3/2"), (0, 6), 0)
+
+
+@pytest.mark.parametrize("d,ell,grade", [(1, "3/2", (0, 6, 0)), (2, 1, (0, 1))])
+def test_grade_length_validated(d, ell, grade, algebra):
+    with pytest.raises(ValueError, match="grade vector length"):
+        enumerate_ansatz(algebra(d, ell), grade, 2)
+
+
+def test_wide_algebra_needs_no_recursion(algebra):
+    # 1,004 generators: one stack frame per basis position would overflow
+    alg = algebra(1, "999/2")
+    assert enumerate_ansatz(alg, (0, 1998), 2).monomials == [mono(alg, ["M", "M"])]
+
+
+def test_oversized_tables_refused_before_any_word(algebra, monkeypatch):
+    def never(*args):
+        raise AssertionError("a half-word table was built")
+
+    monkeypatch.setattr(grading, "combinations_with_replacement", never)
+    # comb(1004 + 3, 3) = 169,684,535 half-words at degree 6
+    with pytest.raises(ValueError, match=str(MAX_HALF_WORDS)):
+        enumerate_ansatz(algebra(1, "999/2"), (0, 1998), 6)
 
 
 def test_default_targets():
