@@ -28,7 +28,6 @@ from .solver import (
     CasimirReport,
     LinearSystem,
     ReducedCheckError,
-    candidates_via_realization,
     nullspace,
     solve_casimirs,
     verify_casimir,
@@ -46,12 +45,11 @@ __all__ = [
     "AlgebraSpec", "AnsatzBasis", "CasimirReport", "DiffOp", "GeneratorId",
     "InvalidSpecError", "LieAlgebra", "LinearSystem", "ReducedCheckError",
     "TheoremRangeError", "TheoremReport", "UEAElement", "VarSet", "bb_count",
-    "bracket", "build_theorem_casimir", "candidates_via_realization", "commutator",
-    "compose", "default_target_grades", "enumerate_ansatz", "grade_of",
-    "is_parameter_scalar", "jacobi_check", "make_cga", "multiply", "normal_order",
-    "nullspace", "omega", "parse_spec", "realize_element", "realize_generator",
-    "solve_casimirs", "theorem_report", "theorem_terms", "verify_casimir",
-    "verify_realization",
+    "bracket", "build_theorem_casimir", "commutator", "compose",
+    "default_target_grades", "enumerate_ansatz", "grade_of", "is_parameter_scalar",
+    "jacobi_check", "make_cga", "multiply", "normal_order", "nullspace", "omega",
+    "parse_spec", "realize_element", "realize_generator", "solve_casimirs",
+    "theorem_report", "theorem_terms", "verify_casimir", "verify_realization",
 ]
 
 __version__ = "0.1.0"

@@ -18,18 +18,22 @@ grade (``enumerate_ansatz``), with no search and no recursion.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import itemgetter
 from typing import Iterator
 
 from .liealg import AlgebraSpec, LieAlgebra
-from .uea import Monomial, grlex_key, word_monomial
+from .uea import Monomial, word_key
 
 GradeVector = tuple[int, ...]
 
 # largest number of words the half-word tables of one ansatz may hold
 MAX_HALF_WORDS = 10**5
+# largest number of monomials one ansatz may hold
+MAX_ANSATZ = 10**4
 
 
 @lru_cache(maxsize=None)
@@ -63,14 +67,9 @@ def zero_grade(spec: AlgebraSpec) -> GradeVector:
 
 
 def grade_of(alg: LieAlgebra, mono: Monomial) -> GradeVector:
-    """Sum of generator grades weighted by exponents."""
+    """Sum of the grades of a sorted word's letters."""
     grades = generator_grades(alg)
-    acc = list(zero_grade(alg.spec))
-    for i, e in enumerate(mono):
-        if e:
-            for c, v in enumerate(grades[i]):
-                acc[c] += e * v
-    return tuple(acc)
+    return tuple(map(sum, zip(zero_grade(alg.spec), *(grades[p] for p in mono))))
 
 
 def default_target_grades(spec: AlgebraSpec) -> list[tuple[GradeVector, int]]:
@@ -84,8 +83,9 @@ def default_target_grades(spec: AlgebraSpec) -> list[tuple[GradeVector, int]]:
 
 @dataclass
 class AnsatzBasis:
-    """All PBW monomials of the given grade with degree <= max_degree,
-    duplicate-free and sorted by graded-lex order."""
+    """All PBW monomials of the given grade with degree <= max_degree, as
+    sorted words, duplicate-free and in the graded-lex order of their
+    exponent tuples (``uea.word_key``)."""
 
     grade: GradeVector
     max_degree: int
@@ -103,10 +103,12 @@ def enumerate_ansatz(alg: LieAlgebra, grade: GradeVector, max_degree: int) -> An
     monomial is a sorted word of basis positions, and a word of length k
     splits uniquely into a head of its first k // 2 letters and a tail of
     the rest, with head[-1] <= tail[0].  The sorted words of each length up
-    to ceil(max_degree / 2) are listed once, keyed by grade, and each head
-    is joined with the tails whose grade is the target minus its own.  A
-    request whose word tables would hold more than ``MAX_HALF_WORDS`` words
-    is refused before any table is built."""
+    to ceil(max_degree / 2) are listed once, keyed by grade, in
+    lexicographic order, so each head is joined by one bisect with the
+    tails whose grade is the target minus its own.  A request whose word
+    tables would hold more than ``MAX_HALF_WORDS`` words is refused before
+    any table is built, and one whose join would hold more than
+    ``MAX_ANSATZ`` monomials before any monomial is built."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     grades = generator_grades(alg)
@@ -118,27 +120,30 @@ def enumerate_ansatz(alg: LieAlgebra, grade: GradeVector, max_degree: int) -> An
     if size > MAX_HALF_WORDS:
         raise ValueError(f"a degree-{max_degree} ansatz over {dim} generators needs {size} "
                          f"half-words, above the largest accepted, {MAX_HALF_WORDS}")
-    zero = (0,) * len(grade)
-    tables: list[dict[GradeVector, list[tuple[int, ...]]]] = []
+    tables: list[dict[GradeVector, list[Monomial]]] = []
     for n in range(half + 1):
         tables.append({})
         for word in combinations_with_replacement(range(dim), n):
-            g = tuple(map(sum, zip(zero, *(grades[p] for p in word))))
-            tables[n].setdefault(g, []).append(word)
-    found: list[Monomial] = []
+            tables[n].setdefault(grade_of(alg, word), []).append(word)
+    joins: list[tuple[Monomial, list[Monomial], int]] = []
     for k in range(max_degree + 1):
         tails = tables[k - k // 2]
         for head_grade, heads in tables[k // 2].items():
-            need = tuple(t - h for t, h in zip(grade, head_grade))
-            for tail in tails.get(need, ()):
-                for head in heads:
-                    if not head or head[-1] <= tail[0]:
-                        found.append(word_monomial(dim, head + tail))
-    found.sort(key=grlex_key)
+            group = tails.get(tuple(t - h for t, h in zip(grade, head_grade)), [])
+            for head in heads:
+                start = bisect_left(group, head[-1], key=itemgetter(0)) if head else 0
+                joins.append((head, group, start))
+    count = sum(len(group) - start for _, group, start in joins)
+    if count > MAX_ANSATZ:
+        raise ValueError(f"a degree-{max_degree} ansatz at grade {tuple(grade)} over {dim} "
+                         f"generators has {count} monomials, above the largest accepted, "
+                         f"{MAX_ANSATZ}")
+    found = [head + tail for head, group, start in joins for tail in group[start:]]
+    found.sort(key=word_key)
     return AnsatzBasis(grade=grade, max_degree=max_degree, monomials=found)
 
 
-def iter_exponents(dim: int, max_degree: int) -> Iterator[Monomial]:
+def iter_exponents(dim: int, max_degree: int) -> Iterator[tuple[int, ...]]:
     """All exponent tuples of length ``dim`` with total degree <=
     max_degree, no grade filter, in lexicographic order.  Enumerates the
     parameter monomials of the realisation candidate system and the

@@ -362,7 +362,7 @@ class LieAlgebra:
                 and self.basis == other.basis and self.brackets == other.brackets)
 
     def __hash__(self):
-        return hash((self.spec, self.basis))
+        return hash(self.spec)
 
     def __repr__(self):
         return f"LieAlgebra(d={self.spec.d}, ell={self.spec.ell}, dim={self.dim})"

@@ -42,8 +42,7 @@ from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from .liealg import AlgebraSpec, GeneratorId, LieAlgebra, accumulate, central_pairing
-from .uea import (Monomial, UEAElement, grlex_key, monomial_names, monomial_text, monomial_word,
-                  terms_text)
+from .uea import Monomial, UEAElement, grlex_key, monomial_names, monomial_text, terms_text
 
 Expo = tuple[int, ...]
 
@@ -272,12 +271,12 @@ def verify_realization(alg: LieAlgebra,
 
 def realize_monomials(alg: LieAlgebra, monomials: Iterable[Monomial]
                       ) -> Iterator[tuple[int, DiffOp]]:
-    """Yield ``(index, image)`` for each monomial, walking the words in
-    sorted order.  ``path[j]`` is the image of the first ``j`` letters of
-    the current word, so each word is composed onto the longest prefix it
-    shares with the previous one, and only that path is kept alive.  A
-    first letter's image is the generator image itself."""
-    words = [monomial_word(m) for m in monomials]
+    """Yield ``(index, image)`` for each monomial, a sorted word, walking
+    the words in sorted order.  ``path[j]`` is the image of the first ``j``
+    letters of the current word, so each word is composed onto the longest
+    prefix it shares with the previous one, and only that path is kept
+    alive.  A first letter's image is the generator image itself."""
+    words = list(monomials)
     path = [DiffOp.identity(VarSet.for_spec(alg.spec))]
     word: tuple[int, ...] = ()
     for i in sorted(range(len(words)), key=words.__getitem__):

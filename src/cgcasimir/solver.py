@@ -195,15 +195,6 @@ def candidate_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
     return rows
 
 
-def candidates_via_realization(alg: LieAlgebra, grade: GradeVector,
-                               max_degree: int) -> list[UEAElement]:
-    """Combinations over the graded ansatz that behave like Casimirs when
-    restricted to the realisation, as a reduced-echelon basis."""
-    basis = enumerate_ansatz(alg, grade, max_degree)
-    return [primitive(vector_element(alg, basis, v))
-            for v in candidate_vectors(alg, basis)]
-
-
 def verify_casimir(alg: LieAlgebra, K: UEAElement
                    ) -> Optional[tuple[GeneratorId, UEAElement]]:
     """Exhaustive centrality check; None on pass, else the first failing
@@ -265,9 +256,7 @@ def known_lower_casimirs(alg: LieAlgebra, max_degree: int
     solved on the algebraic route: both routes give the same canonical
     elements, and it is the faster one."""
     central = alg.basis[alg.central_position()]
-    known = [(UEAElement.generator(alg, central),
-              grade_of(alg, tuple(1 if i == alg.central_position() else 0
-                                  for i in range(alg.dim))), 1)]
+    known = [(UEAElement.generator(alg, central), grade_of(alg, (alg.central_position(),)), 1)]
     for g0, d0 in default_target_grades(alg.spec):
         if d0 < max_degree:
             rep = solve_casimirs(alg, g0, d0, method="algebraic")

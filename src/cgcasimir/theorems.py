@@ -28,7 +28,7 @@ from .solver import (
     vector_element,
     verify_casimir,
 )
-from .uea import UEAElement, normal_order, pretty_monomial, to_json_dict
+from .uea import UEAElement, lex_key, normal_order, pretty_monomial, to_json_dict
 
 F = math.factorial
 
@@ -326,7 +326,7 @@ def theorem_report(spec: AlgebraSpec, which: str) -> TheoremReport:
     discrepancies: list[Discrepancy] = []
     seen: set = set()
     for t in terms:
-        monos = sorted(t.element.terms)
+        monos = sorted(t.element.terms, key=lex_key)
         seen.update(monos)
         ratios = {Fraction(corrected.coefficient(m), t.element.terms[m]) for m in monos}
         if len(ratios) == 1:
@@ -341,9 +341,9 @@ def theorem_report(spec: AlgebraSpec, which: str) -> TheoremReport:
                 if got != t.value:
                     discrepancies.append(Discrepancy(
                         f"{t.name} [{pretty_monomial(alg, m)}]", t.value, got))
-    for mono, c in sorted(corrected.terms.items()):
-        if mono not in seen:
-            discrepancies.append(Discrepancy(pretty_monomial(alg, mono), Fraction(0), c))
+    for mono in sorted(corrected.terms.keys() - seen, key=lex_key):
+        discrepancies.append(Discrepancy(pretty_monomial(alg, mono), Fraction(0),
+                                         corrected.terms[mono]))
     return TheoremReport(spec, which, built, False, discrepancies, corrected, rep, target)
 
 

@@ -2,25 +2,26 @@
 
 Elements are sparse exact combinations of PBW monomials, with ``int``
 coefficients where exact and ``Fraction`` where a value needs one.  A
-monomial is an exponent tuple over the algebra's fixed basis order; the
-product it denotes is b_0^e_0 b_1^e_1 ... with factors in increasing
-position.  Arbitrary products are rewritten into this basis by bubbling
-adjacent out-of-order pairs, x y -> y x + [x, y]; each swap strictly
-lowers the inversion count at fixed degree and bracket terms drop the
-degree, so the rewriting terminates.  Every product, commutator and
-omega image is one combination of words put through one rewriting pass,
-``_normal_form``, where equal words from different terms merge before
-they are rewritten again.
+monomial is a sorted word of basis positions, (0, 0, 3, 7) for b_0^2 b_3
+b_7; exponent tuples appear only in JSON and text.  Arbitrary products
+are rewritten into this basis by bubbling adjacent out-of-order pairs,
+x y -> y x + [x, y]; each swap strictly lowers the inversion count at
+fixed degree and bracket terms drop the degree, so the rewriting
+terminates.  Every product, commutator and omega image is one
+combination of words put through one rewriting pass, ``_normal_form``,
+where equal words from different terms merge before they are rewritten
+again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .liealg import GeneratorId, LieAlgebra, accumulate
 
-Monomial = tuple[int, ...]  # exponents indexed by basis position
+Monomial = tuple[int, ...]  # sorted word of basis positions
 
 NEG_INF = float("-inf")
 
@@ -29,19 +30,29 @@ NEG_INF = float("-inf")
 MAX_DEGREE = 2**16
 
 
-def grlex_key(mono: Monomial) -> tuple[int, Monomial]:
-    return (sum(mono), mono)
+def grlex_key(expo: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    return (sum(expo), expo)
 
 
-def monomial_word(mono: Monomial) -> tuple[int, ...]:
-    """Positions of the monomial's factors, in increasing order."""
+def lex_key(word: Monomial) -> tuple[int, ...]:
+    """Plain tuple order of the exponent tuples, read off sorted words."""
+    return tuple(-p for p in word)
+
+
+def word_key(word: Monomial) -> tuple[int, tuple[int, ...]]:
+    """``grlex_key`` of the exponent tuples, read off sorted words."""
+    return (len(word), lex_key(word))
+
+
+def monomial_word(mono: Sequence[int]) -> Monomial:
+    """The sorted word of an exponent tuple."""
     word = []
     for i, e in enumerate(mono):
         word.extend([i] * e)
     return tuple(word)
 
 
-def word_monomial(dim: int, word: Sequence[int]) -> Monomial:
+def word_monomial(dim: int, word: Sequence[int]) -> tuple[int, ...]:
     expo = [0] * dim
     for p in word:
         expo[p] += 1
@@ -65,13 +76,11 @@ class UEAElement:
 
     @classmethod
     def one(cls, alg: LieAlgebra) -> "UEAElement":
-        return cls(alg, {(0,) * alg.dim: 1})
+        return cls(alg, {(): 1})
 
     @classmethod
     def generator(cls, alg: LieAlgebra, g: GeneratorId) -> "UEAElement":
-        expo = [0] * alg.dim
-        expo[alg.position(g)] = 1
-        return cls(alg, {tuple(expo): 1})
+        return cls(alg, {(alg.position(g),): 1})
 
     # -- linear structure ---------------------------------------------
     def __add__(self, other: "UEAElement") -> "UEAElement":
@@ -106,13 +115,13 @@ class UEAElement:
     def degree(self):
         if not self.terms:
             return NEG_INF
-        return max(sum(m) for m in self.terms)
+        return max(map(len, self.terms))
 
     def coefficient(self, mono: Monomial) -> int | Fraction:
         return self.terms.get(mono, 0)
 
     def leading_monomial(self) -> Monomial:
-        return max(self.terms, key=grlex_key)
+        return max(self.terms, key=word_key)
 
     def __repr__(self):
         return f"UEAElement({pretty(self)})"
@@ -132,8 +141,7 @@ def _normal_form(alg: LieAlgebra, work: dict[tuple[int, ...], int | Fraction]) -
     """PBW expansion of a combination ``{word: coeff}`` of position words;
     consumes ``work``.  Each word's first out-of-order pair is swapped and
     its bracket terms added back, so equal words from different terms merge
-    (or cancel) before they are rewritten again; ordered words become
-    monomials at the end."""
+    (or cancel) before they are rewritten again."""
     table = alg.pair_table
     done: dict[tuple[int, ...], int | Fraction] = {}
     while work:
@@ -146,8 +154,7 @@ def _normal_form(alg: LieAlgebra, work: dict[tuple[int, ...], int | Fraction]) -
         head, tail = w[:i], w[i + 2:]
         accumulate(work, ((head + (b, a) + tail, c),))
         accumulate(work, ((head + (k,) + tail, c * ck) for k, ck in table[a][b]))
-    dim = alg.dim
-    return UEAElement(alg, {word_monomial(dim, w): c for w, c in done.items()})
+    return UEAElement(alg, done)
 
 
 def normal_order(alg: LieAlgebra, word: Iterable[GeneratorId | int]) -> UEAElement:
@@ -158,11 +165,9 @@ def normal_order(alg: LieAlgebra, word: Iterable[GeneratorId | int]) -> UEAEleme
 
 def multiply(alg: LieAlgebra, a: UEAElement, b: UEAElement) -> UEAElement:
     """Bilinear extension of normal ordering on concatenated words."""
-    words_b = [(monomial_word(mb), cb) for mb, cb in b.terms.items()]
     work: dict[tuple[int, ...], int | Fraction] = {}
-    for ma, ca in a.terms.items():
-        wa = monomial_word(ma)
-        accumulate(work, ((wa + wb, ca * cb) for wb, cb in words_b))
+    for wa, ca in a.terms.items():
+        accumulate(work, ((wa + wb, ca * cb) for wb, cb in b.terms.items()))
     return _normal_form(alg, work)
 
 
@@ -175,8 +180,7 @@ def commutator(alg: LieAlgebra, a: UEAElement, x: GeneratorId | int) -> UEAEleme
     p = x if isinstance(x, int) else alg.position(x)
     table = alg.pair_table
     work: dict[tuple[int, ...], int | Fraction] = {}
-    for mono, c in a.terms.items():
-        w = monomial_word(mono)
+    for w, c in a.terms.items():
         for k, bk in enumerate(w):
             brk = table[bk][p]
             if brk:
@@ -185,6 +189,7 @@ def commutator(alg: LieAlgebra, a: UEAElement, x: GeneratorId | int) -> UEAEleme
     return _normal_form(alg, work)
 
 
+@lru_cache(maxsize=None)
 def omega_positions(alg: LieAlgebra) -> tuple[int, ...]:
     """The involution on generators, as a permutation of basis positions.
 
@@ -213,8 +218,7 @@ def omega_positions(alg: LieAlgebra) -> tuple[int, ...]:
 def omega(alg: LieAlgebra, a: UEAElement) -> UEAElement:
     """Involutive anti-automorphism: products reverse, then re-order."""
     img = omega_positions(alg)
-    return _normal_form(alg, {tuple(img[p] for p in reversed(monomial_word(mono))): c
-                              for mono, c in a.terms.items()})
+    return _normal_form(alg, {tuple(img[p] for p in reversed(w)): c for w, c in a.terms.items()})
 
 
 def from_term_list(alg: LieAlgebra,
@@ -242,7 +246,7 @@ def monomial_names(mono: Sequence[int], names: Sequence[str]) -> dict[str, int]:
     return {n: e for n, e in zip(names, mono) if e}
 
 
-def terms_text(terms: dict[Monomial, int | Fraction], names: Sequence[str]) -> str:
+def terms_text(terms: dict[tuple[int, ...], int | Fraction], names: Sequence[str]) -> str:
     """Signed sum of a sparse exponent-tuple map, largest graded-lex term
     first; "0" when empty."""
     out = ""
@@ -258,17 +262,18 @@ def terms_text(terms: dict[Monomial, int | Fraction], names: Sequence[str]) -> s
 
 
 def pretty_monomial(alg: LieAlgebra, mono: Monomial) -> str:
-    return monomial_text(mono, [g.name for g in alg.basis]) or "1"
+    return monomial_text(word_monomial(alg.dim, mono), [g.name for g in alg.basis]) or "1"
 
 
 def pretty(a: UEAElement) -> str:
-    return terms_text(a.terms, [g.name for g in a.alg.basis])
+    return terms_text({word_monomial(a.alg.dim, w): c for w, c in a.terms.items()},
+                      [g.name for g in a.alg.basis])
 
 
 def to_json_dict(a: UEAElement) -> dict:
     names = [g.name for g in a.alg.basis]
-    return {"terms": [{"monomial": monomial_names(mono, names), "coeff": str(a.terms[mono])}
-                      for mono in sorted(a.terms, key=grlex_key)]}
+    return {"terms": [{"monomial": monomial_names(word_monomial(a.alg.dim, w), names),
+                       "coeff": str(a.terms[w])} for w in sorted(a.terms, key=word_key)]}
 
 
 def _json_coeff(value) -> int | Fraction:
@@ -305,6 +310,6 @@ def from_json_dict(alg: LieAlgebra, data: dict) -> UEAElement:
         if sum(expo) > MAX_DEGREE:
             raise ValueError(f"a term of degree {sum(expo)} is above the largest accepted "
                              f"degree, {MAX_DEGREE}")
-        mono = tuple(expo)
+        mono = monomial_word(expo)
         terms[mono] = terms.get(mono, 0) + _json_coeff(entry["coeff"])
     return UEAElement(alg, terms)

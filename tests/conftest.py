@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from cgcasimir import make_cga, parse_spec, solve_casimirs
+from cgcasimir import grading, make_cga, parse_spec, solve_casimirs
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +30,16 @@ def solved(algebra):
         return cache[key]
 
     return get
+
+
+class _UnjoinableWord(tuple):
+    def __add__(self, other):
+        raise AssertionError("a monomial was built")
+
+
+@pytest.fixture
+def refuse_joins(monkeypatch):
+    """The ansatz half-words concatenate only by raising, so building any
+    joined monomial fails the test."""
+    monkeypatch.setattr(grading, "combinations_with_replacement", lambda letters, n: map(
+        _UnjoinableWord, itertools.combinations_with_replacement(letters, n)))

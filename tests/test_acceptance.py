@@ -172,10 +172,7 @@ def _random_element(alg, rng, max_terms=2, max_degree=3):
     for _ in range(rng.randint(1, max_terms)):
         deg = rng.randint(0, max_degree)
         word = sorted(rng.randrange(alg.dim) for _ in range(deg))
-        expo = [0] * alg.dim
-        for p in word:
-            expo[p] += 1
-        terms[tuple(expo)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        terms[tuple(word)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return UEAElement(alg, terms)
 
 

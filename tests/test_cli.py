@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cgcasimir import grading, liealg, realization, solver
 from cgcasimir.cli import main
-from cgcasimir.grading import MAX_HALF_WORDS
+from cgcasimir.grading import MAX_ANSATZ, MAX_HALF_WORDS
 from cgcasimir.liealg import MAX_TRIALS, make_cga, parse_spec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -161,6 +161,14 @@ def test_solve_refuses_oversized_ansatz_before_any_table(capsys, monkeypatch):
                          "--grade", "0,1998")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and str(MAX_HALF_WORDS) in err
+
+
+def test_solve_refuses_oversized_join_before_any_monomial(capsys, refuse_joins):
+    # 82,215 half-words pass MAX_HALF_WORDS; the joined ansatz would not fit
+    # in memory as a list
+    code, out, err = run(capsys, "solve", "--d", "1", "--ell", "399/2", "--degree", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(MAX_ANSATZ) in err
 
 
 def test_solve_rejects_unresolvable_grade(capsys):

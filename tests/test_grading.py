@@ -4,6 +4,7 @@ import pytest
 
 from cgcasimir import grading
 from cgcasimir.grading import (
+    MAX_ANSATZ,
     MAX_HALF_WORDS,
     default_target_grades,
     enumerate_ansatz,
@@ -11,14 +12,15 @@ from cgcasimir.grading import (
     grade_of,
     iter_exponents,
 )
-from cgcasimir.uea import UEAElement, from_term_list, grlex_key, multiply, normal_order
+from cgcasimir.uea import (UEAElement, from_term_list, grlex_key, monomial_word, multiply,
+                           normal_order, word_monomial)
 
 
 def mono(alg, names):
     expo = [0] * alg.dim
     for n in names:
         expo[alg.position(alg.generator(n))] += 1
-    return tuple(expo)
+    return monomial_word(expo)
 
 
 def test_generator_grades_d1(algebra):
@@ -59,8 +61,9 @@ def test_grade_additive_over_products(algebra):
         m1 = tuple(rng.randint(0, 1) for _ in range(alg.dim))
         m2 = tuple(rng.randint(0, 1) for _ in range(alg.dim))
         total = tuple(a + b for a, b in zip(m1, m2))
-        expect = tuple(sum(g) for g in zip(grade_of(alg, m1), grade_of(alg, m2)))
-        assert grade_of(alg, total) == expect
+        expect = tuple(sum(g) for g in zip(grade_of(alg, monomial_word(m1)),
+                                           grade_of(alg, monomial_word(m2))))
+        assert grade_of(alg, monomial_word(total)) == expect
     assert grades  # silence unused warning
 
 
@@ -90,10 +93,17 @@ def test_normal_order_preserves_grade(d, ell, algebra):
             assert grade_of(alg, m) == total
 
 
+def exponent_grade(alg, expo):
+    """Grade of an exponent tuple, summed here, apart from ``grade_of``."""
+    grades = generator_grades(alg)
+    return tuple(sum(e * g[c] for e, g in zip(expo, grades)) for c in range(len(grades[0])))
+
+
 def brute_force_ansatz(alg, grade, max_degree):
+    """Exponent tuples of the ansatz, filtered from every tuple."""
     return sorted(
         m for m in iter_exponents(alg.dim, max_degree)
-        if grade_of(alg, m) == tuple(grade)
+        if exponent_grade(alg, m) == tuple(grade)
     )
 
 
@@ -112,20 +122,20 @@ def brute_force_ansatz(alg, grade, max_degree):
 def test_enumerate_matches_brute_force(d, ell, grade, deg, algebra):
     alg = algebra(d, ell)
     basis = enumerate_ansatz(alg, grade, deg)
-    assert sorted(basis.monomials) == brute_force_ansatz(alg, grade, deg)
-    assert basis.monomials == sorted(basis.monomials, key=grlex_key)
+    expos = [word_monomial(alg.dim, m) for m in basis.monomials]
+    assert sorted(expos) == brute_force_ansatz(alg, grade, deg)
+    assert expos == sorted(expos, key=grlex_key)
     assert len(set(basis.monomials)) == len(basis.monomials)
     for m in basis.monomials:
+        assert list(m) == sorted(m)
         assert grade_of(alg, m) == tuple(grade)
-        assert sum(m) <= deg
+        assert len(m) <= deg
 
 
 def test_ansatz_quadratic_d2_exact_set(algebra):
     alg = algebra(2, 1)
     basis = enumerate_ansatz(alg, (0, 1, 0), 2)
-    names = {tuple(sorted(
-        n for n, e in ((alg.basis[i].name, e) for i, e in enumerate(m)) for _ in range(e)))
-        for m in basis.monomials}
+    names = {tuple(sorted(alg.basis[p].name for p in m)) for m in basis.monomials}
     assert names == {
         ("Theta",), ("D", "Theta"), ("J", "Theta"),
         ("P2", "Q0"), ("P0", "Q2"), ("P1", "Q1"),
@@ -180,6 +190,30 @@ def test_oversized_tables_refused_before_any_word(algebra, monkeypatch):
     # comb(1004 + 3, 3) = 169,684,535 half-words at degree 6
     with pytest.raises(ValueError, match=str(MAX_HALF_WORDS)):
         enumerate_ansatz(algebra(1, "999/2"), (0, 1998), 6)
+
+
+def test_oversized_ansatz_refused_before_any_monomial(algebra, refuse_joins):
+    # 5,565 half-words, under MAX_HALF_WORDS, join to 29,257 quartic monomials
+    with pytest.raises(ValueError, match=f"has 29257 monomials, .* {MAX_ANSATZ}$"):
+        enumerate_ansatz(algebra(1, "99/2"), (0, 198), 4)
+
+
+@pytest.mark.parametrize("d,ell,grade,deg,size", [
+    # sizes of the brute-force ansatz at targets of the test above
+    (1, "17/2", (0, 34), 4, 247),
+    (2, 5, (0, 2, 0), 4, 316),
+    (1, "3/2", (0, 6), 5, 42),
+    (2, 1, (0, 2, 0), 5, 84),
+])
+def test_ansatz_count_is_exact(d, ell, grade, deg, size, algebra, monkeypatch):
+    # the count taken before the join is the size of the join: one below it
+    # is refused, and the size itself is admitted
+    alg = algebra(d, ell)
+    monkeypatch.setattr(grading, "MAX_ANSATZ", size - 1)
+    with pytest.raises(ValueError, match=f"has {size} monomials"):
+        enumerate_ansatz(alg, grade, deg)
+    monkeypatch.setattr(grading, "MAX_ANSATZ", size)
+    assert len(enumerate_ansatz(alg, grade, deg)) == size
 
 
 def test_default_targets():

@@ -20,7 +20,7 @@ from cgcasimir.realization import (
     verify_realization,
 )
 from cgcasimir.solver import realization_candidate_system
-from cgcasimir.uea import UEAElement, from_term_list, monomial_word, multiply
+from cgcasimir.uea import UEAElement, from_term_list, multiply
 
 import known_casimirs as kc
 
@@ -242,7 +242,7 @@ def _word_fold(alg, mono):
     """The monomial's image as a left fold of its generator images from
     the identity, one compose per letter and no shared prefixes."""
     op = DiffOp.identity(VarSet.for_spec(alg.spec))
-    for p in monomial_word(mono):
+    for p in mono:
         op = compose(op, realize_generator(alg.spec, alg.basis[p]))
     return op
 

@@ -12,7 +12,7 @@ from cgcasimir.liealg import PRIME, accumulate, bb_count, echelon, integerize
 from cgcasimir.solver import (
     CasimirReport,
     LinearSystem,
-    candidates_via_realization,
+    candidate_vectors,
     casimir_conditions_system,
     element_vector,
     nullspace,
@@ -30,6 +30,13 @@ from cgcasimir.uea import UEAElement, from_json_dict, from_term_list, multiply
 import known_casimirs as kc
 
 Fr = Fraction
+
+
+def candidates_via_realization(alg, grade, max_degree):
+    """Combinations over the graded ansatz that behave like Casimirs when
+    restricted to the realisation, as a reduced-echelon basis."""
+    basis = enumerate_ansatz(alg, grade, max_degree)
+    return [primitive(vector_element(alg, basis, v)) for v in candidate_vectors(alg, basis)]
 
 
 def sys_from_rows(rows, ncols):

@@ -2,15 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from cgcasimir import theorems
 from cgcasimir.solver import proportional, rref, span_contains, element_vector, verify_casimir
 from cgcasimir.theorems import (
     TheoremRangeError,
+    TheoremTerm,
     build_theorem_casimir,
     theorem_casimir_report,
     theorem_report,
     theorem_terms,
 )
-from cgcasimir.uea import from_term_list
+from cgcasimir.uea import UEAElement, from_term_list, monomial_word, word_monomial
 
 import known_casimirs as kc
 
@@ -51,7 +53,7 @@ def test_d1_quartic_leading_coefficients_ell_52(algebra):
         expo = [0] * alg.dim
         for n in names:
             expo[alg.position(alg.generator(n))] += 1
-        return built.coefficient(tuple(expo))
+        return built.coefficient(monomial_word(expo))
 
     assert coeff(["M", "M", "D"]) == 132
     assert coeff(["M", "M", "D", "D"]) == -12
@@ -109,6 +111,25 @@ def test_d2_quartic_report_ell_3(algebra):
     assert len(got) == 8
     assert verify_casimir(alg, tr.corrected) is None
     assert (tr.corrected - from_term_list(alg, kc.D2_L3_QUARTIC)).is_zero()
+
+
+def test_split_term_reports_monomials_in_exponent_order(algebra, monkeypatch):
+    # three printed terms that the solver corrects by different factors,
+    # merged into one term with the same sum, are reported monomial by
+    # monomial in the plain order of their exponent tuples
+    alg = algebra(2, 3)
+    terms = theorem_terms(alg.spec, "quartic")
+    names = ["Q0*P0*Q6*P6", "Q1*P1*Q5*P5", "Q2*P2*Q4*P4"]
+    group = [t for t in terms if t.name in names]
+    lead = group[0]
+    merged = TheoremTerm("merged", lead.value, sum(
+        (t.element.scale(t.value / lead.value) for t in group), UEAElement.zero(alg)))
+    monkeypatch.setattr(theorems, "theorem_terms",
+                        lambda spec, which: [t for t in terms if t not in group] + [merged])
+    tr = theorem_report(alg.spec, "quartic")
+    expo = {t.name: word_monomial(alg.dim, next(iter(t.element.terms))) for t in group}
+    assert [d.term for d in tr.discrepancies if d.term.startswith("merged")] == [
+        f"merged [{n}]" for n in sorted(names, key=expo.__getitem__)]
 
 
 def test_d2_quartic_report_ell_4(algebra):

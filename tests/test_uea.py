@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgcasimir import uea
 from cgcasimir.grading import default_target_grades, enumerate_ansatz
 from cgcasimir.solver import casimir_conditions_system, vector_element
 from cgcasimir.uea import (
@@ -13,11 +14,15 @@ from cgcasimir.uea import (
     commutator,
     from_json_dict,
     from_term_list,
+    grlex_key,
+    lex_key,
     monomial_word,
     multiply,
     normal_order,
     omega,
     to_json_dict,
+    word_key,
+    word_monomial,
 )
 
 import known_casimirs as kc
@@ -79,19 +84,16 @@ def _random_element(alg, rng, max_terms=2, max_degree=3, positions=None):
     for _ in range(rng.randint(1, max_terms)):
         deg = rng.randint(0, max_degree)
         word = sorted(positions[rng.randrange(len(positions))] for _ in range(deg))
-        expo = [0] * alg.dim
-        for p in word:
-            expo[p] += 1
-        terms[tuple(expo)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        terms[tuple(word)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return UEAElement(alg, terms)
 
 
 def _multiply_by_words(alg, a, b):
     """Reference: normal order each concatenated word alone, then sum."""
     out = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            for m, ck in normal_order(alg, monomial_word(ma) + monomial_word(mb)).terms.items():
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            for m, ck in normal_order(alg, wa + wb).terms.items():
                 out[m] = out.get(m, 0) + ca * cb * ck
     return UEAElement(alg, out)
 
@@ -138,11 +140,11 @@ def test_normal_order_top_degree_permutation_invariant(algebra):
         word = [rng.randrange(alg.dim) for _ in range(rng.randint(2, 5))]
         base = normal_order(alg, word)
         deg = len(word)
-        top = {m: c for m, c in base.terms.items() if sum(m) == deg}
+        top = {m: c for m, c in base.terms.items() if len(m) == deg}
         shuffled = word[:]
         rng.shuffle(shuffled)
         other = normal_order(alg, shuffled)
-        assert {m: c for m, c in other.terms.items() if sum(m) == deg} == top
+        assert {m: c for m, c in other.terms.items() if len(m) == deg} == top
 
 
 def test_commutator_with_central(algebra):
@@ -162,8 +164,7 @@ def test_commutator_known_casimir_vanishes(algebra):
 def _commutator_by_products(alg, a, p):
     """Reference: normal order both a*x and x*a, word by word, and subtract."""
     out = {}
-    for mono, c in a.terms.items():
-        w = monomial_word(mono)
+    for w, c in a.terms.items():
         for m2, ck in normal_order(alg, w + (p,)).terms.items():
             out[m2] = out.get(m2, 0) + c * ck
         for m2, ck in normal_order(alg, (p,) + w).terms.items():
@@ -295,10 +296,7 @@ def small_elements(draw):
         deg = draw(st.integers(min_value=0, max_value=3))
         word = sorted(draw(st.integers(min_value=0, max_value=alg.dim - 1))
                       for _ in range(deg))
-        expo = [0] * alg.dim
-        for p in word:
-            expo[p] += 1
-        terms[tuple(expo)] = Fraction(draw(st.integers(min_value=-3, max_value=3)), 1)
+        terms[tuple(word)] = Fraction(draw(st.integers(min_value=-3, max_value=3)), 1)
     return UEAElement(alg, terms)
 
 
@@ -349,3 +347,33 @@ def test_json_refuses_degree_above_bound(algebra):
     assert from_json_dict(alg, element(1)).degree() == MAX_DEGREE
     with pytest.raises(ValueError, match="degree"):
         from_json_dict(alg, element(2))
+
+
+def test_json_refuses_degree_before_spelling_a_word(algebra, monkeypatch):
+    def never(*args):
+        raise AssertionError("a word was spelled out")
+
+    monkeypatch.setattr(uea, "monomial_word", never)
+    data = {"terms": [{"monomial": {"M": MAX_DEGREE, "H": 1}, "coeff": 1}]}
+    with pytest.raises(ValueError, match="degree"):
+        from_json_dict(algebra(1, "3/2"), data)
+
+
+@st.composite
+def sorted_words(draw):
+    dim = draw(st.integers(min_value=7, max_value=27))
+    letters = st.integers(min_value=0, max_value=dim - 1)
+    words = draw(st.lists(st.lists(letters, max_size=5).map(lambda w: tuple(sorted(w))),
+                          min_size=2, max_size=30, unique=True))
+    return dim, words
+
+
+@settings(max_examples=200, deadline=None)
+@given(sorted_words())
+def test_word_keys_order_like_exponent_tuples(dim_words):
+    # sorting words by a word key gives the order of their exponent tuples
+    dim, words = dim_words
+    assert all(monomial_word(word_monomial(dim, w)) == w for w in words)
+    assert (sorted(words, key=word_key)
+            == sorted(words, key=lambda w: grlex_key(word_monomial(dim, w))))
+    assert sorted(words, key=lex_key) == sorted(words, key=lambda w: word_monomial(dim, w))
