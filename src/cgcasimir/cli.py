@@ -139,7 +139,7 @@ def _load_elements(cfg: argparse.Namespace, alg) -> list[uea.UEAElement]:
     if not isinstance(data, dict):
         raise CliError(f"{cfg.input_path}: neither an element nor a report")
     if "terms" in data:
-        elements = [uea.from_json_dict(alg, data)]
+        entries = [data]
     elif "canonical" in data:
         if "spec" in data:
             spec = data["spec"]
@@ -150,9 +150,10 @@ def _load_elements(cfg: argparse.Namespace, alg) -> list[uea.UEAElement]:
                                f"d={spec['d']} ell={spec['ell']}")
         if not isinstance(data["canonical"], list):
             raise ValueError("a report needs a list under 'canonical'")
-        elements = [uea.from_json_dict(alg, entry) for entry in data["canonical"]]
+        entries = data["canonical"]
     else:
         raise CliError(f"{cfg.input_path}: neither an element nor a report")
+    elements = uea.from_json_dicts(alg, entries)
     # zero commutes with everything, so neither it nor an empty report is a Casimir
     if not elements:
         raise CliError(f"{cfg.input_path}: the report has no elements")

@@ -32,8 +32,9 @@ GradeVector = tuple[int, ...]
 
 # largest number of words the half-word tables of one ansatz may hold
 MAX_HALF_WORDS = 10**5
-# largest number of monomials one ansatz may hold
-MAX_ANSATZ = 10**4
+# largest number of monomials one ansatz may hold: the algebraic solve's
+# memory grows about as its 1.4th power, and 10**5 needs about 1.4 GB
+MAX_ANSATZ = 10**5
 
 
 @lru_cache(maxsize=None)

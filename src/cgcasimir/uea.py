@@ -25,9 +25,11 @@ Monomial = tuple[int, ...]  # sorted word of basis positions
 
 NEG_INF = float("-inf")
 
-# Largest total degree of a loaded element: every word is spelled out one
-# letter at a time, so a larger request is refused before any work starts.
+# Largest total degree of a loaded term, and largest number of letters the
+# words of one input's elements may hold together: every word is spelled
+# out one letter at a time, so a larger request is refused before any is.
 MAX_DEGREE = 2**16
+MAX_LETTERS = 2**22
 
 
 def grlex_key(expo: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -288,28 +290,53 @@ def _json_coeff(value) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
-def from_json_dict(alg: LieAlgebra, data: dict) -> UEAElement:
-    """Inverse of ``to_json_dict``.  Raises ValueError on anything that is
-    not a list of terms with known generator names, integer exponents >= 0,
-    total degree at most ``MAX_DEGREE`` and exact rational coefficients."""
+def _json_terms(alg: LieAlgebra, data: dict) -> list[tuple[dict[int, int], int | Fraction]]:
+    """The terms of one JSON element as ({position: exponent}, coeff)
+    pairs, validated, with no word spelled out."""
     entries = data.get("terms") if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise ValueError("an element needs a list under 'terms'")
-    terms: dict[Monomial, int | Fraction] = {}
+    terms = []
     for entry in entries:
         if not (isinstance(entry, dict) and isinstance(entry.get("monomial"), dict)
                 and "coeff" in entry):
             raise ValueError(f"term {entry!r} needs a 'monomial' object and a 'coeff'")
-        expo = [0] * alg.dim
+        expo = {}
         for name, e in entry["monomial"].items():
             if name not in alg.by_name:
                 raise ValueError(f"no generator named {name!r} in this algebra")
             if isinstance(e, bool) or not isinstance(e, int) or e < 0:
                 raise ValueError(f"exponent of {name} must be an integer >= 0, got {e!r}")
             expo[alg.position(alg.by_name[name])] = e
-        if sum(expo) > MAX_DEGREE:
-            raise ValueError(f"a term of degree {sum(expo)} is above the largest accepted "
-                             f"degree, {MAX_DEGREE}")
-        mono = monomial_word(expo)
-        terms[mono] = terms.get(mono, 0) + _json_coeff(entry["coeff"])
-    return UEAElement(alg, terms)
+        if sum(expo.values()) > MAX_DEGREE:
+            raise ValueError(f"a term of degree {sum(expo.values())} is above the largest "
+                             f"accepted degree, {MAX_DEGREE}")
+        terms.append((expo, _json_coeff(entry["coeff"])))
+    return terms
+
+
+def from_json_dicts(alg: LieAlgebra, dicts: list) -> list[UEAElement]:
+    """Inverse of ``to_json_dict`` over the elements of one input.  Raises
+    ValueError on anything that is not a list of terms with known generator
+    names, integer exponents >= 0, total degree at most ``MAX_DEGREE`` and
+    exact rational coefficients, and on elements whose words would hold
+    more than ``MAX_LETTERS`` letters together, before any word is spelled
+    out."""
+    parsed = [_json_terms(alg, data) for data in dicts]
+    letters = sum(sum(expo.values()) for terms in parsed for expo, _ in terms)
+    if letters > MAX_LETTERS:
+        raise ValueError(f"the words of these elements would hold {letters} letters, above "
+                         f"the largest accepted, {MAX_LETTERS}")
+    out = []
+    for terms in parsed:
+        words: dict[Monomial, int | Fraction] = {}
+        for expo, c in terms:
+            word = monomial_word([expo.get(p, 0) for p in range(alg.dim)])
+            words[word] = words.get(word, 0) + c
+        out.append(UEAElement(alg, words))
+    return out
+
+
+def from_json_dict(alg: LieAlgebra, data: dict) -> UEAElement:
+    """Inverse of ``to_json_dict`` for one element; see ``from_json_dicts``."""
+    return from_json_dicts(alg, [data])[0]

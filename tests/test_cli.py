@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgcasimir import grading, liealg, realization, solver
+from cgcasimir import grading, liealg, realization, solver, uea
 from cgcasimir.cli import main
 from cgcasimir.grading import MAX_ANSATZ, MAX_HALF_WORDS
 from cgcasimir.liealg import MAX_TRIALS, make_cga, parse_spec
@@ -283,6 +283,22 @@ def test_oversized_element_refused_up_front(capsys, tmp_path, monkeypatch, comma
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "degree" in err
 
+
+
+def test_report_of_many_high_degree_terms_refused_up_front(capsys, tmp_path, monkeypatch):
+    # each term is under MAX_DEGREE, but the report's words would hold
+    # 65 * 2**16 letters together
+    def never(*args):
+        raise AssertionError("a word was spelled out")
+
+    monkeypatch.setattr(uea, "monomial_word", never)
+    element = {"terms": [{"monomial": {"M": uea.MAX_DEGREE}, "coeff": "1"}]}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"canonical": [element] * 65}))
+    code, out, err = run(capsys, "verify", "--d", "1", "--ell", "3/2", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(uea.MAX_LETTERS) in err
 
 def test_realize_needs_input(capsys):
     code, _, err = run(capsys, "realize", "--d", "1", "--ell", "3/2")

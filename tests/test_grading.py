@@ -193,9 +193,9 @@ def test_oversized_tables_refused_before_any_word(algebra, monkeypatch):
 
 
 def test_oversized_ansatz_refused_before_any_monomial(algebra, refuse_joins):
-    # 5,565 half-words, under MAX_HALF_WORDS, join to 29,257 quartic monomials
-    with pytest.raises(ValueError, match=f"has 29257 monomials, .* {MAX_ANSATZ}$"):
-        enumerate_ansatz(algebra(1, "99/2"), (0, 198), 4)
+    # 12,403 half-words, under MAX_HALF_WORDS, join to 100,784 quartic monomials
+    with pytest.raises(ValueError, match=f"has 100784 monomials, .* {MAX_ANSATZ}$"):
+        enumerate_ansatz(algebra(1, "151/2"), (0, 302), 4)
 
 
 @pytest.mark.parametrize("d,ell,grade,deg,size", [

@@ -10,9 +10,11 @@ from cgcasimir.grading import default_target_grades, enumerate_ansatz
 from cgcasimir.solver import casimir_conditions_system, vector_element
 from cgcasimir.uea import (
     MAX_DEGREE,
+    MAX_LETTERS,
     UEAElement,
     commutator,
     from_json_dict,
+    from_json_dicts,
     from_term_list,
     grlex_key,
     lex_key,
@@ -358,6 +360,33 @@ def test_json_refuses_degree_before_spelling_a_word(algebra, monkeypatch):
     with pytest.raises(ValueError, match="degree"):
         from_json_dict(algebra(1, "3/2"), data)
 
+
+
+def test_json_refuses_letters_across_elements_before_spelling_a_word(algebra, monkeypatch):
+    # 64 one-term elements of degree MAX_DEGREE fill MAX_LETTERS; one more
+    # letter anywhere in the input is refused before any word is spelled out
+    def never(*args):
+        raise AssertionError("a word was spelled out")
+
+    monkeypatch.setattr(uea, "monomial_word", never)
+    alg = algebra(1, "3/2")
+    full = [{"terms": [{"monomial": {"M": MAX_DEGREE}, "coeff": 1}]}] * (MAX_LETTERS // MAX_DEGREE)
+    extra = {"terms": [{"monomial": {"H": 1}, "coeff": 1}]}
+    with pytest.raises(ValueError, match=f"{MAX_LETTERS + 1} letters"):
+        from_json_dicts(alg, full + [extra])
+
+
+def test_json_letter_bound_is_exact(algebra, monkeypatch):
+    alg = algebra(1, "3/2")
+    two = {"terms": [{"monomial": {"M": 1, "H": 1}, "coeff": 1},
+                     {"monomial": {}, "coeff": 3}]}
+    three = {"terms": [{"monomial": {"D": 3}, "coeff": "1/2"}]}
+    monkeypatch.setattr(uea, "MAX_LETTERS", 5)
+    loaded = from_json_dicts(alg, [two, three])
+    assert [e.degree() for e in loaded] == [2, 3]
+    monkeypatch.setattr(uea, "MAX_LETTERS", 4)
+    with pytest.raises(ValueError, match="5 letters"):
+        from_json_dicts(alg, [two, three])
 
 @st.composite
 def sorted_words(draw):
