@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import liealg, realization, solver, theorems, uea
@@ -25,7 +26,10 @@ class CliError(Exception):
         self.code = code
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it
+    was."""
     parser = argparse.ArgumentParser(
         prog="cgcasimir",
         description="Casimir operators of centrally extended conformal Galilei algebras",

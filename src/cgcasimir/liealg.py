@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -318,7 +319,8 @@ class LieAlgebra:
     (both orientations) used by the normal-ordering hot path.
     """
 
-    __slots__ = ("spec", "basis", "positions", "by_name", "brackets", "pair_table")
+    __slots__ = ("spec", "basis", "positions", "by_name", "brackets", "pair_table",
+                 "__weakref__")
 
     def __init__(self, spec: AlgebraSpec, basis: Iterable[GeneratorId],
                  brackets: dict[tuple[int, int], SparseVec]):
@@ -368,8 +370,24 @@ class LieAlgebra:
         return f"LieAlgebra(d={self.spec.d}, ell={self.spec.ell}, dim={self.dim})"
 
 
+# the live algebra of each spec, held weakly: an algebra that nothing else
+# holds (the per-algebra caches hold theirs) is freed, not kept for good
+_ALGEBRAS: weakref.WeakValueDictionary[AlgebraSpec, LieAlgebra] = weakref.WeakValueDictionary()
+
+
 def make_cga(spec: AlgebraSpec) -> LieAlgebra:
-    """Build the centrally extended conformal Galilei algebra for ``spec``."""
+    """The centrally extended conformal Galilei algebra for ``spec``.
+
+    While one is alive, every call returns that same object, so the
+    per-algebra caches (``generator_grades``, ``omega_positions``) find it
+    by identity and hold one entry per spec."""
+    alg = _ALGEBRAS.get(spec)
+    if alg is None:
+        alg = _ALGEBRAS[spec] = _build_cga(spec)
+    return alg
+
+
+def _build_cga(spec: AlgebraSpec) -> LieAlgebra:
     n2 = spec.two_ell
     basis = _basis_d1(spec) if spec.d == 1 else _basis_d2(spec)
     pos = {g: i for i, g in enumerate(basis)}

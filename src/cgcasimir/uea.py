@@ -4,17 +4,27 @@ Elements are sparse exact combinations of PBW monomials, with ``int``
 coefficients where exact and ``Fraction`` where a value needs one.  A
 monomial is a sorted word of basis positions, (0, 0, 3, 7) for b_0^2 b_3
 b_7; exponent tuples appear only in JSON and text.  Arbitrary products
-are rewritten into this basis by bubbling adjacent out-of-order pairs,
-x y -> y x + [x, y]; each swap strictly lowers the inversion count at
-fixed degree and bracket terms drop the degree, so the rewriting
-terminates.  Every product, commutator and omega image is one
-combination of words put through one rewriting pass, ``_normal_form``,
-where equal words from different terms merge before they are rewritten
-again.
+are straightened into this basis one letter at a time: an out-of-order
+letter j moves to its sorted place in one step, and each letter x it
+passes leaves their bracket, [x, j] or [j, x] as the two stood (from
+x y = y x + [x, y]), in x's place, one letter shorter.  ``_normal_form``
+rewrites the longest words first, and the words of one length in rounds:
+each round places the first out-of-order letter of every word and merges
+the results, and all bracket terms merge at the next shorter length,
+which starts only once every longer word is sorted.  So equal words from
+different terms merge (or cancel) before they are rewritten, and the work
+stays polynomial where rewriting each word depth first is exponential:
+unmerged, D^n P0 expands into 2^n words, which merge into n + 1.  Each
+round lengthens every word's sorted prefix and bracket terms are shorter,
+so the rewriting terminates.  Every product, commutator and omega image
+is one combination of words put through ``_normal_form``; ``commutator``
+places its substituted letters directly, since each sits in an otherwise
+sorted word, and straightens only their bracket terms.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -139,23 +149,72 @@ def _first_descent(word: tuple[int, ...]) -> int:
     return -1
 
 
-def _normal_form(alg: LieAlgebra, work: dict[tuple[int, ...], int | Fraction]) -> UEAElement:
-    """PBW expansion of a combination ``{word: coeff}`` of position words;
-    consumes ``work``.  Each word's first out-of-order pair is swapped and
-    its bracket terms added back, so equal words from different terms merge
-    (or cancel) before they are rewritten again."""
+def _runs(word: Monomial, lo: int, hi: int):
+    """(letter, start, end) of each run of equal letters in the sorted
+    ``word[lo:hi]``."""
+    while lo < hi:
+        end = bisect_right(word, word[lo], lo, hi)
+        yield word[lo], lo, end
+        lo = end
+
+
+def _place(table, head: Monomial, j: int, tail: Monomial, c, done: dict, lower: dict) -> None:
+    """Add ``c`` times the word ``head + (j,) + tail`` into ``done`` with
+    ``j`` moved to its sorted place: left into the sorted ``head`` when it
+    is below ``head[-1]``, else right into the sorted ``tail``.  Each letter
+    it passes leaves its bracket term, one letter shorter, in ``lower``:
+    [head[m], j] in place of head[m] when ``j`` moves left, [j, tail[m]] in
+    place of tail[m] when it moves right.  Letters are passed a run of
+    equal letters at a time."""
+    if head and j < head[-1]:
+        k = bisect_right(head, j)
+        word = head[:k] + (j,) + head[k:] + tail
+        for x, lo, hi in _runs(head, k, len(head)):
+            for u, cu in table[x][j]:
+                accumulate(lower, ((head[:m] + (u,) + head[m + 1:] + tail, c * cu)
+                                   for m in range(lo, hi)))
+    elif tail and tail[0] < j:
+        k = bisect_left(tail, j)
+        word = head + tail[:k] + (j,) + tail[k:]
+        for x, lo, hi in _runs(tail, 0, k):
+            for u, cu in table[j][x]:
+                accumulate(lower, ((head + tail[:m] + (u,) + tail[m + 1:], c * cu)
+                                   for m in range(lo, hi)))
+    else:
+        word = head + (j,) + tail
+    accumulate(done, ((word, c),))
+
+
+def _normal_form(alg: LieAlgebra, work: dict[tuple[int, ...], int | Fraction],
+                 done: dict[Monomial, int | Fraction] | None = None) -> UEAElement:
+    """PBW expansion of a combination ``{word: coeff}`` of position words,
+    added to the sorted words ``done`` where given.
+
+    Longest words first, since bracket terms are shorter; within one
+    length, in rounds that each place every word's first out-of-order
+    letter into its sorted prefix and merge the results."""
     table = alg.pair_table
-    done: dict[tuple[int, ...], int | Fraction] = {}
-    while work:
-        w, c = work.popitem()
-        i = _first_descent(w)
-        if i < 0:
+    done = {} if done is None else done
+    levels: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
+    for w, c in work.items():
+        if _first_descent(w) < 0:
             accumulate(done, ((w, c),))
-            continue
-        a, b = w[i], w[i + 1]
-        head, tail = w[:i], w[i + 2:]
-        accumulate(work, ((head + (b, a) + tail, c),))
-        accumulate(work, ((head + (k,) + tail, c * ck) for k, ck in table[a][b]))
+        else:
+            levels.setdefault(len(w), {})[w] = c
+    while levels:
+        n = max(levels)
+        words = levels.pop(n)
+        # the bracket terms of two-letter words are single letters, sorted
+        lower = done if n == 2 else levels.setdefault(n - 1, {})
+        while words:
+            rest: dict[tuple[int, ...], int | Fraction] = {}
+            for w, c in words.items():
+                i = _first_descent(w)
+                if i < 0:
+                    accumulate(done, ((w, c),))
+                else:
+                    _place(table, w[:i + 1], w[i + 1], w[i + 2:], c, rest, lower)
+            words = rest
     return UEAElement(alg, done)
 
 
@@ -177,18 +236,18 @@ def commutator(alg: LieAlgebra, a: UEAElement, x: GeneratorId | int) -> UEAEleme
     """[a, x] = a x - x a in normal form, for a basis generator x.
 
     ad x acts as a derivation: for a PBW word b_1...b_n the bracket is
-    sum_k b_1...b_(k-1) [b_k, x] b_(k+1)...b_n, and every substituted word
-    goes into one normal-ordering pass."""
+    sum_k b_1...b_(k-1) [b_k, x] b_(k+1)...b_n.  Each substituted letter
+    sits in an otherwise sorted word and is placed at once; only the bracket
+    terms of those placements go through one normal-ordering pass."""
     p = x if isinstance(x, int) else alg.position(x)
     table = alg.pair_table
-    work: dict[tuple[int, ...], int | Fraction] = {}
+    done: dict[Monomial, int | Fraction] = {}
+    lower: dict[tuple[int, ...], int | Fraction] = {}
     for w, c in a.terms.items():
         for k, bk in enumerate(w):
-            brk = table[bk][p]
-            if brk:
-                head, tail = w[:k], w[k + 1:]
-                accumulate(work, ((head + (j,) + tail, c * cj) for j, cj in brk))
-    return _normal_form(alg, work)
+            for j, cj in table[bk][p]:
+                _place(table, w[:k], j, w[k + 1:], c * cj, done, lower)
+    return _normal_form(alg, lower, done)
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgcasimir import grading, liealg, realization, solver, uea
+from cgcasimir import cli, grading, liealg, realization, solver, uea
 from cgcasimir.cli import main
 from cgcasimir.grading import MAX_ANSATZ, MAX_HALF_WORDS
 from cgcasimir.liealg import MAX_TRIALS, make_cga, parse_spec
@@ -484,6 +484,53 @@ def test_route_and_format_only_where_they_act(capsys, argv):
     # solve alone picks the route; rank prints a bare count, so has no --format
     code, out, _ = run(capsys, *argv)
     assert code == 2 and out == ""
+
+
+_COMMANDS = [
+    ("rank", "--d", "1", "--ell", "3/2"),
+    ("solve", "--d", "2", "--ell", "1", "--degree", "2"),
+    ("verify", "--d", "1", "--ell", "3/2", "--in", fixture("d1_ell_3_2_quartic.json")),
+    ("solve", "--d", "1", "--ell", "3/2", "--degree", "2", "--nonsense"),
+    ("rank", "--d", "2", "--ell", "1", "--format", "text"),
+    ("solve", "--d", "1", "--ell", "3/2", "--degree", "4", "--format", "text"),
+    ("verify", "--d", "1", "--ell", "3/2", "--in", fixture("d1_ell_3_2_quartic.json")),
+]
+
+
+def test_one_parser_serves_many_commands(capsys, monkeypatch):
+    # the parser is built once per process: rank's text default does not
+    # leak into solve or verify, an argparse error (exit 2) leaves it
+    # usable, and every call prints what a freshly built parser would
+    assert cli.build_parser() is cli.build_parser()
+    shared = [run(capsys, *argv) for argv in _COMMANDS]
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 2, 0, 0]
+    assert json.loads(shared[1][1])["verified"] is True
+    assert json.loads(shared[6][1])["verified"] is True
+    for argv in (_COMMANDS[1], _COMMANDS[2]):
+        assert cli.build_parser().parse_args(argv).format == "json"
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [run(capsys, *argv) for argv in _COMMANDS] == shared
+
+
+def test_one_algebra_per_spec(capsys):
+    assert make_cga(parse_spec(2, 3)) is make_cga(parse_spec("2", "3"))
+    argv = ("solve", "--d", "1", "--ell", "5/2", "--degree", "4", "--method", "algebraic")
+    assert run(capsys, *argv)[0] == 0
+    sizes = (grading.generator_grades.cache_info().currsize,
+             uea.omega_positions.cache_info().currsize)
+    for _ in range(3):
+        assert run(capsys, *argv)[0] == 0
+    assert (grading.generator_grades.cache_info().currsize,
+            uea.omega_positions.cache_info().currsize) == sizes
+
+
+def test_verify_of_a_high_power_is_polynomial(tmp_path, capsys):
+    # [D^n, P0] has n terms; a depth-first rewriting needs about 2^n steps
+    code, out, _ = _verify_json(tmp_path, capsys,
+                                {"terms": [{"monomial": {"D": 40}, "coeff": 1}]})
+    assert code == 1
+    assert json.loads(out)["failures"] == [{"element": 0, "generator": "P0",
+                                            "residual_terms": 40}]
 
 
 # -- fuzzing the --in loader ------------------------------------------

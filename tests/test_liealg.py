@@ -177,6 +177,23 @@ def test_bb_count_basis_permutation_invariant(algebra):
             assert bb_count(_permuted(alg, seed)) == expect
 
 
+def test_hand_built_algebras_keep_their_own_cache_entries(algebra):
+    # make_cga returns one algebra per spec; an equal-spec algebra built by
+    # hand over a permuted basis is a different key of the per-algebra caches
+    from cgcasimir.grading import generator_grades
+    from cgcasimir.uea import omega_positions
+
+    alg = algebra(1, "3/2")
+    assert make_cga(parse_spec("1", "3/2")) is alg
+    permuted = _permuted(alg, 0)
+    assert permuted.basis != alg.basis
+    grades = generator_grades(alg)
+    assert generator_grades(permuted) == tuple(grades[alg.position(g)] for g in permuted.basis)
+    img = omega_positions(alg)
+    assert omega_positions(permuted) == tuple(
+        permuted.position(alg.basis[img[alg.position(g)]]) for g in permuted.basis)
+
+
 def test_trials_must_be_positive(algebra):
     with pytest.raises(ValueError):
         bb_count(algebra(1, "3/2"), trials=0)

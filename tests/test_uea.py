@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgcasimir import uea
+from cgcasimir.liealg import LieAlgebra, accumulate, jacobi_check
 from cgcasimir.grading import default_target_grades, enumerate_ansatz
 from cgcasimir.solver import casimir_conditions_system, vector_element
 from cgcasimir.uea import (
@@ -406,3 +408,168 @@ def test_word_keys_order_like_exponent_tuples(dim_words):
     assert (sorted(words, key=word_key)
             == sorted(words, key=lambda w: grlex_key(word_monomial(dim, w))))
     assert sorted(words, key=lex_key) == sorted(words, key=lambda w: word_monomial(dim, w))
+
+
+# -- an independent oracle: the adjacent-swap rewriting ----------------
+
+def _first_descent(word):
+    for i in range(len(word) - 1):
+        if word[i] > word[i + 1]:
+            return i
+    return -1
+
+
+def _bubble_normal_form(alg, work):
+    """PBW expansion of a combination ``{word: coeff}`` of position words;
+    consumes ``work``.  Each word's first out-of-order pair is swapped and
+    its bracket terms added back, so equal words from different terms merge
+    (or cancel) before they are rewritten again."""
+    table = alg.pair_table
+    done = {}
+    while work:
+        w, c = work.popitem()
+        i = _first_descent(w)
+        if i < 0:
+            accumulate(done, ((w, c),))
+            continue
+        a, b = w[i], w[i + 1]
+        head, tail = w[:i], w[i + 2:]
+        accumulate(work, ((head + (b, a) + tail, c),))
+        accumulate(work, ((head + (k,) + tail, c * ck) for k, ck in table[a][b]))
+    return UEAElement(alg, done)
+
+
+def _bubble(alg, pairs):
+    """The adjacent-swap expansion of ``sum c * word`` over (word, c) pairs."""
+    return _bubble_normal_form(alg, accumulate({}, pairs))
+
+
+def _changed_basis(alg, seed, mixes=4):
+    """The same algebra over the basis b'_i = sum_j U_ij b_j, for a random
+    unimodular integer U, so that brackets have several terms."""
+    rng = random.Random(seed)
+    n = alg.dim
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [row[:] for row in u]  # U^-1
+    for _ in range(mixes):  # add +-1 times row j of U to row i, and undo it in U^-1
+        i, j = rng.sample(range(n), 2)
+        sign = rng.choice((-1, 1))
+        u[i] = [x + sign * y for x, y in zip(u[i], u[j])]
+        for row in v:
+            row[j] -= sign * row[i]
+    assert all(sum(u[i][k] * v[k][j] for k in range(n)) == (i == j)
+               for i in range(n) for j in range(n))
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            vec = {}
+            for a, ua in enumerate(u[i]):
+                for b, ub in enumerate(u[j]):
+                    if ua and ub:
+                        for k, c in alg.pair_table[a][b]:
+                            accumulate(vec, ((m, ua * ub * c * v[k][m]) for m in range(n)))
+            brackets[(i, j)] = vec
+    return LieAlgebra(alg.spec, alg.basis, brackets)
+
+
+def test_changed_basis_is_a_lie_algebra_with_long_brackets(algebra):
+    changed = _changed_basis(algebra(1, "3/2"), seed=3)
+    assert jacobi_check(changed) is None
+    sizes = [len(v) for v in changed.brackets.values()]
+    assert max(sizes) >= 3 and sum(s >= 2 for s in sizes) >= 10
+
+
+@pytest.mark.parametrize("d,ell,changed", [
+    (1, "3/2", False), (1, "5/2", False), (2, 1, False), (2, 2, False), (1, "3/2", True),
+], ids=["d1-3/2", "d1-5/2", "d2-1", "d2-2", "d1-3/2-changed-basis"])
+def test_operations_match_bubble_oracle(d, ell, changed, algebra):
+    # products, commutators, omega and normal ordering of random elements
+    # agree with the adjacent-swap rewriting, word by word
+    alg = _changed_basis(algebra(d, ell), seed=3) if changed else algebra(d, ell)
+    img = uea.omega_positions(alg)
+    rng = random.Random(41)
+    for _ in range(12):
+        pool = rng.sample(range(alg.dim), 4)
+        a, b = (_random_element(alg, rng, max_terms=4, max_degree=4, positions=pool)
+                for _ in range(2))
+        word = tuple(rng.randrange(alg.dim) for _ in range(rng.randint(0, 6)))
+        assert normal_order(alg, word) == _bubble(alg, [(word, 1)])
+        assert multiply(alg, a, b) == _bubble(
+            alg, ((wa + wb, ca * cb) for wa, ca in a.terms.items() for wb, cb in b.terms.items()))
+        assert omega(alg, a) == _bubble(
+            alg, ((tuple(img[p] for p in reversed(w)), c) for w, c in a.terms.items()))
+        for p in range(alg.dim):
+            assert commutator(alg, a, p) == _bubble(
+                alg, [(w + (p,), c) for w, c in a.terms.items()]
+                + [((p,) + w, -c) for w, c in a.terms.items()])
+
+
+# -- polynomial time on high powers ------------------------------------
+
+@pytest.fixture
+def place_budget(monkeypatch):
+    """Count the straightening steps; more than ``limit`` fails the test
+    at once instead of running for hours."""
+    calls = [0]
+
+    def install(limit):
+        place = uea._place
+
+        def counted(*args):
+            calls[0] += 1
+            if calls[0] > limit:
+                raise AssertionError(f"more than {limit} straightening steps")
+            return place(*args)
+
+        monkeypatch.setattr(uea, "_place", counted)
+        return calls
+
+    return install
+
+
+def test_commutator_of_a_high_power_closed_form(algebra, place_budget):
+    # [D, P0] = 3 P0, so D^n P0 = P0 (D + 3)^n and
+    # [D^n, P0] = sum_(k<n) C(n, k) 3^(n-k) P0 D^k
+    alg = algebra(1, "3/2")
+    n, d, p0 = 40, alg.position(alg.generator("D")), alg.position(alg.generator("P0"))
+    place_budget(n ** 3)
+    dn = UEAElement(alg, {(d,) * n: 1})
+    assert commutator(alg, dn, p0).terms == {(p0,) + (d,) * k: comb(n, k) * 3 ** (n - k)
+                                             for k in range(n)}
+    assert normal_order(alg, (d,) * n + (p0,)).terms == {
+        (p0,) + (d,) * k: comb(n, k) * 3 ** (n - k) for k in range(n + 1)}
+
+
+def test_straightening_steps_of_a_high_power_are_polynomial(algebra, place_budget):
+    # every bracket term of [D^n, C] is a word D^a C D^b; merged by length
+    # they need O(n^3) steps, where a depth-first rewriting needs about 2^n
+    alg = algebra(1, "3/2")
+    n, d = 40, alg.position(alg.generator("D"))
+    c = UEAElement.generator(alg, alg.generator("C"))
+    calls = place_budget(n ** 3)
+    dn = UEAElement(alg, {(d,) * n: 1})
+    res = commutator(alg, dn, alg.generator("C"))
+    assert len(res.terms) == n and 0 < calls[0] <= n ** 3
+    assert multiply(alg, c, dn) - multiply(alg, dn, c) == -res
+
+
+def test_straightening_never_passes_an_equal_letter(algebra):
+    # a letter commutes with its equal, so passing one adds no term but costs
+    # a step: on the words D^a C D^b of [D^n, C] that is n more per word
+    alg = algebra(1, "3/2")
+    d, p0 = alg.position(alg.generator("D")), alg.position(alg.generator("P0"))
+    looked = []
+
+    class Row(tuple):
+        def __getitem__(self, k):
+            if k == d:
+                looked.append(k)
+            return tuple.__getitem__(self, k)
+
+    counted = LieAlgebra(alg.spec, alg.basis, alg.brackets)
+    counted.pair_table = tuple(Row(row) if i == d else row
+                               for i, row in enumerate(alg.pair_table))
+    dn = UEAElement(counted, {(d,) * 12: 1})
+    assert len(commutator(counted, dn, alg.generator("C")).terms) == 12
+    assert len(normal_order(counted, (d,) * 12 + (p0,)).terms) == 13
+    assert looked == []
