@@ -3,7 +3,8 @@ Galilei algebras: structure constants, PBW calculus, graded ansatz
 enumeration, Weyl-algebra realisations, and the search/verification
 pipeline."""
 
-from .grading import AnsatzBasis, default_target_grades, enumerate_ansatz, grade_of
+from .grading import (AnsatzBasis, default_grade, default_target_grades, enumerate_ansatz,
+                      grade_of)
 from .liealg import (
     AlgebraSpec,
     GeneratorId,
@@ -45,7 +46,7 @@ __all__ = [
     "AlgebraSpec", "AnsatzBasis", "CasimirReport", "DiffOp", "GeneratorId",
     "InvalidSpecError", "LieAlgebra", "LinearSystem", "ReducedCheckError",
     "TheoremRangeError", "TheoremReport", "UEAElement", "VarSet", "bb_count",
-    "bracket", "build_theorem_casimir", "commutator", "compose",
+    "bracket", "build_theorem_casimir", "commutator", "compose", "default_grade",
     "default_target_grades", "enumerate_ansatz", "grade_of", "is_parameter_scalar",
     "jacobi_check", "make_cga", "multiply", "normal_order", "nullspace", "omega",
     "parse_spec", "realize_element", "realize_generator", "solve_casimirs",

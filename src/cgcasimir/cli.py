@@ -16,14 +16,12 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import liealg, realization, solver, theorems, uea
-from .grading import default_target_grades
+from .grading import default_grade
 from .liealg import make_cga, parse_spec
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """An invalid request; ``main`` prints it on one line and exits 2."""
 
 
 @lru_cache(maxsize=None)
@@ -90,18 +88,11 @@ def _emit(cfg: argparse.Namespace, payload: dict, text: str):
 
 def _resolve_target(cfg: argparse.Namespace, spec) -> tuple[tuple[int, ...], int]:
     if cfg.grade == "auto":
-        for g, d in default_target_grades(spec):
-            if d == cfg.degree:
-                return g, cfg.degree
-        raise CliError(
-            f"no default grade at degree {cfg.degree}; pass --grade explicitly")
+        return default_grade(spec, cfg.degree), cfg.degree
     try:
         grade = tuple(int(x) for x in cfg.grade.split(","))
     except ValueError:
         raise CliError(f"cannot parse grade {cfg.grade!r}") from None
-    expected = 2 if spec.d == 1 else 3
-    if len(grade) != expected:
-        raise CliError(f"grade for d={spec.d} needs {expected} components")
     return grade, cfg.degree
 
 
@@ -254,11 +245,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[cfg.subcommand](cfg)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
-        # covers bad specs, degree/trials bounds, out-of-range closed forms
+    except (CliError, ValueError) as exc:
+        # ValueError covers bad specs, grades, degree/trials bounds and
+        # out-of-range closed forms
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, KeyError) as exc:

@@ -82,6 +82,16 @@ def default_target_grades(spec: AlgebraSpec) -> list[tuple[GradeVector, int]]:
     return [((0, 1, 0), 2), ((0, 2, 0), 4)]
 
 
+def default_grade(spec: AlgebraSpec, degree: int) -> GradeVector:
+    """The default target grade at this degree; a ``ValueError`` if the
+    family has none there."""
+    for grade, d in default_target_grades(spec):
+        if d == degree:
+            return grade
+    raise ValueError(f"no default grade at degree {degree} for d={spec.d}; "
+                     f"give the grade explicitly")
+
+
 @dataclass
 class AnsatzBasis:
     """All PBW monomials of the given grade with degree <= max_degree, as
@@ -114,7 +124,8 @@ def enumerate_ansatz(alg: LieAlgebra, grade: GradeVector, max_degree: int) -> An
         raise ValueError("max_degree must be >= 1")
     grades = generator_grades(alg)
     if any(len(gv) != len(grade) for gv in grades):
-        raise ValueError("grade vector length does not match this algebra")
+        raise ValueError(f"grade vector length must be {len(grades[0])} for this algebra, "
+                         f"got {len(grade)}")
     dim = alg.dim
     half = (max_degree + 1) // 2
     size = math.comb(dim + half, half)
@@ -147,9 +158,8 @@ def enumerate_ansatz(alg: LieAlgebra, grade: GradeVector, max_degree: int) -> An
 def iter_exponents(dim: int, max_degree: int) -> Iterator[tuple[int, ...]]:
     """All exponent tuples of length ``dim`` with total degree <=
     max_degree, no grade filter, in lexicographic order.  Enumerates the
-    parameter monomials of the realisation candidate system and the
-    exponents of products of lower Casimirs, and is the brute-force oracle
-    that the tests hold ``enumerate_ansatz`` to."""
+    parameter monomials of the realisation candidate system, and is the
+    brute-force oracle that the tests hold ``enumerate_ansatz`` to."""
     def rec(pos: int, remaining: int, prefix: tuple[int, ...]):
         if pos == dim:
             yield prefix

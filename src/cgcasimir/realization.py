@@ -248,17 +248,11 @@ def realize_generator(spec: AlgebraSpec, g: GeneratorId) -> DiffOp:
     return DiffOp._of(vs, terms)
 
 
-def verify_realization(alg: LieAlgebra,
-                       ops: Optional[dict[GeneratorId, DiffOp]] = None
-                       ) -> list[tuple[GeneratorId, GeneratorId, DiffOp]]:
+def verify_realization(alg: LieAlgebra) -> list[tuple[GeneratorId, GeneratorId, DiffOp]]:
     """Check [rho(x), rho(y)] = rho([x, y]) for every basis pair; the
-    returned list of (x, y, residual) is empty exactly on success.
-
-    ``ops`` overrides the generator images (used for fault injection)."""
-    if ops is None:
-        ops = {g: realize_generator(alg.spec, g) for g in alg.basis}
+    returned list of (x, y, residual) is empty exactly on success."""
     failures = []
-    images = [ops[g] for g in alg.basis]
+    images = [realize_generator(alg.spec, g) for g in alg.basis]
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             residual = compose(images[i], images[j]) - compose(images[j], images[i])

@@ -26,6 +26,8 @@ is a ``liealg.SparseVec``, a ``{column: coeff}`` map with no zero entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from itertools import combinations_with_replacement
 from typing import Iterable, Optional
 
 from .grading import (AnsatzBasis, GradeVector, default_target_grades, enumerate_ansatz, grade_of,
@@ -269,25 +271,16 @@ def lower_casimir_products(alg: LieAlgebra, grade: GradeVector, max_degree: int
                            ) -> list[UEAElement]:
     """PBW expansions of all products of lower Casimirs with the target
     grade and admissible degree (the subspace quotiented away when
-    presenting canonical representatives)."""
+    presenting canonical representatives).  Each product is a multiset of
+    factors, multiplied in the order ``known_lower_casimirs`` lists them."""
     known = known_lower_casimirs(alg, max_degree)
     out: list[UEAElement] = []
-    zero = tuple(0 for _ in grade)
-    # sum(k) <= max_degree covers every sum(k * d0) <= max_degree, as d0 >= 1
-    for e in iter_exponents(len(known), max_degree):
-        total_deg = sum(k * known[i][2] for i, k in enumerate(e))
-        if not 1 <= total_deg <= max_degree:
-            continue
-        gsum = zero
-        for i, k in enumerate(e):
-            gsum = tuple(a + k * b for a, b in zip(gsum, known[i][1]))
-        if gsum != tuple(grade):
-            continue
-        prod = UEAElement.one(alg)
-        for i, k in enumerate(e):
-            for _ in range(k):
-                prod = multiply(alg, prod, known[i][0])
-        out.append(prod)
+    # every factor has degree >= 1, so a product has at most max_degree of them
+    for k in range(1, max_degree + 1):
+        for factors in combinations_with_replacement(known, k):
+            elems, grades, degrees = zip(*factors)
+            if sum(degrees) <= max_degree and tuple(map(sum, zip(*grades))) == tuple(grade):
+                out.append(reduce(partial(multiply, alg), elems))
     return out
 
 

@@ -2,6 +2,11 @@
 from their published coefficient tables, plus a comparison harness that
 checks a built element against the solver's ground truth.
 
+Each table lists one word of every pair that the anti-automorphism ω
+(``uea.omega``) swaps, and ``_term`` writes the other: a term is its listed
+words, each followed by its ω-image unless ω fixes it.  The terms are
+closed under ω only, not under the d=2 swap of the P and Q towers.
+
 The builder evaluates the tables exactly as printed.  When the assembled
 element fails the exhaustive centrality check, ``theorem_report`` solves
 the same target independently on the solver's ``algebraic`` route (both
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .grading import default_target_grades, grade_of
+from .grading import default_grade, grade_of
 from .liealg import AlgebraSpec, LieAlgebra, make_cga
 from .solver import (
     CasimirReport,
@@ -28,7 +33,7 @@ from .solver import (
     vector_element,
     verify_casimir,
 )
-from .uea import UEAElement, lex_key, normal_order, pretty_monomial, to_json_dict
+from .uea import UEAElement, lex_key, normal_order, omega, pretty_monomial, to_json_dict
 
 F = math.factorial
 
@@ -53,14 +58,19 @@ class TheoremTerm:
 
 
 def _term(alg: LieAlgebra, value, words: list[list[str]]) -> TheoremTerm:
+    """``value`` times the listed words, each followed by its ω-image
+    unless ω fixes it.  Every word and image must be one ordered monomial
+    with coefficient 1."""
     elem = UEAElement.zero(alg)
     names = []
     for w in words:
         part = normal_order(alg, [alg.generator(n) for n in w])
-        if len(part.terms) != 1 or next(iter(part.terms.values())) != 1:
-            raise AssertionError(f"term word {w} is not an ordered monomial")
-        elem = elem + part
-        names.append(pretty_monomial(alg, next(iter(part.terms))))
+        mirror = omega(alg, part)
+        for p in [part] if mirror == part else [part, mirror]:
+            if len(p.terms) != 1 or next(iter(p.terms.values())) != 1:
+                raise AssertionError(f"term word {w} or its ω-image is not an ordered monomial")
+            elem = elem + p
+            names.append(pretty_monomial(alg, next(iter(p.terms))))
     return TheoremTerm(" + ".join(names), Fraction(value), elem)
 
 
@@ -88,14 +98,14 @@ def _quartic_terms_d1(alg: LieAlgebra) -> list[TheoremTerm]:
         _term(alg, Fraction(s12 * fact, 2), [["M", "M", "D", "D"]]),
         _term(alg, -2 * s12 * fact, [["M", "M", "H", "C"]]),
         _term(alg, Fraction(-s32 * fact, F(h) ** 2),
-              [["M", "H", f"P{h+1}", f"P{h+1}"], ["M", f"P{h}", f"P{h}", "C"]]),
+              [["M", "H", f"P{h+1}", f"P{h+1}"]]),
         _term(alg, Fraction(2 * _sgn(n2 - h + 1) * fact, F(h - 1) * F(n2 - h)),
-              [["M", "H", f"P{h}", f"P{h+2}"], ["M", f"P{h-1}", f"P{h+1}", "C"]]),
+              [["M", "H", f"P{h}", f"P{h+2}"]]),
     ]
     for i in range(h - 1):
         terms.append(_term(
             alg, Fraction(2 * _sgn(n2 - i) * fact, F(i) * F(n2 - i - 1)),
-            [["M", f"P{i+1}", "H", f"P{n2-i}"], ["M", f"P{i}", "C", f"P{n2-i-1}"]]))
+            [["M", f"P{i+1}", "H", f"P{n2-i}"]]))
     for i in range(h + 1):
         if i <= h - 2:
             inner = _sgn(n2 + 1) * i * (n2 + 1) ** 2 + L * (7 - 4 * L * (L - 1))
@@ -132,9 +142,7 @@ def _quartic_terms_d1(alg: LieAlgebra) -> list[TheoremTerm]:
             else:
                 value = Fraction(2 * _sgn((n2 + 1) // 2 + i + j) * fact,
                                  F(i) * F(j + 1) * F(n2 - i - 1) * F(n2 - j - 2))
-            terms.append(_term(alg, value,
-                               [[f"P{i+1}", f"P{j+1}", f"P{n2-j-2}", f"P{n2-i}"],
-                                [f"P{i}", f"P{j+2}", f"P{n2-j-1}", f"P{n2-i-1}"]]))
+            terms.append(_term(alg, value, [[f"P{i+1}", f"P{j+1}", f"P{n2-j-2}", f"P{n2-i}"]]))
     return terms
 
 
@@ -147,9 +155,9 @@ def _quartic_terms_d2(alg: LieAlgebra) -> list[TheoremTerm]:
         _term(alg, Fraction(fact, 2), [["Theta", "Theta", "D", "D"]]),
         _term(alg, -2 * fact, [["Theta", "Theta", "H", "C"]]),
         _term(alg, Fraction(2 * _sgn(n2 - (l - 1)) * fact, F(l - 1) * F(n2 - l)),
-              [["Theta", "H", f"P{l}", f"Q{l+1}"], ["Theta", f"P{l-1}", f"Q{l}", "C"]]),
+              [["Theta", "H", f"P{l}", f"Q{l+1}"]]),
         _term(alg, Fraction(-2 * _sgn(n2 - (l - 1)) * fact, F(l - 1) * F(n2 - l)),
-              [["Theta", "H", f"Q{l}", f"P{l+1}"], ["Theta", f"Q{l-1}", f"P{l}", "C"]]),
+              [["Theta", "H", f"Q{l}", f"P{l+1}"]]),
         _term(alg, Fraction(-2 * fact, (F(l) * F(l - 1)) ** 2),
               [[f"Q{l-1}", f"Q{l}", f"P{l}", f"P{l+1}"],
                [f"P{l-1}", f"Q{l}", f"P{l}", f"Q{l+1}"]]),
@@ -165,21 +173,15 @@ def _quartic_terms_d2(alg: LieAlgebra) -> list[TheoremTerm]:
         terms.append(_term(alg, vb, [["Theta", f"Q{i}", f"P{n2-i}"]]))
     for i in range(l - 1):
         value = Fraction(2 * _sgn(n2 - i) * fact, F(i) * F(n2 - i - 1))
-        terms.append(_term(alg, value,
-                           [["Theta", f"P{i+1}", "H", f"Q{n2-i}"],
-                            ["Theta", f"P{i}", "C", f"Q{n2-i-1}"]]))
-        terms.append(_term(alg, -value,
-                           [["Theta", f"Q{i+1}", "H", f"P{n2-i}"],
-                            ["Theta", f"Q{i}", "C", f"P{n2-i-1}"]]))
+        terms.append(_term(alg, value, [["Theta", f"P{i+1}", "H", f"Q{n2-i}"]]))
+        terms.append(_term(alg, -value, [["Theta", f"Q{i+1}", "H", f"P{n2-i}"]]))
     for i in range(l):
         value = Fraction(-_sgn(n2 - i) * (n2 - 2 * i) * fact, F(i) * F(n2 - i))
         terms.append(_term(alg, value, [["Theta", f"P{i}", "D", f"Q{n2-i}"]]))
         terms.append(_term(alg, -value, [["Theta", f"Q{i}", "D", f"P{n2-i}"]]))
     for i in range(l):
         value = Fraction(-2 * _sgn(n2 - 2 * i - 1) * fact, (F(i) * F(n2 - i - 1)) ** 2)
-        terms.append(_term(alg, value,
-                           [[f"P{i}", f"Q{i+1}", f"Q{n2-i-1}", f"P{n2-i}"],
-                            [f"Q{i}", f"P{i+1}", f"P{n2-i-1}", f"Q{n2-i}"]]))
+        terms.append(_term(alg, value, [[f"P{i}", f"Q{i+1}", f"Q{n2-i-1}", f"P{n2-i}"]]))
     for i in range(l):
         inner = (_sgn(2 * i) * (1 + i - l) - 1) * (i - l)
         value = Fraction(-4 * _sgn(n2 - 2 * i) * inner * fact, (F(i) * F(n2 - i - 1)) ** 2)
@@ -187,9 +189,7 @@ def _quartic_terms_d2(alg: LieAlgebra) -> list[TheoremTerm]:
     for i in range(l - 1):
         value = Fraction(2 * _sgn(n2 - 2 * i - 1) * fact,
                          F(i) * F(i + 1) * F(n2 - i - 1) * F(n2 - i - 2))
-        terms.append(_term(alg, value,
-                           [[f"P{i}", f"Q{i+2}", f"Q{n2-i-1}", f"P{n2-i-1}"],
-                            [f"Q{i+1}", f"P{i+1}", f"P{n2-i-2}", f"Q{n2-i}"]]))
+        terms.append(_term(alg, value, [[f"P{i}", f"Q{i+2}", f"Q{n2-i-1}", f"P{n2-i-1}"]]))
     for i in range(l):
         for j in range(i, l):
             if i == 0 and j == 0:
@@ -217,14 +217,10 @@ def _quartic_terms_d2(alg: LieAlgebra) -> list[TheoremTerm]:
         for j in range(i, l - 1):
             lam = Fraction(2 * _sgn(n2 - i - j - 1) * fact,
                            F(i) * F(j + 1) * F(n2 - i - 1) * F(n2 - j - 2))
-            terms.append(_term(alg, lam,
-                               [[f"Q{i}", f"P{j+2}", f"Q{n2-j-1}", f"P{n2-i-1}"],
-                                [f"Q{i+1}", f"P{j+1}", f"Q{n2-j-2}", f"P{n2-i}"]]))
+            terms.append(_term(alg, lam, [[f"Q{i}", f"P{j+2}", f"Q{n2-j-1}", f"P{n2-i-1}"]]))
             terms.append(_term(alg, -lam,
                                [[f"P{i}", f"P{j+2}", f"Q{n2-j-1}", f"Q{n2-i-1}"],
-                                [f"P{i+1}", f"P{j+1}", f"Q{n2-j-2}", f"Q{n2-i}"],
-                                [f"Q{i}", f"Q{j+2}", f"P{n2-j-1}", f"P{n2-i-1}"],
-                                [f"Q{i+1}", f"Q{j+1}", f"P{n2-j-2}", f"P{n2-i}"]]))
+                                [f"Q{i}", f"Q{j+2}", f"P{n2-j-1}", f"P{n2-i-1}"]]))
             zeta = Fraction(-4 * _sgn(n2 + i - j - 1) * (l - i) * (l - j - 1) * fact,
                             F(i) * F(j + 1) * F(n2 - i) * F(n2 - j - 1))
             terms.append(_term(alg, zeta,
@@ -234,9 +230,7 @@ def _quartic_terms_d2(alg: LieAlgebra) -> list[TheoremTerm]:
         for j in range(i, l - 2):
             value = Fraction(2 * _sgn(l - i - j - 2) * fact,
                              F(i) * F(j + 2) * F(n2 - i - 1) * F(n2 - j - 3))
-            terms.append(_term(alg, value,
-                               [[f"P{i}", f"Q{j+3}", f"P{n2-j-2}", f"Q{n2-i-1}"],
-                                [f"P{i+1}", f"Q{j+2}", f"P{n2-j-3}", f"Q{n2-i}"]]))
+            terms.append(_term(alg, value, [[f"P{i}", f"Q{j+3}", f"P{n2-j-2}", f"Q{n2-i-1}"]]))
     return terms
 
 
@@ -266,15 +260,6 @@ def build_theorem_casimir(spec: AlgebraSpec, which: str) -> UEAElement:
 
 def _summed(terms: list[TheoremTerm]) -> UEAElement:
     return sum((t.element.scale(t.value) for t in terms), UEAElement.zero(terms[0].element.alg))
-
-
-def theorem_target(spec: AlgebraSpec, which: str) -> tuple[tuple[int, ...], int]:
-    targets = default_target_grades(spec)
-    degree = 2 if which == "quadratic" else 4
-    for g, d in targets:
-        if d == degree:
-            return g, d
-    raise TheoremRangeError(f"no default target of degree {degree} for this spec")
 
 
 @dataclass
@@ -307,9 +292,10 @@ def theorem_report(spec: AlgebraSpec, which: str) -> TheoremReport:
     terms = theorem_terms(spec, which)
     alg = terms[0].element.alg
     built = _summed(terms)
-    grade, degree = target = theorem_target(spec, which)
+    degree = 2 if which == "quadratic" else 4
+    grade = default_grade(spec, degree)
     if verify_casimir(alg, built) is None:
-        return TheoremReport(spec, which, built, True, [], None, None, target)
+        return TheoremReport(spec, which, built, True, [], None, None, (grade, degree))
 
     for t in terms:
         for mono in t.element.terms:
@@ -344,7 +330,8 @@ def theorem_report(spec: AlgebraSpec, which: str) -> TheoremReport:
     for mono in sorted(corrected.terms.keys() - seen, key=lex_key):
         discrepancies.append(Discrepancy(pretty_monomial(alg, mono), Fraction(0),
                                          corrected.terms[mono]))
-    return TheoremReport(spec, which, built, False, discrepancies, corrected, rep, target)
+    return TheoremReport(spec, which, built, False, discrepancies, corrected, rep,
+                         (grade, degree))
 
 
 def theorem_casimir_report(spec: AlgebraSpec, which: str) -> tuple[TheoremReport, dict]:

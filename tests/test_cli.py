@@ -174,9 +174,11 @@ def test_solve_refuses_oversized_join_before_any_monomial(capsys, refuse_joins):
 def test_solve_rejects_unresolvable_grade(capsys):
     code, _, err = run(capsys, "solve", "--d", "2", "--ell", "1", "--degree", "3")
     assert code == 2 and "grade" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
     code, _, err = run(capsys, "solve", "--d", "2", "--ell", "1", "--degree", "2",
                        "--grade", "0,1")
     assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_fixture_casimirs(capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -12,9 +15,14 @@ from cgcasimir.theorems import (
     theorem_report,
     theorem_terms,
 )
-from cgcasimir.uea import UEAElement, from_term_list, monomial_word, word_monomial
+from cgcasimir.uea import UEAElement, from_term_list, monomial_word, omega, word_monomial
 
 import known_casimirs as kc
+
+# every point where a closed form is defined, up to the top of the ladder
+CLOSED_FORM_POINTS = ([(1, f"{n}/2", "quartic") for n in range(5, 18, 2)]
+                      + [(2, str(ell), "quartic") for ell in range(3, 7)]
+                      + [(2, str(ell), "quadratic") for ell in range(1, 7)])
 
 
 @pytest.mark.parametrize("ell,key", [(1, "d2_l1"), (2, "d2_l2"), (3, "d2_l3")])
@@ -25,7 +33,7 @@ def test_quadratic_closed_form_matches_displays(ell, key, algebra):
     assert verify_casimir(alg, built) is None
 
 
-@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 5, 6])
 def test_quadratic_report_verifies_as_printed(ell, algebra):
     tr = theorem_report(algebra(2, ell).spec, "quadratic")
     assert tr.verified
@@ -43,6 +51,28 @@ def test_term_supports_are_disjoint(algebra):
             assert not (monos & seen)
             assert all(c == 1 for c in t.element.terms.values())
             seen |= monos
+
+
+def test_theorem_terms_match_golden_digests(algebra):
+    # each closed form's (name, value, element) list, pinned term by term
+    with open(os.path.join(os.path.dirname(__file__), "fixtures",
+                           "theorem_terms_sha256.json")) as fh:
+        golden = json.load(fh)
+    seen = {}
+    for d, ell, which in CLOSED_FORM_POINTS:
+        rows = [[t.name, str(t.value),
+                 sorted([list(w), str(c)] for w, c in t.element.terms.items())]
+                for t in theorem_terms(algebra(d, ell).spec, which)]
+        key = f"d{d}_ell_{ell.replace('/', '_')}_{which}"
+        seen[key] = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert seen == golden
+
+
+@pytest.mark.parametrize("d,ell,which", CLOSED_FORM_POINTS)
+def test_theorem_terms_are_omega_invariant(d, ell, which, algebra):
+    alg = algebra(d, ell)
+    for t in theorem_terms(alg.spec, which):
+        assert omega(alg, t.element) == t.element, t.name
 
 
 def test_d1_quartic_leading_coefficients_ell_52(algebra):
