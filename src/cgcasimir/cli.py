@@ -245,13 +245,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[cfg.subcommand](cfg)
-    except (CliError, ValueError) as exc:
-        # ValueError covers bad specs, grades, degree/trials bounds and
-        # out-of-range closed forms
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, json.JSONDecodeError, KeyError) as exc:
+        # before ValueError, which JSONDecodeError subclasses
         print(f"error: bad input ({exc})", file=sys.stderr)
+        return 2
+    except (CliError, ValueError) as exc:
+        # ValueError covers bad specs, grades, degree/trials/term bounds
+        # and out-of-range closed forms
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except solver.ReducedCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)

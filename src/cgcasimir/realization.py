@@ -25,9 +25,14 @@ multi-index, exponent tuple), packed into one int with a guarded 32-bit
 field per entry, to coefficient, so a polynomial is just an operator
 without derivatives.  Composition applies the Leibniz rule directly on
 those keys, with exact binomial and falling-factorial coefficients.
-Monomials are realised by one walk over their sorted words that composes
-each word onto the image of the longest prefix it shares with the
-previous word, keeping only the current path.
+Every generator image is first order, ``Σ p(x)∂ᵥ + q(x)``, so every
+operator is built by left-multiplying generator images: each such term
+gives at most two terms per term of the right operand.  Monomials are
+realised by one walk over their reversed sorted words that puts each
+word's letters onto the image of the longest suffix it shares with the
+previous word, keeping only the current path.  An element is realised
+by Horner's rule over the prefixes of its sorted words, depth first, so
+words sharing a prefix merge before that prefix's letters go on.
 """
 
 from __future__ import annotations
@@ -47,6 +52,9 @@ from .uea import Monomial, UEAElement, grlex_key, monomial_names, monomial_text,
 Expo = tuple[int, ...]
 
 FIELD_MAX = 2**31 - 1  # largest entry of a packed key; bit 31 of a field is its guard
+# most terms one operator product may hold: 169 times the 1,551 of the
+# largest image a ladder solve builds (a d=1 ell=17/2 ansatz word)
+MAX_TERMS = 2**18
 
 
 @dataclass(frozen=True)
@@ -155,34 +163,50 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     ``Πᵢ C(αᵢ, γᵢ) (eᵢ)↓γᵢ x^(e-γ) ∂^(α-γ)``; the falling factorial
     vanishes once ``γᵢ > eᵢ``, so only those ``γ`` are visited.
 
-    The ``γ = 0`` key is ``k₁ + k₂``; it is the only term when ``k₁``
-    misses the mask of the derivative fields with ``eᵢ > 0``, as in most
-    pairs.  Each ``γ`` subtracts ``γᵢ`` from fields ``i`` and ``nvars + i``.
-    Fields of guard-clean operands never carry or borrow, so a key reaching
-    a guard bit is an entry above ``FIELD_MAX`` and raises ``ValueError``."""
+    Each term of ``a`` reads its derivative fields ``α`` once, and each
+    term of ``b`` gives up an ``eᵢ`` by one shift where ``αᵢ > 0``, so no
+    key of ``b`` is unpacked.  The ``γ = 0`` key is ``k₁ + k₂``; each ``γ``
+    subtracts ``γᵢ`` from fields ``i`` and ``nvars + i``.  A first-order
+    left term ``p ∂ᵢ``, as in every generator image, gives at most two
+    terms: ``k₁ + k₂`` and, when ``eᵢ > 0``, that key less 1 in both
+    fields, times ``eᵢ``.  Fields of guard-clean operands never carry or
+    borrow, so a key reaching a guard bit is an entry above ``FIELD_MAX``
+    and raises ``ValueError``; so does a product of more than
+    ``MAX_TERMS`` terms."""
     vs = a.vs
     if vs != b.vs:
         raise ValueError("operands live over different variable sets")
-    unit = 1 + (1 << 32 * vs.nvars)  # 1 in field 0 and in field nvars
-    right = []  # (k₂, c₂, mask, [(i, eᵢ) for eᵢ > 0])
-    for k2, c2 in b.packed.items():
-        lims = [(i, e) for i, e in enumerate(vs.unpack(k2)[1][:vs.nvars]) if e]
-        right.append((k2, c2, sum(0xFFFFFFFF << 32 * i for i, _ in lims), lims))
-
-    def products():
-        for k1, c1 in a.packed.items():
-            for k2, c2, mask, lims in right:
-                if not k1 & mask:
-                    yield k1 + k2, c1 * c2
-                    continue
+    nv = vs.nvars
+    unit = 1 + (1 << 32 * nv)  # 1 in field 0 and in field nvars
+    low = (1 << 32 * nv) - 1  # the derivative fields
+    right = b.packed.items()
+    out: dict[int, object] = {}
+    get = out.get
+    for k1, c1 in a.packed.items():
+        alpha = k1 & low
+        if alpha & alpha - 1 == 0 and (alpha.bit_length() - 1) % 32 == 0:
+            at = alpha.bit_length() - 1  # αᵢ = 1 for i = at / 32
+            shift, drop = at + 32 * nv, unit << at
+            for k2, c2 in right:
+                k, c = k1 + k2, c1 * c2
+                out[k] = get(k, 0) + c
+                if e := k2 >> shift & 0xFFFFFFFF:
+                    k -= drop
+                    out[k] = get(k, 0) + c * e
+        else:
+            fields = [(32 * i, al) for i in range(nv) if (al := alpha >> 32 * i & 0xFFFFFFFF)]
+            for k2, c2 in right:
                 terms = [(k1 + k2, c1 * c2)]
-                for i, e in lims:
-                    al = k1 >> 32 * i & 0xFFFFFFFF
-                    terms = [(k - (g * unit << 32 * i), c * math.comb(al, g) * math.perm(e, g))
-                             for k, c in terms for g in range(min(al, e) + 1)]
-                yield from terms
-
-    out = accumulate({}, products())
+                for at, al in fields:
+                    if e := k2 >> at + 32 * nv & 0xFFFFFFFF:
+                        terms = [(k - (g * unit << at), c * math.comb(al, g) * math.perm(e, g))
+                                 for k, c in terms for g in range(min(al, e) + 1)]
+                for k, c in terms:
+                    out[k] = get(k, 0) + c
+    out = {k: c for k, c in out.items() if c}
+    if len(out) > MAX_TERMS:
+        raise ValueError(f"an operator product of {len(out)} terms exceeds the bound "
+                         f"of {MAX_TERMS}")
     if reduce(or_, out, 0) & vs.guard:
         raise ValueError(f"an exponent of the product exceeds {FIELD_MAX}")
     return DiffOp._of(vs, out)
@@ -266,33 +290,64 @@ def verify_realization(alg: LieAlgebra) -> list[tuple[GeneratorId, GeneratorId, 
 def realize_monomials(alg: LieAlgebra, monomials: Iterable[Monomial]
                       ) -> Iterator[tuple[int, DiffOp]]:
     """Yield ``(index, image)`` for each monomial, a sorted word, walking
-    the words in sorted order.  ``path[j]`` is the image of the first ``j``
-    letters of the current word, so each word is composed onto the longest
-    prefix it shares with the previous one, and only that path is kept
-    alive.  A first letter's image is the generator image itself."""
-    words = list(monomials)
+    the reversed words in sorted order.  ``path[j]`` is the image of the
+    last ``j`` letters of the current word, so each word left-multiplies
+    generator images onto the longest suffix it shares with the previous
+    one, and only that path is kept alive.  A last letter's image is the
+    generator image itself."""
+    words = [tuple(reversed(m)) for m in monomials]
     path = [DiffOp.identity(VarSet.for_spec(alg.spec))]
     word: tuple[int, ...] = ()
     for i in sorted(range(len(words)), key=words.__getitem__):
         prev, word = word, words[i]
-        k = next((j for j, (x, y) in enumerate(zip(prev, word)) if x != y),
-                 min(len(prev), len(word)))
+        k = _shared(prev, word)
         del path[k + 1:]
         for p in word[k:]:
             img = realize_generator(alg.spec, alg.basis[p])
-            path.append(compose(path[-1], img) if len(path) > 1 else img)
+            path.append(compose(img, path[-1]) if len(path) > 1 else img)
         yield i, path[-1]
 
 
 def realize_element(alg: LieAlgebra, a: UEAElement) -> DiffOp:
-    """Linear extension of the realisation to enveloping-algebra elements:
-    Σ c·image over the prefix walk of ``realize_monomials``, so a word
-    sharing a prefix with another reuses that prefix's image."""
-    coeffs = list(a.terms.values())
-    acc: dict = {}
-    for i, op in realize_monomials(alg, a.terms):
-        accumulate(acc, ((k, coeffs[i] * v) for k, v in op.packed.items()))
-    return DiffOp._of(VarSet.for_spec(alg.spec), acc)
+    """Linear extension of the realisation to enveloping-algebra elements,
+    by Horner's rule over the prefixes of the sorted words: with ``c_u``
+    the coefficient of word ``u`` (0 if absent), ``S(u) = c_u + Σₓ
+    rho(x)∘S(ux)`` over the letters ``x`` that extend ``u`` towards a word,
+    and the image is ``S(())``.  The words are visited in sorted order,
+    depth first: ``acc[j]`` sums ``S`` of the current word's first ``j``
+    letters, and it is left-multiplied by its letter's image and added one
+    level up once no later word has that prefix.  Words sharing a prefix
+    thus merge, and cancel, before its letters are composed on, and each
+    distinct non-empty prefix is composed exactly once."""
+    vs = VarSet.for_spec(alg.spec)
+    # the sums run over integers: coefficients times their common denominator
+    den = math.lcm(*(c.denominator for c in a.terms.values()))
+    acc: list[dict] = [{}]
+    word: tuple[int, ...] = ()
+
+    def fold(depth: int):
+        """Close the current word's levels deeper than ``depth``."""
+        while len(acc) > depth + 1:
+            top = DiffOp._of(vs, acc.pop())
+            img = realize_generator(alg.spec, alg.basis[word[len(acc) - 1]])
+            accumulate(acc[-1], compose(img, top).packed.items())
+
+    for w in sorted(a.terms):
+        fold(_shared(word, w))
+        acc.extend({} for _ in w[len(acc) - 1:])
+        word = w
+        c = a.terms[w]
+        accumulate(acc[-1], [(0, c.numerator * (den // c.denominator))])  # key 0: identity
+    fold(0)
+    if den == 1:
+        return DiffOp._of(vs, acc[0])
+    return DiffOp._of(vs, {k: q.numerator if (q := Fraction(c, den)).denominator == 1 else q
+                           for k, c in acc[0].items()})
+
+
+def _shared(u: tuple, w: tuple) -> int:
+    """Length of the longest common prefix of two words."""
+    return next((j for j, (x, y) in enumerate(zip(u, w)) if x != y), min(len(u), len(w)))
 
 
 def is_parameter_scalar(op: DiffOp) -> tuple[bool, DiffOp]:

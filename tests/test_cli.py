@@ -277,7 +277,7 @@ def test_oversized_element_refused_up_front(capsys, tmp_path, monkeypatch, comma
     def never(*args):
         raise AssertionError("work started on an oversized element")
 
-    monkeypatch.setattr(realization, "realize_monomials", never)
+    monkeypatch.setattr(realization, "compose", never)
     monkeypatch.setattr(solver, "commutator", never)
     path = tmp_path / "huge.json"
     path.write_text('{"terms":[{"monomial":{"M":1000000000},"coeff":"1"}]}')
@@ -389,6 +389,25 @@ def test_verify_rejects_malformed_terms(tmp_path, capsys, term):
 def test_verify_rejects_zero_or_empty_input(tmp_path, capsys, payload):
     # zero commutes with every generator, but it is not a Casimir
     _assert_rejected(*_verify_json(tmp_path, capsys, payload, d="2", ell="1"))
+
+
+@pytest.mark.parametrize("command", ["realize", "verify"])
+def test_malformed_json_is_bad_input(tmp_path, capsys, command):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"terms": [\n')
+    code, out, err = run(capsys, command, "--d", "1", "--ell", "3/2", "--in", str(path))
+    _assert_rejected(code, out, err)
+    assert err.startswith("error: bad input (")
+
+
+def test_realize_refuses_an_image_above_max_terms(tmp_path, capsys, monkeypatch):
+    # D^8 at d=1 ell=3/2 has 487 terms, D^7 323
+    monkeypatch.setattr(realization, "MAX_TERMS", 400)
+    path = tmp_path / "d8.json"
+    path.write_text('{"terms": [{"monomial": {"D": 8}, "coeff": 1}]}')
+    code, out, err = run(capsys, "realize", "--d", "1", "--ell", "3/2", "--in", str(path))
+    _assert_rejected(code, out, err)
+    assert "exceeds the bound of 400" in err
 
 
 def test_verify_input_directory_exits_2(tmp_path, capsys):

@@ -145,8 +145,17 @@ def _shifted(op, deriv_by, expo_by):
 
 @pytest.mark.parametrize("d,ell", [(1, "3/2"), (2, 1)])
 def test_compose_matches_leibniz_oracle(d, ell, algebra):
-    vs = VarSet.for_spec(algebra(d, ell).spec)
+    alg = algebra(d, ell)
+    vs = VarSet.for_spec(alg.spec)
     rng = random.Random(67)
+    # generator images are first order on the left; their products are not
+    images = [realize_generator(alg.spec, g) for g in alg.basis]
+    for x, y in itertools.product(images, repeat=2):
+        assert compose(x, y) == _leibniz_oracle(x, y)
+    for x, y, z in (rng.sample(images, 3) for _ in range(10)):
+        xy = compose(x, y)
+        assert compose(xy, z) == _leibniz_oracle(xy, z)
+        assert compose(z, xy) == _leibniz_oracle(z, xy)
     big = 2**30
     for _ in range(20):
         a, b = _random_op(vs, rng, degree=4), _random_op(vs, rng, degree=4)
@@ -164,8 +173,21 @@ def test_compose_refuses_a_carry_into_the_guard_bit(algebra):
     assert compose(partial(vs, "t"), top).terms  # stays inside its field
     with pytest.raises(ValueError):
         compose(top, symbol(vs, "t"))
+    with pytest.raises(ValueError):  # a first-order left term: t ∂_t ∘ t^(2^31-1)
+        compose(compose(symbol(vs, "t"), partial(vs, "t")), top)
     with pytest.raises(ValueError):
         compose(symbol(vs, "m", 2**30), symbol(vs, "m", 2**30))
+
+
+def test_compose_refuses_a_product_above_max_terms(algebra, monkeypatch):
+    alg = algebra(1, "3/2")
+    d = realize_generator(alg.spec, alg.generator("D"))
+    dd = compose(d, d)
+    monkeypatch.setattr(realization, "MAX_TERMS", len(dd.packed))
+    assert compose(d, d) == dd
+    monkeypatch.setattr(realization, "MAX_TERMS", len(dd.packed) - 1)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        compose(d, d)
 
 
 def test_diffop_entries_must_fit_a_field(algebra):
@@ -263,6 +285,41 @@ def test_realize_monomials_matches_word_folds(d, ell, algebra):
         assert op == folds[i], monos[i]
         seen.append(i)
     assert sorted(seen) == list(range(len(monos)))
+
+
+# d=1 ell=3/2 letters: M 0, P0 1, H 2, P1 3, D 4, P2 5, C 6, P3 7
+@pytest.mark.parametrize("terms", [
+    {(): 5, (4,): -2},
+    {(2,): 1, (2, 4): 3, (2, 4, 4): Fraction(-1, 2), (2, 4, 6): 2, (4, 6): 1},
+    # P1² and P0 P2 share t²∂_x0² and 2t∂_x0∂_x1, which cancel under M
+    {(0, 3, 3): 1, (0, 1, 5): -1},
+    # one long word, 20,451 terms; D^40's fold alone would take about 13 s
+    {(4,) * 24: 1},
+], ids=["empty_word", "prefixes", "cancelling_pair", "D^24"])
+def test_realize_element_matches_word_folds(terms, algebra):
+    alg = algebra(1, "3/2")
+    expect = DiffOp(VarSet.for_spec(alg.spec))
+    for w, c in terms.items():
+        expect += _word_fold(alg, w).scale(c)
+    assert realize_element(alg, UEAElement(alg, terms)) == expect
+
+
+def test_realize_element_composes_each_prefix_once(algebra, monkeypatch):
+    alg = algebra(1, "7/2")
+    monos = _quartic_ansatz(alg).monomials
+    rng = random.Random(61)
+    element = UEAElement(alg, {m: rng.randint(1, 9) for m in monos})
+    images = [realize_generator(alg.spec, g) for g in alg.basis]
+    lefts = []
+
+    def counting(a, b):
+        lefts.append(a)
+        return compose(a, b)
+
+    monkeypatch.setattr(realization, "compose", counting)
+    realize_element(alg, element)
+    assert len(lefts) == len({m[:j] for m in monos for j in range(1, len(m) + 1)})
+    assert all(a in images for a in lefts)
 
 
 @pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 2)])
