@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 import random
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional
 
 SparseVec = dict[int, int | Fraction]  # basis position -> coefficient, int where exact
@@ -48,13 +48,22 @@ def accumulate(acc: dict, items: Iterable[tuple]) -> dict:
 
 
 def integerize(row: dict) -> dict:
-    """A sparse rational row scaled to coprime integers, zeros dropped."""
+    """A sparse rational row scaled to coprime integers, zeros dropped.  A
+    row that already is one is returned itself, not copied, so a system's
+    rows are not held twice while it is eliminated; callers only read it."""
     ints = row
     if not all(type(c) is int for c in row.values()):
         den = math.lcm(*(c.denominator for c in row.values()))
         ints = {k: c.numerator * (den // c.denominator) for k, c in row.items()}
     g = math.gcd(*ints.values())
+    if g == 1 and all(ints.values()):
+        return ints
     return {k: v // g for k, v in ints.items() if v}
+
+
+def int_if_whole(q: int | Fraction) -> int | Fraction:
+    """A rational as an ``int`` where it is whole, else unchanged."""
+    return q.numerator if q.denominator == 1 else q
 
 
 # Residues fit one 30-bit CPython digit, so the modular pass stays on small ints.
@@ -319,8 +328,7 @@ class LieAlgebra:
     (both orientations) used by the normal-ordering hot path.
     """
 
-    __slots__ = ("spec", "basis", "positions", "by_name", "brackets", "pair_table",
-                 "__weakref__")
+    __slots__ = ("spec", "basis", "positions", "by_name", "brackets", "pair_table")
 
     def __init__(self, spec: AlgebraSpec, basis: Iterable[GeneratorId],
                  brackets: dict[tuple[int, int], SparseVec]):
@@ -370,24 +378,13 @@ class LieAlgebra:
         return f"LieAlgebra(d={self.spec.d}, ell={self.spec.ell}, dim={self.dim})"
 
 
-# the live algebra of each spec, held weakly: an algebra that nothing else
-# holds (the per-algebra caches hold theirs) is freed, not kept for good
-_ALGEBRAS: weakref.WeakValueDictionary[AlgebraSpec, LieAlgebra] = weakref.WeakValueDictionary()
-
-
+@lru_cache(maxsize=None)
 def make_cga(spec: AlgebraSpec) -> LieAlgebra:
     """The centrally extended conformal Galilei algebra for ``spec``.
 
-    While one is alive, every call returns that same object, so the
-    per-algebra caches (``generator_grades``, ``omega_positions``) find it
-    by identity and hold one entry per spec."""
-    alg = _ALGEBRAS.get(spec)
-    if alg is None:
-        alg = _ALGEBRAS[spec] = _build_cga(spec)
-    return alg
-
-
-def _build_cga(spec: AlgebraSpec) -> LieAlgebra:
+    One algebra is built per spec and kept for the life of the process, so
+    every call returns that same object and the per-algebra caches
+    (``generator_grades``, ``omega_positions``) hold one entry per spec."""
     n2 = spec.two_ell
     basis = _basis_d1(spec) if spec.d == 1 else _basis_d2(spec)
     pos = {g: i for i, g in enumerate(basis)}

@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
-from .liealg import AlgebraSpec, GeneratorId, LieAlgebra, accumulate, central_pairing
+from .liealg import AlgebraSpec, GeneratorId, LieAlgebra, accumulate, central_pairing, int_if_whole
 from .uea import Monomial, UEAElement, grlex_key, monomial_names, monomial_text, terms_text
 
 Expo = tuple[int, ...]
@@ -226,7 +226,7 @@ def realize_generator(spec: AlgebraSpec, g: GeneratorId) -> DiffOp:
     if spec.d == 1:
         w = math.factorial((n2 + 1) // 2)
         # w²/2 is a whole number except at ell=1/2, where w = 1
-        c_tail = (w * w // 2 if w % 2 == 0 else Fraction(w * w, 2), {"m": 1, x[-1]: 2})
+        c_tail = (int_if_whole(Fraction(w * w, 2)), {"m": 1, x[-1]: 2})
         z, centre, towers = "m", {"M": 1}, {"P": (x, x, 1)}
     else:
         c_tail = (-(n2 // 2) * central_pairing(spec, n2 // 2 + 1),
@@ -341,8 +341,7 @@ def realize_element(alg: LieAlgebra, a: UEAElement) -> DiffOp:
     fold(0)
     if den == 1:
         return DiffOp._of(vs, acc[0])
-    return DiffOp._of(vs, {k: q.numerator if (q := Fraction(c, den)).denominator == 1 else q
-                           for k, c in acc[0].items()})
+    return DiffOp._of(vs, {k: int_if_whole(Fraction(c, den)) for k, c in acc[0].items()})
 
 
 def _shared(u: tuple, w: tuple) -> int:

@@ -46,11 +46,10 @@ class ReducedCheckError(RuntimeError):
 
 @dataclass
 class LinearSystem:
-    """Sparse exact system: one column per unknown, one row per tagged
-    constraint; entries reproduce the tagged coefficient exactly."""
+    """Sparse exact system: one column per unknown and one ``matrix`` row
+    per constraint, each row a ``{column: coeff}`` map of exact entries."""
 
     columns: list
-    rows: list[tuple]
     matrix: list[SparseVec]
 
 
@@ -142,9 +141,7 @@ def casimir_conditions_system(alg: LieAlgebra, columns: list[UEAElement]) -> Lin
                 rows.setdefault(("comm", g.name, m2), {})[ci] = c
         for m2, c in (omega(alg, elem) - elem).terms.items():
             rows.setdefault(("omega", "", m2), {})[ci] = c
-    tags = sorted(rows)
-    return LinearSystem(columns=list(range(len(columns))), rows=tags,
-                        matrix=[rows[t] for t in tags])
+    return LinearSystem(columns=list(range(len(columns))), matrix=[rows[t] for t in sorted(rows)])
 
 
 def _cartan_operator_basis(alg: LieAlgebra):
@@ -167,27 +164,26 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis) -> LinearS
     Columns are the ansatz monomials followed by auxiliary columns, one
     per (diagonal operator, parameter monomial) pair; candidate vectors
     are nullspace vectors projected onto the ansatz block."""
-    image: dict[int, SparseVec] = {}
+    rows: dict[int, SparseVec] = {}  # packed operator key -> row
     vs = VarSet.for_spec(alg.spec)
     nv = vs.nvars
     for ci, op in realize_monomials(alg, basis.monomials):
         for k, c in op.packed.items():
-            image.setdefault(k, {})[ci] = c
-    rows: dict[tuple, SparseVec] = {("real", *vs.unpack(k)): v for k, v in image.items()}
-    pmax = max((sum(e[nv:]) for _, _, e in rows), default=0)
+            rows.setdefault(k, {})[ci] = c
+    pmax = max((sum(vs.unpack(k)[1][nv:]) for k in rows), default=0)
     columns: list = list(basis.monomials)
     for bi, bop in enumerate(_cartan_operator_basis(alg)):
         for tail in iter_exponents(len(vs.parameters), pmax):
             pm = (0,) * nv + tail
+            shift = vs.pack((0,) * nv, pm)
             ci = len(columns)
             columns.append(("aux", bi, pm))
-            for (dkey, e), c in bop.terms.items():
-                shifted = tuple(a + b for a, b in zip(e, pm))
+            for k, c in bop.packed.items():
                 # auxiliary directions are subtracted from the image
-                rows.setdefault(("real", dkey, shifted), {})[ci] = -c
-    tags = sorted(rows)
-    return LinearSystem(columns=columns, rows=tags,
-                        matrix=[rows[t] for t in tags])
+                rows.setdefault(k + shift, {})[ci] = -c
+    # rows in (deriv, expo) order; the raw packed order would sort by the
+    # last parameter's exponent first
+    return LinearSystem(columns=columns, matrix=[rows[k] for k in sorted(rows, key=vs.unpack)])
 
 
 def candidate_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
@@ -302,7 +298,9 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
 
     cand_vecs: Optional[list[SparseVec]] = None
     if method == "pipeline":
-        cand_vecs = col_vecs = candidate_vectors(alg, basis)
+        cand_vecs = candidate_vectors(alg, basis)
+        # the same span over whole coefficients
+        col_vecs = [integerize(v) for v in cand_vecs]
     else:
         col_vecs = [{i: 1} for i in range(ncols)]
     columns = [vector_element(alg, basis, v) for v in col_vecs]

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .grading import default_grade, grade_of
-from .liealg import AlgebraSpec, LieAlgebra, make_cga
+from .liealg import AlgebraSpec, LieAlgebra, int_if_whole, make_cga
 from .solver import (
     CasimirReport,
     element_vector,
@@ -50,10 +50,10 @@ def _sgn(k: int) -> int:
 @dataclass(frozen=True)
 class TheoremTerm:
     """One named coefficient of a closed form: ``value`` times the sum of
-    the listed ordered products."""
+    the listed ordered products, ``value`` an ``int`` where whole."""
 
     name: str
-    value: Fraction
+    value: int | Fraction
     element: UEAElement
 
 
@@ -71,7 +71,7 @@ def _term(alg: LieAlgebra, value, words: list[list[str]]) -> TheoremTerm:
                 raise AssertionError(f"term word {w} or its ω-image is not an ordered monomial")
             elem = elem + p
             names.append(pretty_monomial(alg, next(iter(p.terms))))
-    return TheoremTerm(" + ".join(names), Fraction(value), elem)
+    return TheoremTerm(" + ".join(names), int_if_whole(Fraction(value)), elem)
 
 
 def _quadratic_terms_d2(alg: LieAlgebra) -> list[TheoremTerm]:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .liealg import GeneratorId, LieAlgebra, accumulate
+from .liealg import GeneratorId, LieAlgebra, accumulate, int_if_whole
 
 Monomial = tuple[int, ...]  # sorted word of basis positions
 
@@ -106,7 +106,7 @@ class UEAElement:
         return UEAElement(self.alg, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "UEAElement":
-        c = Fraction(c)
+        c = int_if_whole(Fraction(c))
         return UEAElement(self.alg, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -284,13 +284,14 @@ def omega(alg: LieAlgebra, a: UEAElement) -> UEAElement:
 
 def from_term_list(alg: LieAlgebra,
                    terms: Iterable[tuple[object, Sequence[str]]]) -> UEAElement:
-    """Build an element from (coefficient, generator-name word) pairs.
+    """Build an element from (coefficient, generator-name word) pairs,
+    each coefficient an ``int`` where whole.
 
     Words need not be pre-ordered; they are normal ordered as products.
     """
-    work: dict[tuple[int, ...], Fraction] = {}
-    accumulate(work, ((tuple(alg.position(alg.generator(n)) for n in names), Fraction(c))
-                      for c, names in terms))
+    work: dict[tuple[int, ...], int | Fraction] = {}
+    accumulate(work, ((tuple(alg.position(alg.generator(n)) for n in names),
+                       int_if_whole(Fraction(c))) for c, names in terms))
     return _normal_form(alg, work)
 
 
@@ -346,7 +347,7 @@ def _json_coeff(value) -> int | Fraction:
         c = Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"coefficient {value!r} is not a finite rational") from None
-    return c.numerator if c.denominator == 1 else c
+    return int_if_whole(c)
 
 
 def _json_terms(alg: LieAlgebra, data: dict) -> list[tuple[dict[int, int], int | Fraction]]:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -543,6 +544,11 @@ def test_one_algebra_per_spec(capsys):
         assert run(capsys, *argv)[0] == 0
     assert (grading.generator_grades.cache_info().currsize,
             uea.omega_positions.cache_info().currsize) == sizes
+    # an algebra that nothing else holds stays the one of its spec: a spec
+    # no other test builds, with only a part of the algebra kept as witness
+    table = make_cga(parse_spec(1, "41/2")).pair_table
+    gc.collect()
+    assert make_cga(parse_spec(1, "41/2")).pair_table is table
 
 
 def test_verify_of_a_high_power_is_polynomial(tmp_path, capsys):

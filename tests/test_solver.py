@@ -42,7 +42,6 @@ def candidates_via_realization(alg, grade, max_degree):
 def sys_from_rows(rows, ncols):
     return LinearSystem(
         columns=list(range(ncols)),
-        rows=[("r", i, ()) for i in range(len(rows))],
         matrix=[{j: Fr(v) for j, v in enumerate(row) if v} for row in rows],
     )
 
@@ -241,11 +240,11 @@ def test_echelon_falls_back_when_the_prime_hides_a_pivot(monkeypatch):
     monkeypatch.setattr(liealg, "_exact_echelon", counted)
     assert echelon(rows, 2) == ([{0: Fr(1)}, {1: Fr(1)}], [0, 1])
     assert exact_calls == [1, 3]
-    system = LinearSystem(columns=[0, 1], rows=[("r", i, ()) for i in range(3)], matrix=rows)
+    system = LinearSystem(columns=[0, 1], matrix=rows)
     assert nullspace(system) == _nullspace_smallest_tag(system) == []
     # a free third column, and a fourth row to keep the system tall
     rows.append({0: Fr(3), 1: Fr(3)})
-    system = LinearSystem(columns=[0, 1, 2], rows=[("r", i, ()) for i in range(4)], matrix=rows)
+    system = LinearSystem(columns=[0, 1, 2], matrix=rows)
     assert nullspace(system) == _nullspace_smallest_tag(system) == [{2: Fr(1)}]
     assert exact_calls == [1, 3, 1, 3, 1, 4]
 
@@ -278,6 +277,18 @@ def test_integerize_matches_lcm_path(row):
     assert out == _integerize_via_lcm(row)
     assert all(type(v) is int and v for v in out.values())
     assert math.gcd(*out.values()) == 1
+
+
+def test_primitive_rows_are_read_in_place():
+    # a row of coprime nonzero ints is not copied, and elimination, with
+    # row selection (more rows than columns) or without, leaves it as it was
+    rows = [{0: 2, 1: 3}, {0: 4, 1: 6, 2: 1}, {1: 1, 2: -5}, {0: 1}]
+    before = [dict(r) for r in rows]
+    assert integerize(rows[0]) is rows[0]
+    assert integerize({0: 2, 1: 4}) == {0: 1, 1: 2}
+    assert echelon(rows, 3)[1] == [0, 1, 2]
+    assert echelon(rows[:2], 3)[1] == [0, 2]
+    assert rows == before
 
 
 def test_rref_and_span_utilities():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -53,19 +54,109 @@ def test_term_supports_are_disjoint(algebra):
             seen |= monos
 
 
-def test_theorem_terms_match_golden_digests(algebra):
-    # each closed form's (name, value, element) list, pinned term by term
+def _golden_terms_digests():
     with open(os.path.join(os.path.dirname(__file__), "fixtures",
                            "theorem_terms_sha256.json")) as fh:
-        golden = json.load(fh)
+        return json.load(fh)
+
+
+def _terms_digest(terms):
+    rows = [[t.name, str(t.value),
+             sorted([list(w), str(c)] for w, c in t.element.terms.items())]
+            for t in terms]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_theorem_terms_match_golden_digests(algebra):
+    # each closed form's (name, value, element) list, pinned term by term
     seen = {}
     for d, ell, which in CLOSED_FORM_POINTS:
-        rows = [[t.name, str(t.value),
-                 sorted([list(w), str(c)] for w, c in t.element.terms.items())]
-                for t in theorem_terms(algebra(d, ell).spec, which)]
         key = f"d{d}_ell_{ell.replace('/', '_')}_{which}"
-        seen[key] = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert seen == golden
+        seen[key] = _terms_digest(theorem_terms(algebra(d, ell).spec, which))
+    assert seen == _golden_terms_digests()
+
+
+def test_whole_coefficients_stay_int(algebra):
+    alg = algebra(1, "3/2")
+    elem = from_term_list(alg, [(1, ["D"] * 3), ("6/3", ["C", "H"]), (Fraction(1, 2), ["P0"])])
+    assert {type(c) for m, c in elem.terms.items() if m != (1,)} == {int}
+    assert elem.terms[(1,)] == Fraction(1, 2)
+    integral = from_term_list(alg, [(1, ["D"] * 3), (2, ["C", "H"])])
+    assert {type(c) for c in integral.scale(2).terms.values()} == {int}
+    assert {type(c) for c in integral.scale(Fraction(4, 2)).terms.values()} == {int}
+    terms = theorem_terms(algebra(2, 3).spec, "quartic")
+    assert {type(t.value) for t in terms if t.value.denominator == 1} == {int}
+    assert {type(t.value) for t in terms if t.value.denominator != 1} == {Fraction}
+    # str(3) is str(Fraction(3)), so the pinned terms are unchanged
+    assert _terms_digest(terms) == _golden_terms_digests()["d2_ell_3_quartic"]
+
+
+# what the solver puts on the pair P_(ell-2)*P_(ell-1)*Q_(ell+1)*Q_(ell+2)
+# and its ω-image, which the d=2 quartic tables print as 0
+_D2_UNPRINTED_PAIR = {3: Fraction(-7, 12), 4: Fraction(-77, 360), 5: Fraction(-2, 45),
+                      6: Fraction(-121, 20160)}
+
+
+def _discrepancy_family(spec, term):
+    """(family, index) of one quartic discrepancy, read off its term name;
+    family None when no family claims it."""
+    n = spec.two_ell
+    half = n // 2
+    idx = [int(x) for x in re.findall(r"(?<=[PQ])\d+", term)]
+    shape = re.sub(r"(?<=[PQ])\d+", "#", term)
+    if spec.d == 1 and shape == "P#^2*P#^2" and idx == [half, half + 1]:
+        return "self-mirror square", None
+    if spec.d == 1:
+        return None, term
+    if shape == "Theta*Q#*P#" and idx[0] + idx[1] == n:
+        return "theta sign", idx[0]
+    if shape == "Q#*P#*Q#*P#" and idx[0] == idx[1] and idx[2] == idx[3] == n - idx[0]:
+        return "tower square", idx[0]
+    if shape == "P#*Q#*P#*Q# + P#*Q#*P#*Q#":
+        i, j = idx[0], idx[1] - 3
+        if idx[2:4] == [n - j - 2, n - i - 1]:
+            return "paired sign", (i, j)
+    if shape in ("P#*P#*Q#*Q#", "Q#*Q#*P#*P#") and idx == [half - 2, half - 1, half + 1, half + 2]:
+        return "unprinted pair", shape[0]
+    return None, term
+
+
+@pytest.mark.parametrize("d,ell", [(d, ell) for d, ell, which in CLOSED_FORM_POINTS
+                                   if which == "quartic"])
+def test_quartic_discrepancies_fall_into_named_families(d, ell, algebra):
+    # every way the printed quartic tables differ from the solved Casimir,
+    # one family at a time; a drift in the tables, the solver or the report
+    # fails under the family's name
+    spec = algebra(d, ell).spec
+    n, half = spec.two_ell, spec.two_ell // 2
+    families = {}
+    for disc in theorem_report(spec, "quartic").discrepancies:
+        name, index = _discrepancy_family(spec, disc.term)
+        families.setdefault(name, {})[index] = (disc.closed_form, disc.solver)
+    assert None not in families, f"unclassified: {families.get(None)}"
+    if d == 1:
+        # P_k^2*P_(k+1)^2, k = ell - 1/2, the one term ω fixes: off by (ell + 1/2)^2
+        ((printed, solver),) = families.pop("self-mirror square").values()
+        assert printed == solver / (spec.ell + Fraction(1, 2)) ** 2
+    else:
+        # Theta*Q_k*P_(2ell-k), k = 0 .. ell-2: sign flipped
+        theta = families.pop("theta sign")
+        assert sorted(theta) == list(range(half - 1)), "theta sign"
+        assert all(p == -s for p, s in theta.values()), "theta sign"
+        # Q_k*P_k*Q_(2ell-k)*P_(2ell-k), k = 0 .. ell-1: printed = solver * (2ell-k)^2
+        square = families.pop("tower square")
+        assert sorted(square) == list(range(half)), "tower square"
+        assert all(p == s * (n - k) ** 2 for k, (p, s) in square.items()), "tower square"
+        # P_i*Q_(j+3)*P_(2ell-j-2)*Q_(2ell-i-1) plus its ω-image, 0 <= i <= j <= ell-3:
+        # every sign flipped at odd ell, none at even ell
+        paired = families.pop("paired sign", {})
+        flipped = [(i, j) for i in range(half - 2) for j in range(i, half - 2)] if half % 2 else []
+        assert sorted(paired) == flipped, "paired sign"
+        assert all(p == -s for p, s in paired.values()), "paired sign"
+        # P_(ell-2)*P_(ell-1)*Q_(ell+1)*Q_(ell+2) and its ω-image: printed as 0
+        unprinted = families.pop("unprinted pair")
+        assert unprinted == {k: (0, _D2_UNPRINTED_PAIR[half]) for k in "PQ"}, "unprinted pair"
+    assert not families
 
 
 @pytest.mark.parametrize("d,ell,which", CLOSED_FORM_POINTS)
