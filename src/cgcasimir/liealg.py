@@ -12,9 +12,10 @@ It also holds the two sparse helpers every layer shares: ``accumulate``
 (add and drop zeros) and ``echelon``, the one exact elimination behind the
 solver's nullspaces and spans and behind ``bb_count``'s rank.  When a
 system has more nonzero rows than columns, ``echelon`` first picks its
-pivot rows by one elimination modulo a prime, eliminates only those
-exactly, and certifies in integer arithmetic that every other row lies in
-their span; the result is the exact reduced echelon form either way.
+pivot rows, sparsest first, by one elimination of the transpose modulo a
+prime, eliminates only those exactly, and certifies in integer arithmetic
+that every other row lies in their span; the result is the exact reduced
+echelon form either way.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -182,20 +183,32 @@ def echelon(rows: Iterable[SparseVec], ncols: int
     pivot.  The reduced echelon form of the row space does not depend on
     which rows supply the pivots, so neither does the result.
 
-    Row selection: with more nonzero rows than columns, ``_forward`` first
-    runs modulo ``PRIME`` and records which input rows supply its pivots;
-    only those rows are eliminated exactly.  Rows independent modulo a
-    prime are independent over the rationals.  The certificate: every
-    dropped row has integer dot product 0 with each integerized nullspace
-    vector of the kept rows.  Then all rows span what the kept rows span,
-    and the result is the one that eliminating every row gives.  If a
-    dropped row fails, every row is eliminated exactly.  With at most
-    ``ncols`` nonzero rows the exact pass runs alone."""
+    Row selection: with more nonzero rows than columns, the rows are
+    sorted by nonzero count (stably), and ``_forward`` runs modulo
+    ``PRIME`` over the transpose: one row per column, one column per
+    sorted row.  A position is a pivot column of any echelon form of the
+    transpose exactly when its row is not in the span of the rows before
+    it, so the pivot positions name the sparsest-first greedy basis of the
+    row space modulo ``PRIME``, and only those rows are eliminated
+    exactly.  The transposed pass has ``ncols`` rows, of which only the
+    nullity-many vanish, where a pass over the rows themselves would clear
+    every dependent row to zero.  Rows independent modulo a prime are
+    independent over the rationals.  The certificate: every dropped row
+    has integer dot product 0 with each integerized nullspace vector of
+    the kept rows.  Then all rows span what the kept rows span, and the
+    result is the one that eliminating every row gives.  If a dropped row
+    fails, every row is eliminated exactly.  With at most ``ncols``
+    nonzero rows the exact pass runs alone."""
     ints = [r for r in map(integerize, rows) if r]
     if len(ints) <= ncols:
         return _exact_echelon(ints, ncols)
-    mods = [{c: x % PRIME for c, x in r.items() if x % PRIME} for r in ints]
-    kept = {idx for _, idx, _ in _forward(mods, ncols, _mod_clearer)}
+    order = sorted(range(len(ints)), key=lambda i: len(ints[i]))
+    cols: list[dict] = [{} for _ in range(ncols)]
+    for pos, i in enumerate(order):
+        for c, x in ints[i].items():
+            if m := x % PRIME:
+                cols[c][pos] = m
+    kept = {order[pos] for pos, _, _ in _forward(cols, len(ints), _mod_clearer)}
     frows, pivot_cols = _exact_echelon([r for i, r in enumerate(ints) if i in kept], ncols)
     dropped = [r for i, r in enumerate(ints) if i not in kept]
     for v in map(integerize, null_basis(frows, pivot_cols, ncols)):

@@ -44,6 +44,15 @@ class ReducedCheckError(RuntimeError):
     indicates an implementation fault."""
 
 
+# Largest number of realised image terms a candidate system may hold.  The
+# pipeline's time and memory follow this count, not the ansatz size.  At
+# degree 4, d=1 ell=27/2 holds 3,791,106 and its whole solve took 14 s and
+# 832 MB on a 2-vCPU Xeon; ell=29/2 (5,903,047) took about a minute and
+# 1.3 GB, and ell=33/2 (13,281,027) passed 3 GB.  A larger system is
+# refused as it is built, before its rows are eliminated.
+MAX_SYSTEM_ENTRIES = 2**22
+
+
 @dataclass
 class LinearSystem:
     """Sparse exact system: one column per unknown and one ``matrix`` row
@@ -163,11 +172,17 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis) -> LinearS
 
     Columns are the ansatz monomials followed by auxiliary columns, one
     per (diagonal operator, parameter monomial) pair; candidate vectors
-    are nullspace vectors projected onto the ansatz block."""
+    are nullspace vectors projected onto the ansatz block.  A ``ValueError``
+    once the images hold more than ``MAX_SYSTEM_ENTRIES`` terms."""
     rows: dict[int, SparseVec] = {}  # packed operator key -> row
     vs = VarSet.for_spec(alg.spec)
     nv = vs.nvars
+    entries = 0
     for ci, op in realize_monomials(alg, basis.monomials):
+        entries += len(op.packed)
+        if entries > MAX_SYSTEM_ENTRIES:
+            raise ValueError(f"the candidate system would hold more than {MAX_SYSTEM_ENTRIES} "
+                             f"image terms, above the largest accepted; try --method algebraic")
         for k, c in op.packed.items():
             rows.setdefault(k, {})[ci] = c
     pmax = max((sum(vs.unpack(k)[1][nv:]) for k in rows), default=0)

@@ -106,7 +106,7 @@ class UEAElement:
         return UEAElement(self.alg, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "UEAElement":
-        c = int_if_whole(Fraction(c))
+        c = _exact_coeff(c)
         return UEAElement(self.alg, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -285,13 +285,13 @@ def omega(alg: LieAlgebra, a: UEAElement) -> UEAElement:
 def from_term_list(alg: LieAlgebra,
                    terms: Iterable[tuple[object, Sequence[str]]]) -> UEAElement:
     """Build an element from (coefficient, generator-name word) pairs,
-    each coefficient an ``int`` where whole.
+    each coefficient exact (see ``_exact_coeff``).
 
     Words need not be pre-ordered; they are normal ordered as products.
     """
     work: dict[tuple[int, ...], int | Fraction] = {}
     accumulate(work, ((tuple(alg.position(alg.generator(n)) for n in names),
-                       int_if_whole(Fraction(c))) for c, names in terms))
+                       _exact_coeff(c)) for c, names in terms))
     return _normal_form(alg, work)
 
 
@@ -338,11 +338,16 @@ def to_json_dict(a: UEAElement) -> dict:
                        "coeff": str(a.terms[w])} for w in sorted(a.terms, key=word_key)]}
 
 
-def _json_coeff(value) -> int | Fraction:
-    """An exact coefficient from JSON: an integer or a rational string,
-    loaded as an ``int`` where whole."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"coefficient {value!r} is not an integer or a 'p/q' string")
+def _exact_coeff(value) -> int | Fraction:
+    """An exact coefficient, from JSON or a library caller: an ``int``, a
+    ``Fraction`` or a rational string, kept as an ``int`` where whole.
+    Anything else, a ``bool`` or a ``float`` included, is a ValueError: a
+    float's binary value is seldom the number that was written."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+        raise ValueError(f"coefficient {value!r} is not an integer, a Fraction or a "
+                         f"'p/q' string")
     try:
         c = Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -371,7 +376,7 @@ def _json_terms(alg: LieAlgebra, data: dict) -> list[tuple[dict[int, int], int |
         if sum(expo.values()) > MAX_DEGREE:
             raise ValueError(f"a term of degree {sum(expo.values())} is above the largest "
                              f"accepted degree, {MAX_DEGREE}")
-        terms.append((expo, _json_coeff(entry["coeff"])))
+        terms.append((expo, _exact_coeff(entry["coeff"])))
     return terms
 
 

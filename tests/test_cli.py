@@ -411,6 +411,18 @@ def test_realize_refuses_an_image_above_max_terms(tmp_path, capsys, monkeypatch)
     assert "exceeds the bound of 400" in err
 
 
+def test_solve_refuses_a_candidate_system_above_the_bound(capsys, monkeypatch):
+    # the d=1 ell=3/2 quartic candidate system holds hundreds of image terms
+    monkeypatch.setattr(solver, "MAX_SYSTEM_ENTRIES", 100)
+    code, out, err = run(capsys, "solve", "--d", "1", "--ell", "3/2", "--degree", "4")
+    _assert_rejected(code, out, err)
+    assert "more than 100 image terms" in err
+    # the algebraic route builds no candidate system
+    code, _, _ = run(capsys, "solve", "--d", "1", "--ell", "3/2", "--degree", "4",
+                     "--method", "algebraic")
+    assert code == 0
+
+
 def test_verify_input_directory_exits_2(tmp_path, capsys):
     _assert_rejected(*run(capsys, "verify", "--d", "1", "--ell", "3/2",
                           "--in", str(tmp_path)))

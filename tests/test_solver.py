@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgcasimir import liealg
+from cgcasimir import liealg, solver
 from cgcasimir.grading import enumerate_ansatz
 from cgcasimir.liealg import PRIME, accumulate, bb_count, echelon, integerize
 from cgcasimir.solver import (
@@ -247,6 +247,70 @@ def test_echelon_falls_back_when_the_prime_hides_a_pivot(monkeypatch):
     system = LinearSystem(columns=[0, 1, 2], matrix=rows)
     assert nullspace(system) == _nullspace_smallest_tag(system) == [{2: Fr(1)}]
     assert exact_calls == [1, 3, 1, 3, 1, 4]
+
+
+def _record_exact_inputs(monkeypatch):
+    """The row lists ``echelon`` hands to ``_exact_echelon``, one per call."""
+    calls = []
+    exact = liealg._exact_echelon
+
+    def recorded(ints, ncols):
+        calls.append(list(ints))
+        return exact(ints, ncols)
+
+    monkeypatch.setattr(liealg, "_exact_echelon", recorded)
+    return calls
+
+
+def test_echelon_keeps_the_sparsest_rows_that_span(monkeypatch):
+    # the dense rows come first and are sums of the sparse ones; picking
+    # pivots row by row with ties to the earliest row would keep dense[0]
+    # at column 1, where it ties with sparse[1] after column 0 is cleared
+    sparse = [{0: Fr(1)}, {1: Fr(1), 2: Fr(1)}, {3: Fr(1)}]
+    dense = [accumulate(dict(sparse[0]), sparse[1].items()),
+             accumulate({3: Fr(2)}, sparse[1].items()),
+             accumulate(accumulate(dict(sparse[0]), sparse[1].items()), sparse[2].items())]
+    calls = _record_exact_inputs(monkeypatch)
+    frows, pivots = echelon(dense + sparse, 4)
+    assert calls == [sparse]
+    assert (frows, pivots) == _rref_incremental(dense + sparse, 4)
+    assert pivots == [0, 1, 3]
+
+
+@pytest.mark.parametrize("d,ell,conditions", [
+    (1, "7/2", False), (1, "11/2", False), (2, 2, False), (2, 3, True)])
+def test_echelon_certifies_the_kept_rows_without_a_fallback(d, ell, conditions, algebra,
+                                                             monkeypatch):
+    # the candidate systems (and one algebraic conditions system) are tall;
+    # the rows kept modulo PRIME are exactly a basis, so the exact pass
+    # runs once on rank-many rows and the certificate never falls back
+    alg = algebra(d, ell)
+    basis = enumerate_ansatz(alg, (0, 2 * alg.spec.two_ell) if d == 1 else (0, 2, 0), 4)
+    if conditions:
+        monomials = [UEAElement(alg, {m: 1}) for m in basis.monomials]
+        system = casimir_conditions_system(alg, monomials)
+    else:
+        system = realization_candidate_system(alg, basis)
+    ncols = len(system.columns)
+    assert len(system.matrix) > ncols
+    calls = _record_exact_inputs(monkeypatch)
+    _, pivots = echelon(system.matrix, ncols)
+    assert [len(rows) for rows in calls] == [len(pivots)]
+
+
+def test_candidate_system_refuses_more_image_terms_than_the_bound(algebra, monkeypatch):
+    # the bound counts the ansatz block's entries, one per image term: that
+    # many are admitted, one fewer is refused
+    alg = algebra(1, "3/2")
+    basis = enumerate_ansatz(alg, (0, 6), 4)
+    n = len(basis.monomials)
+    system = realization_candidate_system(alg, basis)
+    size = sum(1 for row in system.matrix for c in row if c < n)
+    monkeypatch.setattr(solver, "MAX_SYSTEM_ENTRIES", size)
+    assert realization_candidate_system(alg, basis) == system
+    monkeypatch.setattr(solver, "MAX_SYSTEM_ENTRIES", size - 1)
+    with pytest.raises(ValueError, match=f"more than {size - 1} image terms"):
+        realization_candidate_system(alg, basis)
 
 
 @pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 2)])

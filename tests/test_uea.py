@@ -286,6 +286,19 @@ def test_scale_add_subtract(algebra):
     assert UEAElement.zero(alg).degree() == NEG_INF
 
 
+@pytest.mark.parametrize("coeff", [0.1, 2.0, True, None, [1]])
+def test_inexact_coefficients_are_refused(coeff, algebra):
+    # 0.1 would be stored as its binary value, 3602879701896397/2**55
+    alg = algebra(1, "3/2")
+    with pytest.raises(ValueError, match="coefficient"):
+        from_term_list(alg, [(coeff, ["D"])])
+    k = UEAElement(alg, {(4,): 1})
+    with pytest.raises(ValueError, match="coefficient"):
+        k.scale(coeff)
+    with pytest.raises(ValueError, match="coefficient"):
+        coeff * k
+
+
 from cgcasimir import make_cga, parse_spec
 
 _HYP_ALG = make_cga(parse_spec(1, "3/2"))
