@@ -116,15 +116,18 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
     alg = make_cga(spec)
     grade, degree = _resolve_target(cfg, spec)
     report = solver.solve_casimirs(alg, grade, degree, method=cfg.method)
-    lines = [
-        f"grade {grade} degree <= {degree} method {cfg.method}",
-        f"ansatz {len(report.ansatz.monomials)} monomials, "
-        f"candidates {report.candidate_dim}, casimir dim {report.casimir_dim}, "
-        f"canonical dim {len(report.canonical)}",
-    ]
-    for e in report.canonical:
-        lines.append(f"  {e}")
-    _emit(cfg, report.to_json_dict(), "\n".join(lines))
+    text = ""
+    # the summary pretty-prints every canonical element: build it only to print it
+    if cfg.format == "text":
+        lines = [
+            f"grade {grade} degree <= {degree} method {cfg.method}",
+            f"ansatz {len(report.ansatz.monomials)} monomials, "
+            f"candidates {report.candidate_dim}, casimir dim {report.casimir_dim}, "
+            f"canonical dim {len(report.canonical)}",
+        ]
+        lines.extend(f"  {e}" for e in report.canonical)
+        text = "\n".join(lines)
+    _emit(cfg, report.to_json_dict(), text)
     return 0
 
 

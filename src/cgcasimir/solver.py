@@ -14,7 +14,11 @@ Both paths finish with a full verification against every generator.  The
 reduced conditions (omega-symmetry plus commutators with a small generator
 subset) provably imply full centrality for these families; if a reduced
 solution ever failed the full check that would falsify the reduction, so
-it aborts loudly rather than reporting.
+it aborts loudly rather than reporting.  The condition builder and that
+check each take every commutator they need from one ``uea.commutators``
+call, which reads each element's words once for the whole generator set;
+``verify_casimir`` instead tries one generator at a time and stops at the
+first that fails, which is where an invalid input usually fails.
 
 Every elimination here (the nullspace of each system, the echelon basis
 of a span) is ``liealg.echelon``; this module only builds the rows and
@@ -25,7 +29,9 @@ is a ``liealg.SparseVec``, a ``{column: coeff}`` map with no zero entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations_with_replacement
 from typing import Iterable, Optional
@@ -33,9 +39,9 @@ from typing import Iterable, Optional
 from .grading import (AnsatzBasis, GradeVector, default_target_grades, enumerate_ansatz, grade_of,
                       iter_exponents)
 from .liealg import (AlgebraSpec, GeneratorId, LieAlgebra, SparseVec, accumulate, echelon,
-                     integerize, null_basis)
+                     int_if_whole, integerize, null_basis)
 from .realization import DiffOp, VarSet, realize_generator, realize_monomials
-from .uea import UEAElement, commutator, multiply, omega, to_json_dict
+from .uea import UEAElement, commutator, commutators, multiply, omega, to_json_dict
 
 
 class ReducedCheckError(RuntimeError):
@@ -78,14 +84,34 @@ def rref(vectors: Iterable[SparseVec], ncols: int) -> tuple[list[SparseVec], lis
 
 
 def reduce_vector(rows: list[SparseVec], pivots: list[int], vec: SparseVec) -> SparseVec:
-    """``vec`` minus its component in the span of the echelon ``rows``."""
+    """``vec`` minus its component in the span of the echelon ``rows``,
+    with ``int`` entries where whole.
+
+    Over the integers: ``vec`` is ``out / den`` for integer ``out``.  Each
+    row whose pivot ``out`` holds is integerized, to pivot entry ``s``, and
+    cross-multiplied out, ``out = s*out - out[p]*row`` with ``den`` scaled
+    by ``s`` (``s`` and ``out[p]`` first divided by their gcd); each entry
+    is divided by ``den`` once at the end."""
     out = {i: c for i, c in vec.items() if c}
+    den = 1
+    if not all(type(c) is int for c in out.values()):
+        den = math.lcm(*(c.denominator for c in out.values()))
+        out = {i: c.numerator * (den // c.denominator) for i, c in out.items()}
     for row, p in zip(rows, pivots):
         a = out.get(p)
         if a:
-            na = -a
-            accumulate(out, ((c, na * x) for c, x in row.items()))
-    return out
+            r = integerize(row)
+            s = r[p]
+            g = math.gcd(a, s)
+            if g > 1:
+                a, s = a // g, s // g
+            if s != 1:
+                out = {i: s * x for i, x in out.items()}
+                den *= s
+            accumulate(out, ((c, -a * x) for c, x in r.items()))
+    if den == 1:
+        return out
+    return {i: int_if_whole(Fraction(x, den)) for i, x in out.items()}
 
 
 def span_contains(rows: list[SparseVec], pivots: list[int], vec: SparseVec) -> bool:
@@ -141,12 +167,13 @@ def reduced_check_generators(alg: LieAlgebra) -> list[GeneratorId]:
 def casimir_conditions_system(alg: LieAlgebra, columns: list[UEAElement]) -> LinearSystem:
     """Rows: omega(K) = K plus [K, g] = 0 for the reduced generator set,
     where K is a combination of the column elements, with one row per
-    monomial appearing in a residual."""
+    monomial appearing in a residual.  Every column's commutators come
+    from one ``commutators`` call over the columns and that set."""
     rows: dict[tuple, SparseVec] = {}
     checks = reduced_check_generators(alg)
-    for ci, elem in enumerate(columns):
-        for g in checks:
-            for m2, c in commutator(alg, elem, g).terms.items():
+    for ci, (elem, residuals) in enumerate(zip(columns, commutators(alg, columns, checks))):
+        for g, res in zip(checks, residuals):
+            for m2, c in res.terms.items():
                 rows.setdefault(("comm", g.name, m2), {})[ci] = c
         for m2, c in (omega(alg, elem) - elem).terms.items():
             rows.setdefault(("omega", "", m2), {})[ci] = c
@@ -211,7 +238,9 @@ def candidate_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
 def verify_casimir(alg: LieAlgebra, K: UEAElement
                    ) -> Optional[tuple[GeneratorId, UEAElement]]:
     """Exhaustive centrality check; None on pass, else the first failing
-    generator with its residual."""
+    generator in basis order with its residual.  One ``commutator`` per
+    generator, stopping at the first that fails, since an invalid element
+    usually fails against one of the first few generators."""
     for g in alg.basis:
         res = commutator(alg, K, g)
         if not res.is_zero():
@@ -325,9 +354,8 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
     cas_vecs, cpivots = rref(raw, ncols)
     # primitive integer multiples: they commute exactly when the RREF rows do
     cas_elems = [primitive(vector_element(alg, basis, v)) for v in cas_vecs]
-    for e in cas_elems:
-        for g in alg.basis:
-            res = commutator(alg, e, g)
+    for residuals in commutators(alg, cas_elems, alg.basis):
+        for g, res in zip(alg.basis, residuals):
             if not res.is_zero():
                 raise ReducedCheckError(
                     f"reduced conditions accepted a non-Casimir: residual against "

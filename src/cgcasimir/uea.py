@@ -17,9 +17,12 @@ stays polynomial where rewriting each word depth first is exponential:
 unmerged, D^n P0 expands into 2^n words, which merge into n + 1.  Each
 round lengthens every word's sorted prefix and bracket terms are shorter,
 so the rewriting terminates.  Every product, commutator and omega image
-is one combination of words put through ``_normal_form``; ``commutator``
-places its substituted letters directly, since each sits in an otherwise
-sorted word, and straightens only their bracket terms.
+is one combination of words put through ``_normal_form``.  The ad-action
+is one kernel, ``commutators``: one pass over each element's words serves
+a whole generator set, each letter visiting only the generators it has a
+nonzero bracket with.  It places the substituted letters directly, since
+each sits in an otherwise sorted word, and straightens only their bracket
+terms; ``commutator`` is its one-generator case.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .liealg import GeneratorId, LieAlgebra, accumulate, int_if_whole
 
@@ -165,24 +168,48 @@ def _place(table, head: Monomial, j: int, tail: Monomial, c, done: dict, lower: 
     it passes leaves its bracket term, one letter shorter, in ``lower``:
     [head[m], j] in place of head[m] when ``j`` moves left, [j, tail[m]] in
     place of tail[m] when it moves right.  Letters are passed a run of
-    equal letters at a time."""
+    equal letters at a time.  A word whose coefficient cancels is deleted,
+    as ``accumulate`` does; ``c`` and every bracket coefficient are
+    nonzero, so no zero is ever added."""
     if head and j < head[-1]:
         k = bisect_right(head, j)
         word = head[:k] + (j,) + head[k:] + tail
         for x, lo, hi in _runs(head, k, len(head)):
             for u, cu in table[x][j]:
-                accumulate(lower, ((head[:m] + (u,) + head[m + 1:] + tail, c * cu)
-                                   for m in range(lo, hi)))
+                v = c * cu
+                for m in range(lo, hi):
+                    key = head[:m] + (u,) + head[m + 1:] + tail
+                    s = lower.get(key)
+                    if s is None:
+                        lower[key] = v
+                    elif s := s + v:
+                        lower[key] = s
+                    else:
+                        del lower[key]
     elif tail and tail[0] < j:
         k = bisect_left(tail, j)
         word = head + tail[:k] + (j,) + tail[k:]
         for x, lo, hi in _runs(tail, 0, k):
             for u, cu in table[j][x]:
-                accumulate(lower, ((head + tail[:m] + (u,) + tail[m + 1:], c * cu)
-                                   for m in range(lo, hi)))
+                v = c * cu
+                for m in range(lo, hi):
+                    key = head + tail[:m] + (u,) + tail[m + 1:]
+                    s = lower.get(key)
+                    if s is None:
+                        lower[key] = v
+                    elif s := s + v:
+                        lower[key] = s
+                    else:
+                        del lower[key]
     else:
         word = head + (j,) + tail
-    accumulate(done, ((word, c),))
+    s = done.get(word)
+    if s is None:
+        done[word] = c
+    elif s := s + c:
+        done[word] = s
+    else:
+        del done[word]
 
 
 def _normal_form(alg: LieAlgebra, work: dict[tuple[int, ...], int | Fraction],
@@ -232,22 +259,41 @@ def multiply(alg: LieAlgebra, a: UEAElement, b: UEAElement) -> UEAElement:
     return _normal_form(alg, work)
 
 
-def commutator(alg: LieAlgebra, a: UEAElement, x: GeneratorId | int) -> UEAElement:
-    """[a, x] = a x - x a in normal form, for a basis generator x.
+def commutators(alg: LieAlgebra, elements: Iterable[UEAElement],
+                gens: Sequence[GeneratorId | int]) -> Iterator[list[UEAElement]]:
+    """[a, x] = a x - x a in normal form for each basis generator x of
+    ``gens``: one list per element of ``elements``, in ``gens`` order,
+    yielded as each element is done.
 
     ad x acts as a derivation: for a PBW word b_1...b_n the bracket is
-    sum_k b_1...b_(k-1) [b_k, x] b_(k+1)...b_n.  Each substituted letter
-    sits in an otherwise sorted word and is placed at once; only the bracket
-    terms of those placements go through one normal-ordering pass."""
-    p = x if isinstance(x, int) else alg.position(x)
+    sum_k b_1...b_(k-1) [b_k, x] b_(k+1)...b_n.  Each element's words are
+    read once for all of ``gens``: each letter visits only the generators
+    it has a nonzero bracket with, listed per letter on each call.  Each
+    substituted letter sits in an otherwise sorted word and is placed at
+    once, into its generator's own sums; only the bracket terms of those
+    placements go through one normal-ordering pass per generator."""
     table = alg.pair_table
-    done: dict[Monomial, int | Fraction] = {}
-    lower: dict[tuple[int, ...], int | Fraction] = {}
-    for w, c in a.terms.items():
-        for k, bk in enumerate(w):
-            for j, cj in table[bk][p]:
-                _place(table, w[:k], j, w[k + 1:], c * cj, done, lower)
-    return _normal_form(alg, lower, done)
+    ps = [x if isinstance(x, int) else alg.position(x) for x in gens]
+    # letter -> (index into gens, terms of [letter, x]) per nonzero bracket
+    hits = [[(i, table[b][p]) for i, p in enumerate(ps) if table[b][p]]
+            for b in range(alg.dim)]
+    for a in elements:
+        done: list[dict[Monomial, int | Fraction]] = [{} for _ in ps]
+        lower: list[dict[tuple[int, ...], int | Fraction]] = [{} for _ in ps]
+        for w, c in a.terms.items():
+            for k, bk in enumerate(w):
+                if hits[bk]:
+                    head, tail = w[:k], w[k + 1:]
+                    for i, terms in hits[bk]:
+                        for j, cj in terms:
+                            _place(table, head, j, tail, c * cj, done[i], lower[i])
+        yield [_normal_form(alg, lo, dn) for lo, dn in zip(lower, done)]
+
+
+def commutator(alg: LieAlgebra, a: UEAElement, x: GeneratorId | int) -> UEAElement:
+    """[a, x] = a x - x a in normal form, for a basis generator x; see
+    ``commutators``."""
+    return next(commutators(alg, [a], [x]))[0]
 
 
 @lru_cache(maxsize=None)

@@ -2,12 +2,13 @@ import hashlib
 import json
 import math
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
 from cgcasimir import liealg, solver
-from cgcasimir.grading import enumerate_ansatz
+from cgcasimir.grading import default_grade, enumerate_ansatz
 from cgcasimir.liealg import PRIME, accumulate, bb_count, echelon, integerize
 from cgcasimir.solver import (
     CasimirReport,
@@ -25,7 +26,7 @@ from cgcasimir.solver import (
     vector_element,
     verify_casimir,
 )
-from cgcasimir.uea import UEAElement, from_json_dict, from_term_list, multiply
+from cgcasimir.uea import UEAElement, commutator, from_json_dict, from_term_list, multiply
 
 import known_casimirs as kc
 
@@ -367,6 +368,36 @@ def test_rref_and_span_utilities():
     assert reduce_vector(rows, pivots, {0: Fr(0)}) == {}
 
 
+def _reduce_by_fractions(rows, pivots, vec):
+    """Reference: subtract each pivot's multiple of its row in Fraction
+    arithmetic."""
+    out = {i: Fr(c) for i, c in vec.items() if c}
+    for row, p in zip(rows, pivots):
+        a = out.get(p)
+        if a:
+            accumulate(out, ((c, -a * x) for c, x in row.items()))
+    return out
+
+
+def test_reduce_vector_matches_fraction_arithmetic():
+    # random echelon rows with rational entries, reduced vectors that are
+    # integral, rational, inside the span and outside it
+    rng = random.Random(5)
+    for _ in range(40):
+        ncols = rng.randint(2, 9)
+        gen = [{c: Fr(rng.randint(-5, 5), rng.randint(1, 4)) for c in rng.sample(
+            range(ncols), rng.randint(1, ncols))} for _ in range(rng.randint(1, 4))]
+        rows, pivots = rref(gen, ncols)
+        for _ in range(5):
+            vec = {c: rng.choice((rng.randint(-7, 7), Fr(rng.randint(-7, 7), rng.randint(1, 6))))
+                   for c in rng.sample(range(ncols), rng.randint(0, ncols))}
+            if rng.random() < 0.3:
+                vec = accumulate({}, ((c, 3 * x) for r in rows for c, x in r.items()))
+            got = reduce_vector(rows, pivots, vec)
+            assert got == _reduce_by_fractions(rows, pivots, vec)
+            assert all(type(c) is int for c in got.values() if c.denominator == 1)
+
+
 def test_primitive_normalization(algebra):
     alg = algebra(1, "3/2")
     k = from_term_list(alg, kc.D1_L32_QUARTIC)
@@ -548,6 +579,37 @@ def test_verify_casimir_examples(solved, algebra):
     theta = UEAElement.generator(alg, alg.generator("Theta"))
     assert verify_casimir(alg, theta) is None
     assert verify_casimir(alg, from_term_list(alg, kc.D2_L2_QUARTIC)) is None
+
+
+def test_verify_casimir_stops_at_the_first_failing_generator(algebra, monkeypatch):
+    # the generators before the reported one commute with the element, and
+    # none after it is tried
+    alg = algebra(2, 2)
+    ka = from_term_list(alg, kc.D2_L2_QUARTIC_CAND_A)
+    tried = []
+
+    def counted(alg, a, x):
+        tried.append(x)
+        return commutator(alg, a, x)
+
+    monkeypatch.setattr(solver, "commutator", counted)
+    gen, residual = verify_casimir(alg, ka)
+    k = alg.basis.index(gen)
+    assert tried == list(alg.basis[:k + 1])
+    assert all(commutator(alg, ka, g).is_zero() for g in alg.basis[:k])
+    assert residual == commutator(alg, ka, gen) and not residual.is_zero()
+
+
+@pytest.mark.parametrize("d,ell", [(1, "5/2"), (2, 2)])
+def test_exhaustive_check_refuses_what_weaker_conditions_admit(d, ell, algebra, monkeypatch):
+    # with no reduced commutator conditions, omega-symmetry alone admits
+    # non-Casimirs, and the check against every generator must refuse them
+    alg = algebra(d, ell)
+    monkeypatch.setattr(solver, "reduced_check_generators", lambda alg: [])
+    with pytest.raises(solver.ReducedCheckError) as info:
+        solver.solve_casimirs(alg, default_grade(alg.spec, 4), 4, method="algebraic")
+    assert str(info.value).startswith(
+        "reduced conditions accepted a non-Casimir: residual against H ")
 
 
 def test_count_consistency_with_bb(solved, algebra):

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from cgcasimir import uea
 from cgcasimir.liealg import LieAlgebra, accumulate, jacobi_check
 from cgcasimir.grading import default_target_grades, enumerate_ansatz
-from cgcasimir.solver import casimir_conditions_system, vector_element
+from cgcasimir.solver import casimir_conditions_system, reduced_check_generators, vector_element
 from cgcasimir.uea import (
     MAX_DEGREE,
     MAX_LETTERS,
     UEAElement,
     commutator,
+    commutators,
     from_json_dict,
     from_json_dicts,
     from_term_list,
@@ -184,6 +185,29 @@ def test_commutator_matches_product_oracle(d, ell, algebra):
         a = _random_element(alg, rng, max_terms=4, max_degree=4)
         for p in range(alg.dim):
             assert commutator(alg, a, p) == _commutator_by_products(alg, a, p)
+
+
+@pytest.mark.parametrize("d,ell", [(1, "5/2"), (2, 2)])
+def test_commutators_match_both_oracles(d, ell, algebra):
+    # one pass over each element's words for a whole generator set gives, per
+    # generator, what one generator at a time and the product oracle give
+    alg = algebra(d, ell)
+    rng = random.Random(31)
+    pool = rng.sample(range(alg.dim), 4)
+    elems = [_random_element(alg, rng, max_terms=4, max_degree=4, positions=pool)
+             for _ in range(10)]
+    elems += [_random_element(alg, rng, max_terms=4, max_degree=3) for _ in range(5)]
+    elems.append(UEAElement.zero(alg))
+    assert any(len(set(w)) < len(w) for a in elems for w in a.terms)
+    for gens in (list(alg.basis), reduced_check_generators(alg)):
+        batched = list(commutators(alg, elems, gens))
+        assert len(batched) == len(elems)
+        for a, residuals in zip(elems, batched):
+            assert len(residuals) == len(gens)
+            for g, res in zip(gens, residuals):
+                assert res == commutator(alg, a, g)
+                assert res == _commutator_by_products(alg, a, alg.position(g))
+        assert any(not res.is_zero() for residuals in batched for res in residuals)
 
 
 @pytest.mark.parametrize("d,ell", [(1, "3/2"), (1, "5/2"), (1, "7/2"), (1, "9/2"),
