@@ -8,14 +8,20 @@ Two families are supported:
 * ``d=1`` with half-odd ``ell`` (central element ``M``),
 * ``d=2`` with integer ``ell`` (exotic central element ``Theta``).
 
-It also holds the two sparse helpers every layer shares: ``accumulate``
-(add and drop zeros) and ``echelon``, the one exact elimination behind the
-solver's nullspaces and spans and behind ``bb_count``'s rank.  When a
-system has more nonzero rows than columns, ``echelon`` first picks its
-pivot rows, sparsest first, by one elimination of the transpose modulo a
-prime, eliminates only those exactly, and certifies in integer arithmetic
-that every other row lies in their span; the result is the exact reduced
-echelon form either way.
+It also holds the sparse helpers every layer shares: ``accumulate`` (add
+and drop zeros) and one exact elimination, a spanning forward pass with
+two finishes.  The forward pass is behind the solver's nullspaces and
+spans and behind ``bb_count``'s rank.  When a system has more nonzero rows
+than columns, it first picks its pivot rows, sparsest first, by one
+elimination of the transpose modulo a prime, eliminates only those
+exactly, and certifies in integer arithmetic that every other row lies in
+their span; otherwise it eliminates every row exactly.  ``echelon``
+back-substitutes its pivots to the reduced echelon form.
+``nullspace_basis`` instead back-solves one integer vector per free
+column, the same vectors the certificate checks; a system's rank can be
+hundreds and its nullity a handful, so this reads the few vectors a
+reduced echelon form would give without building one.  ``bb_count``'s
+rank is the number of pivots.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -105,12 +111,12 @@ def _mod_clearer(piv: dict, col: int):
 
 def _forward(rows: list[dict], ncols: int, clearer) -> list[tuple[int, int, dict]]:
     """Forward elimination: (pivot column, input row index, pivot row) per
-    pivot, pivot columns leftmost first.  A row waits in the bucket of a
-    column no later than its leading one, starting at its leading column;
-    at each column the bucket's rows without an entry there move on to the
-    next.  Of those with one, the row with the fewest nonzeros supplies the
-    pivot, ties going to the earliest row (Markowitz's fill-reducing
-    choice), and ``clearer(piv, col)`` clears ``col`` from the others."""
+    pivot, pivot columns leftmost first.  Each row waits in the bucket of
+    its leading column.  At each column, the bucket's row with the fewest
+    nonzeros supplies the pivot, ties going to the earliest row
+    (Markowitz's fill-reducing choice), and ``clearer(piv, col)`` clears
+    ``col`` from the others, each of which moves to the bucket of its new
+    leading column."""
     by_col: dict[int, list[tuple[int, dict]]] = {}
     for idx, r in enumerate(rows):
         if r:
@@ -120,27 +126,111 @@ def _forward(rows: list[dict], ncols: int, clearer) -> list[tuple[int, int, dict
         bucket = by_col.pop(col, None)
         if not bucket:
             continue
-        later = by_col.setdefault(col + 1, [])
-        cands = []
-        for item in bucket:
-            (cands if col in item[1] else later).append(item)
-        if not cands:
-            continue
-        best, piv = min(cands, key=lambda item: (len(item[1]), item[0]))
+        best, piv = min(bucket, key=lambda item: (len(item[1]), item[0]))
         clear = clearer(piv, col)
-        for idx, r in cands:
+        for idx, r in bucket:
             if idx != best:
                 r = clear(r)
                 if r:
-                    later.append((idx, r))
+                    by_col.setdefault(min(r), []).append((idx, r))
         pivots.append((col, best, piv))
     return pivots
 
 
-def _exact_echelon(rows: list[dict], ncols: int) -> tuple[list[SparseVec], list[int]]:
-    """``_forward`` and back substitution over the integers, then one
-    division of each row by its pivot."""
-    pivots = _forward(rows, ncols, _exact_clearer)
+def _exact_forward(rows: list[dict], ncols: int) -> list[tuple[int, int, dict]]:
+    """``_forward`` over the integers, on integerized rows."""
+    return _forward(rows, ncols, _exact_clearer)
+
+
+def _dot(u: dict, v: dict) -> int:
+    """Dot product of two sparse rows, iterating the shorter."""
+    if len(v) < len(u):
+        u, v = v, u
+    return sum(a * v[c] for c, a in u.items() if c in v)
+
+
+def _back_solve(pivots: list[tuple[int, int, dict]], ncols: int) -> list[tuple[int, dict]]:
+    """The nullspace of ``_forward``'s integer pivot rows: per free column
+    f, ascending, (f, x) for the integer vector x with x[f] > 0, every
+    other free column 0, and each pivot row's dot product with x zero.
+    The pivot entries are solved from the last pivot up; where a pivot
+    entry does not divide what it must cancel, all of x is scaled by the
+    quotient, so x[f] is the running denominator of the rational vector
+    with a 1 at f."""
+    pivot_set = {col for col, _, _ in pivots}
+    null = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        x = {f: 1}
+        for col, _, row in reversed(pivots):
+            s = _dot(row, x)
+            if s:
+                pv = row[col]
+                g = math.gcd(s, pv)
+                s, pv = (s // g, pv // g) if pv > 0 else (-s // g, -pv // g)
+                if pv != 1:
+                    x = {c: pv * v for c, v in x.items()}
+                x[col] = -s
+        null.append((f, x))
+    return null
+
+
+def _spanning_forward(rows: Iterable[SparseVec], ncols: int
+                      ) -> tuple[list[tuple[int, int, dict]], Optional[list[tuple[int, dict]]]]:
+    """The integer ``_forward`` pivots of a certified spanning subset of
+    ``rows``, and the certificate's ``_back_solve`` of them (None where no
+    certificate ran).
+
+    Only the rows the exact pass reads are integerized; a row with a
+    ``Fraction`` entry is integerized up front, so that no residue needs
+    the inverse of a denominator modulo ``PRIME``.  With more nonzero rows
+    than columns, the rows are sorted by nonzero count (stably), and
+    ``_forward`` runs modulo ``PRIME`` over the transpose: one row per
+    column, one column per sorted row.  A position is a pivot column of
+    any echelon form of the transpose exactly when its row is not in the
+    span of the rows before it, so the pivot positions name the
+    sparsest-first greedy basis of the row space modulo ``PRIME``, and
+    only those rows are eliminated exactly.  The transposed pass has
+    ``ncols`` rows, of which only the nullity-many vanish, where a pass
+    over the rows themselves would clear every dependent row to zero.
+    Rows independent modulo a prime are independent over the rationals.
+    The certificate: every dropped row has integer dot product 0 with each
+    integer nullspace vector of the kept rows.  Then all rows span what
+    the kept rows span.  If a dropped row fails, every row is eliminated
+    exactly.  With at most ``ncols`` nonzero rows the exact pass runs
+    alone."""
+    rows = [r for r in rows if r]
+    if len(rows) <= ncols:
+        return _exact_forward(list(map(integerize, rows)), ncols), None
+    rows = [r if all(type(c) is int for c in r.values()) else integerize(r) for r in rows]
+    order = sorted(range(len(rows)), key=lambda i: len(rows[i]))
+    cols: list[dict] = [{} for _ in range(ncols)]
+    for pos, i in enumerate(order):
+        for c, x in rows[i].items():
+            if m := x % PRIME:
+                cols[c][pos] = m
+    kept = {order[pos] for pos, _, _ in _forward(cols, len(rows), _mod_clearer)}
+    pivots = _exact_forward([integerize(r) for i, r in enumerate(rows) if i in kept], ncols)
+    null = _back_solve(pivots, ncols)
+    for r in (r for i, r in enumerate(rows) if i not in kept):
+        if any(_dot(r, x) for _, x in null):
+            return _exact_forward(list(map(integerize, rows)), ncols), None
+    return pivots, null
+
+
+def echelon(rows: Iterable[SparseVec], ncols: int
+            ) -> tuple[list[SparseVec], list[int]]:
+    """Reduced row echelon form of sparse rational rows over the columns
+    ``0 .. ncols-1``: (rows, pivot columns), rows sorted by pivot with a 1
+    at the pivot; zero and dependent rows drop out.
+
+    ``_spanning_forward`` gives the integer pivots (cross multiplication
+    with gcd reduction); back substitution with the same clearer and one
+    division of each row by its pivot finish them.  The reduced echelon
+    form of the row space does not depend on which rows supply the
+    pivots, so neither does the result."""
+    pivots, _ = _spanning_forward(rows, ncols)
     pivot_cols = [col for col, _, _ in pivots]
     ints = [r for _, _, r in pivots]
     for k in range(len(ints) - 1, 0, -1):
@@ -153,68 +243,27 @@ def _exact_echelon(rows: list[dict], ncols: int) -> tuple[list[SparseVec], list[
     return frows, pivot_cols
 
 
-def null_basis(frows: list[SparseVec], pivot_cols: list[int], ncols: int) -> list[SparseVec]:
-    """Nullspace basis read off a reduced echelon form (``echelon``'s
-    output): per free column f, ``{f: 1}`` plus ``{pivot column: -entry}``
-    for each row with an entry at f."""
-    pivot_set = set(pivot_cols)
+def nullspace_basis(rows: Iterable[SparseVec], ncols: int) -> list[SparseVec]:
+    """Nullspace basis of sparse rational rows over the columns ``0 ..
+    ncols-1``, the one a reduced echelon form reads off: per free column
+    f, ascending, ``{f: 1}`` and then the nonzero entries at the pivot
+    columns, ascending, every other free column 0.
+
+    It is ``_back_solve`` of ``_spanning_forward``'s pivots, each integer
+    vector divided by its entry at f; no back substitution runs.  Where
+    the certificate ran, its vectors are the ones returned."""
+    pivots, null = _spanning_forward(rows, ncols)
+    if null is None:
+        null = _back_solve(pivots, ncols)
     basis: list[SparseVec] = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
+    for f, x in null:
+        den = x[f]
         v = {f: Fraction(1)}
-        for row, col in zip(frows, pivot_cols):
-            a = row.get(f)
-            if a:
-                v[col] = -a
+        for col, _, _ in pivots:
+            if col in x:
+                v[col] = Fraction(x[col], den)
         basis.append(v)
     return basis
-
-
-def echelon(rows: Iterable[SparseVec], ncols: int
-            ) -> tuple[list[SparseVec], list[int]]:
-    """Reduced row echelon form of sparse rational rows over the columns
-    ``0 .. ncols-1``: (rows, pivot columns), rows sorted by pivot with a 1
-    at the pivot; zero and dependent rows drop out.
-
-    The rows are integerized.  Exact elimination is ``_forward`` over the
-    integers (cross multiplication with gcd reduction), then back
-    substitution with the same clearer and one division of each row by its
-    pivot.  The reduced echelon form of the row space does not depend on
-    which rows supply the pivots, so neither does the result.
-
-    Row selection: with more nonzero rows than columns, the rows are
-    sorted by nonzero count (stably), and ``_forward`` runs modulo
-    ``PRIME`` over the transpose: one row per column, one column per
-    sorted row.  A position is a pivot column of any echelon form of the
-    transpose exactly when its row is not in the span of the rows before
-    it, so the pivot positions name the sparsest-first greedy basis of the
-    row space modulo ``PRIME``, and only those rows are eliminated
-    exactly.  The transposed pass has ``ncols`` rows, of which only the
-    nullity-many vanish, where a pass over the rows themselves would clear
-    every dependent row to zero.  Rows independent modulo a prime are
-    independent over the rationals.  The certificate: every dropped row
-    has integer dot product 0 with each integerized nullspace vector of
-    the kept rows.  Then all rows span what the kept rows span, and the
-    result is the one that eliminating every row gives.  If a dropped row
-    fails, every row is eliminated exactly.  With at most ``ncols``
-    nonzero rows the exact pass runs alone."""
-    ints = [r for r in map(integerize, rows) if r]
-    if len(ints) <= ncols:
-        return _exact_echelon(ints, ncols)
-    order = sorted(range(len(ints)), key=lambda i: len(ints[i]))
-    cols: list[dict] = [{} for _ in range(ncols)]
-    for pos, i in enumerate(order):
-        for c, x in ints[i].items():
-            if m := x % PRIME:
-                cols[c][pos] = m
-    kept = {order[pos] for pos, _, _ in _forward(cols, len(ints), _mod_clearer)}
-    frows, pivot_cols = _exact_echelon([r for i, r in enumerate(ints) if i in kept], ncols)
-    dropped = [r for i, r in enumerate(ints) if i not in kept]
-    for v in map(integerize, null_basis(frows, pivot_cols, ncols)):
-        if any(sum(x * v[c] for c, x in r.items() if c in v) for r in dropped):
-            return _exact_echelon(ints, ncols)
-    return frows, pivot_cols
 
 
 class InvalidSpecError(ValueError):
@@ -501,7 +550,7 @@ def bb_count(alg: LieAlgebra, trials: int = 5, seed: int = 0) -> int:
             val = sum(c * x[k] for k, c in vec.items())
             rows[i][j] = val
             rows[j][i] = -val
-        best = max(best, len(echelon(rows, dim)[1]))
+        best = max(best, len(_spanning_forward(rows, dim)[0]))
     return dim - best
 
 

@@ -20,11 +20,13 @@ call, which reads each element's words once for the whole generator set;
 ``verify_casimir`` instead tries one generator at a time and stops at the
 first that fails, which is where an invalid input usually fails.
 
-Every elimination here (the nullspace of each system, the echelon basis
-of a span) is ``liealg.echelon``; this module only builds the rows and
-reads results off the reduced echelon form.  Every vector (a nullspace
-basis vector, an echelon row, a report's candidate and Casimir vectors)
-is a ``liealg.SparseVec``, a ``{column: coeff}`` map with no zero entries.
+Every elimination here is ``liealg``'s: the nullspace of each system is
+``liealg.nullspace_basis``, which back-solves one vector per free column
+from the forward pass, and the echelon basis of a span is
+``liealg.echelon``; this module only builds the rows.  Every vector (a
+nullspace basis vector, an echelon row, a report's candidate and Casimir
+vectors) is a ``liealg.SparseVec``, a ``{column: coeff}`` map with no zero
+entries.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Iterable, Optional
 from .grading import (AnsatzBasis, GradeVector, default_target_grades, enumerate_ansatz, grade_of,
                       iter_exponents)
 from .liealg import (AlgebraSpec, GeneratorId, LieAlgebra, SparseVec, accumulate, echelon,
-                     int_if_whole, integerize, null_basis)
+                     int_if_whole, integerize, nullspace_basis)
 from .realization import DiffOp, VarSet, realize_generator, realize_monomials
 from .uea import UEAElement, commutator, commutators, multiply, omega, to_json_dict
 
@@ -52,8 +54,8 @@ class ReducedCheckError(RuntimeError):
 
 # Largest number of realised image terms a candidate system may hold.  The
 # pipeline's time and memory follow this count, not the ansatz size.  At
-# degree 4, d=1 ell=27/2 holds 3,791,106 and its whole solve took 14 s and
-# 832 MB on a 2-vCPU Xeon; ell=29/2 (5,903,047) took about a minute and
+# degree 4, d=1 ell=27/2 holds 3,791,106 and its whole solve took 14-22 s
+# and 634 MB on a 2-vCPU Xeon; ell=29/2 (5,903,047) took about a minute and
 # 1.3 GB, and ell=33/2 (13,281,027) passed 3 GB.  A larger system is
 # refused as it is built, before its rows are eliminated.
 MAX_SYSTEM_ENTRIES = 2**22
@@ -69,10 +71,10 @@ class LinearSystem:
 
 
 def nullspace(sys: LinearSystem) -> list[SparseVec]:
-    """Nullspace basis in reduced echelon form over the columns: the
-    ``liealg.null_basis`` of ``liealg.echelon`` of the matrix."""
-    ncols = len(sys.columns)
-    return null_basis(*echelon(sys.matrix, ncols), ncols)
+    """Nullspace basis over the columns, the one a reduced echelon form
+    reads off: ``liealg.nullspace_basis`` of the matrix, which back-solves
+    it from the forward pass."""
+    return nullspace_basis(sys.matrix, len(sys.columns))
 
 
 # -- span utilities over sparse vectors (SparseVec, no zero entries) ---
@@ -91,7 +93,9 @@ def reduce_vector(rows: list[SparseVec], pivots: list[int], vec: SparseVec) -> S
     row whose pivot ``out`` holds is integerized, to pivot entry ``s``, and
     cross-multiplied out, ``out = s*out - out[p]*row`` with ``den`` scaled
     by ``s`` (``s`` and ``out[p]`` first divided by their gcd); each entry
-    is divided by ``den`` once at the end."""
+    is divided by ``den`` once at the end.  A caller that reduces many
+    vectors by the same rows passes them integerized, so that each is
+    used as it is."""
     out = {i: c for i, c in vec.items() if c}
     den = 1
     if not all(type(c) is int for c in out.values()):
@@ -352,8 +356,10 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
     raw = [accumulate({}, ((i, k * c) for j, k in combo.items() for i, c in col_vecs[j].items()))
            for combo in nullspace(casimir_conditions_system(alg, columns))]
     cas_vecs, cpivots = rref(raw, ncols)
-    # primitive integer multiples: they commute exactly when the RREF rows do
-    cas_elems = [primitive(vector_element(alg, basis, v)) for v in cas_vecs]
+    # integer multiples, integerized once for every span_contains below:
+    # they commute exactly when the RREF rows do, and span what they span
+    cas_ints = [integerize(v) for v in cas_vecs]
+    cas_elems = [primitive(vector_element(alg, basis, v)) for v in cas_ints]
     for residuals in commutators(alg, cas_elems, alg.basis):
         for g, res in zip(alg.basis, residuals):
             if not res.is_zero():
@@ -366,7 +372,7 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
     lower_vecs = [element_vector(basis, e) for e in lower]
     lrows, lpivots = rref(lower_vecs, ncols)
     for lv in lower_vecs:
-        if not span_contains(cas_vecs, cpivots, lv):
+        if not span_contains(cas_ints, cpivots, lv):
             raise ReducedCheckError("a product of lower Casimirs escaped the solved space")
     reduced = [reduce_vector(lrows, lpivots, v) for v in cas_vecs]
     canonical_vecs, _ = rref(reduced, ncols)

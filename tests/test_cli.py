@@ -140,7 +140,7 @@ def test_rank_refuses_huge_trials_before_any_point(capsys, monkeypatch):
     def no_rank(*args):
         raise AssertionError("a structure matrix was evaluated")
 
-    monkeypatch.setattr(liealg, "echelon", no_rank)
+    monkeypatch.setattr(liealg, "_spanning_forward", no_rank)
     code, out, err = run(capsys, "rank", "--d", "1", "--ell", "3/2", "--trials", "1000000000")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and str(MAX_TRIALS) in err

@@ -176,9 +176,31 @@ def _rref_incremental(vectors, ncols):
     return rows, pivots
 
 
+def _null_basis_from_rref(rows, ncols):
+    """Reference nullspace read off the reduced echelon form: per free
+    column f, ``{f: 1}`` plus ``{pivot column: -entry}`` for each row with
+    an entry at f."""
+    frows, pivot_cols = echelon(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        v = {f: Fr(1)}
+        for row, col in zip(frows, pivot_cols):
+            if row.get(f):
+                v[col] = -row[f]
+        basis.append(v)
+    return basis
+
+
 def _assert_nullspace_matches_oracle(system):
+    """``nullspace`` equals both reference eliminations in values, types
+    and key order."""
     basis = nullspace(system)
-    assert basis == _nullspace_smallest_tag(system)
+    for want in (_nullspace_smallest_tag(system),
+                 _null_basis_from_rref(system.matrix, len(system.columns))):
+        assert [list(v.items()) for v in basis] == [list(v.items()) for v in want]
+    assert all(type(c) is Fr for v in basis for c in v.values())
     for vec in basis:
         assert all(vec.values()) and all(j < len(system.columns) for j in vec)
         for row in system.matrix:
@@ -226,19 +248,62 @@ def test_nullspace_matches_smallest_tag_oracle_randomized():
         assert rref(system.matrix, ncols) == _rref_incremental(system.matrix, ncols)
 
 
+def _random_sparse_system(rng, nrows, ncols, rank, fractions):
+    """``nrows`` rows over ``ncols`` columns spanning at most ``rank``
+    dimensions: sparse random combinations of ``rank`` sparse rows, with
+    all-zero rows among them."""
+    def entry():
+        return Fr(rng.randint(-6, 6), rng.randint(1, 4)) if fractions else rng.randint(-6, 6)
+
+    base = []
+    for _ in range(rank):
+        cols = rng.sample(range(ncols), rng.randint(1, min(ncols, 4)))
+        base.append({c: entry() or 1 for c in cols})
+    rows = []
+    for _ in range(nrows):
+        if not base or rng.random() < 0.1:
+            rows.append({})
+            continue
+        row = {}
+        for b in rng.sample(base, rng.randint(1, min(len(base), 3))):
+            accumulate(row, ((c, (entry() or 1) * x) for c, x in b.items()))
+        rows.append(row)
+    return LinearSystem(columns=list(range(ncols)), matrix=rows)
+
+
+def test_nullspace_matches_rref_oracles_on_random_sparse_systems():
+    # tall (the transposed selection and the certificate run), square and
+    # wide systems, int and Fraction entries, nullity 0 up to ncols
+    rng = random.Random(2407)
+    shapes = [(3, 1), (2, 1), (1, 2)]  # nrows/ncols ratios: tall, square, wide
+    for _ in range(150):
+        ncols = rng.randint(1, 14)
+        num, den = rng.choice(shapes)
+        nrows = max(1, ncols * num // den)
+        rank = rng.randint(0, min(nrows, ncols))
+        system = _random_sparse_system(rng, nrows, ncols, rank, rng.random() < 0.5)
+        _assert_nullspace_matches_oracle(system)
+    for ncols in (0, 1, 5):
+        empty = LinearSystem(columns=list(range(ncols)), matrix=[])
+        _assert_nullspace_matches_oracle(empty)
+        assert nullspace(empty) == [{f: Fr(1)} for f in range(ncols)]
+    zeros = LinearSystem(columns=[0, 1, 2], matrix=[{}, {}, {}, {}])
+    _assert_nullspace_matches_oracle(zeros)
+
+
 def test_echelon_falls_back_when_the_prime_hides_a_pivot(monkeypatch):
     # the first two rows differ by PRIME in one entry: modulo PRIME all three
     # rows are multiples of the first, so only it is kept, and the
     # certificate must send echelon back to eliminating every row
     rows = [{0: Fr(1), 1: Fr(1)}, {0: Fr(1), 1: Fr(1 + PRIME)}, {0: Fr(2), 1: Fr(2 + PRIME)}]
     exact_calls = []
-    exact = liealg._exact_echelon
+    exact = liealg._exact_forward
 
     def counted(ints, ncols):
         exact_calls.append(len(ints))
         return exact(ints, ncols)
 
-    monkeypatch.setattr(liealg, "_exact_echelon", counted)
+    monkeypatch.setattr(liealg, "_exact_forward", counted)
     assert echelon(rows, 2) == ([{0: Fr(1)}, {1: Fr(1)}], [0, 1])
     assert exact_calls == [1, 3]
     system = LinearSystem(columns=[0, 1], matrix=rows)
@@ -251,15 +316,15 @@ def test_echelon_falls_back_when_the_prime_hides_a_pivot(monkeypatch):
 
 
 def _record_exact_inputs(monkeypatch):
-    """The row lists ``echelon`` hands to ``_exact_echelon``, one per call."""
+    """The row lists ``echelon`` hands to ``_exact_forward``, one per call."""
     calls = []
-    exact = liealg._exact_echelon
+    exact = liealg._exact_forward
 
     def recorded(ints, ncols):
         calls.append(list(ints))
         return exact(ints, ncols)
 
-    monkeypatch.setattr(liealg, "_exact_echelon", recorded)
+    monkeypatch.setattr(liealg, "_exact_forward", recorded)
     return calls
 
 
@@ -314,7 +379,7 @@ def test_candidate_system_refuses_more_image_terms_than_the_bound(algebra, monke
         realization_candidate_system(alg, basis)
 
 
-@pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 2)])
+@pytest.mark.parametrize("d,ell", [(1, "7/2"), (1, "11/2"), (2, 2), (2, 3)])
 def test_nullspace_matches_smallest_tag_oracle_on_solver_systems(d, ell, algebra):
     alg = algebra(d, ell)
     grade = (0, 2 * alg.spec.two_ell) if d == 1 else (0, 2, 0)
