@@ -21,7 +21,9 @@ back-substitutes its pivots to the reduced echelon form.
 column, the same vectors the certificate checks; a system's rank can be
 hundreds and its nullity a handful, so this reads the few vectors a
 reduced echelon form would give without building one.  ``bb_count``'s
-rank is the number of pivots.
+rank is the number of pivots.  Both finishes return primitive integer
+rows, coprime ``int``s positive at the pivot or free column: the one
+format of every span and nullspace vector in the package.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -220,16 +222,16 @@ def _spanning_forward(rows: Iterable[SparseVec], ncols: int
 
 
 def echelon(rows: Iterable[SparseVec], ncols: int
-            ) -> tuple[list[SparseVec], list[int]]:
+            ) -> tuple[list[dict[int, int]], list[int]]:
     """Reduced row echelon form of sparse rational rows over the columns
-    ``0 .. ncols-1``: (rows, pivot columns), rows sorted by pivot with a 1
-    at the pivot; zero and dependent rows drop out.
+    ``0 .. ncols-1``: (rows, pivot columns), rows sorted by pivot, each
+    the row with a 1 at its pivot integerized, so positive there; zero and
+    dependent rows drop out.
 
     ``_spanning_forward`` gives the integer pivots (cross multiplication
-    with gcd reduction); back substitution with the same clearer and one
-    division of each row by its pivot finish them.  The reduced echelon
-    form of the row space does not depend on which rows supply the
-    pivots, so neither does the result."""
+    with gcd reduction), and back substitution with the same clearer
+    finishes them.  The reduced echelon form of the row space does not
+    depend on which rows supply the pivots, so neither does the result."""
     pivots, _ = _spanning_forward(rows, ncols)
     pivot_cols = [col for col, _, _ in pivots]
     ints = [r for _, _, r in pivots]
@@ -239,35 +241,35 @@ def echelon(rows: Iterable[SparseVec], ncols: int
         for i in range(k):
             if col in ints[i]:
                 ints[i] = clear(ints[i])
-    frows = [{c: Fraction(x, r[col]) for c, x in r.items()} for r, col in zip(ints, pivot_cols)]
-    return frows, pivot_cols
+    return [r if r[col] > 0 else {c: -x for c, x in r.items()}
+            for r, col in zip(ints, pivot_cols)], pivot_cols
 
 
-def nullspace_basis(rows: Iterable[SparseVec], ncols: int) -> list[SparseVec]:
+def nullspace_basis(rows: Iterable[SparseVec], ncols: int) -> list[dict[int, int]]:
     """Nullspace basis of sparse rational rows over the columns ``0 ..
-    ncols-1``, the one a reduced echelon form reads off: per free column
-    f, ascending, ``{f: 1}`` and then the nonzero entries at the pivot
-    columns, ascending, every other free column 0.
+    ncols-1``: per free column f, ascending, the vector a reduced echelon
+    form reads off (1 at f, every other free column 0) times its
+    denominator, a primitive ``int`` vector keyed f first and then its
+    nonzero pivot columns, ascending.
 
-    It is ``_back_solve`` of ``_spanning_forward``'s pivots, each integer
-    vector divided by its entry at f; no back substitution runs.  Where
-    the certificate ran, its vectors are the ones returned."""
+    It is ``_back_solve`` of ``_spanning_forward``'s pivots; no back
+    substitution runs.  Where the certificate ran, its vectors are the ones
+    returned."""
     pivots, null = _spanning_forward(rows, ncols)
     if null is None:
         null = _back_solve(pivots, ncols)
-    basis: list[SparseVec] = []
-    for f, x in null:
-        den = x[f]
-        v = {f: Fraction(1)}
-        for col, _, _ in pivots:
-            if col in x:
-                v[col] = Fraction(x[col], den)
-        basis.append(v)
-    return basis
+    # _back_solve writes the pivot entries last pivot first
+    return [{f: x.pop(f), **dict(reversed(x.items()))} for f, x in null]
 
 
 class InvalidSpecError(ValueError):
     """Raised for (d, ell) pairs outside the two supported families."""
+
+
+# Largest algebra accepted, checked before any basis is built: ``make_cga``'s
+# dense dim x dim bracket table took 3.3 s and 308 MB at 4,096 generators
+# (d=1 ell=4091/2) and 0.12 s and 35 MB at 1,004, on a 2-vCPU Xeon.
+MAX_DIM = 2**12
 
 
 @dataclass(frozen=True)
@@ -291,6 +293,9 @@ class AlgebraSpec:
             raise InvalidSpecError(
                 f"d=2 requires integer ell (exotic extension), got ell={self.ell}"
             )
+        if self.dim > MAX_DIM:
+            raise InvalidSpecError(f"d={self.d} ell={self.ell} has {self.dim} generators, "
+                                   f"above the largest accepted, {MAX_DIM}")
 
     @property
     def two_ell(self) -> int:

@@ -25,8 +25,9 @@ Every elimination here is ``liealg``'s: the nullspace of each system is
 from the forward pass, and the echelon basis of a span is
 ``liealg.echelon``; this module only builds the rows.  Every vector (a
 nullspace basis vector, an echelon row, a report's candidate and Casimir
-vectors) is a ``liealg.SparseVec``, a ``{column: coeff}`` map with no zero
-entries.
+vectors) is a ``{column: coeff}`` map with no zero entries, in the one
+format ``liealg`` returns: a primitive integer row, positive at its pivot
+or free column.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ class LinearSystem:
 
 def nullspace(sys: LinearSystem) -> list[SparseVec]:
     """Nullspace basis over the columns, the one a reduced echelon form
-    reads off: ``liealg.nullspace_basis`` of the matrix, which back-solves
-    it from the forward pass."""
+    reads off, each vector scaled to primitive integers with a positive
+    entry at its free column: ``liealg.nullspace_basis`` of the matrix,
+    which back-solves it from the forward pass."""
     return nullspace_basis(sys.matrix, len(sys.columns))
 
 
@@ -81,7 +83,8 @@ def nullspace(sys: LinearSystem) -> list[SparseVec]:
 
 def rref(vectors: Iterable[SparseVec], ncols: int) -> tuple[list[SparseVec], list[int]]:
     """Reduced row echelon form of a list of vectors; returns (rows,
-    pivot columns), rows sorted by pivot."""
+    pivot columns), rows sorted by pivot, each a primitive integer row
+    with a positive pivot entry."""
     return echelon(vectors, ncols)
 
 
@@ -89,13 +92,12 @@ def reduce_vector(rows: list[SparseVec], pivots: list[int], vec: SparseVec) -> S
     """``vec`` minus its component in the span of the echelon ``rows``,
     with ``int`` entries where whole.
 
-    Over the integers: ``vec`` is ``out / den`` for integer ``out``.  Each
-    row whose pivot ``out`` holds is integerized, to pivot entry ``s``, and
-    cross-multiplied out, ``out = s*out - out[p]*row`` with ``den`` scaled
-    by ``s`` (``s`` and ``out[p]`` first divided by their gcd); each entry
-    is divided by ``den`` once at the end.  A caller that reduces many
-    vectors by the same rows passes them integerized, so that each is
-    used as it is."""
+    Over the integers: ``vec`` is ``out / den`` for integer ``out``, and
+    ``rows`` are integer rows as ``rref`` returns them.  Each row whose
+    pivot ``out`` holds, with pivot entry ``s``, is cross-multiplied out,
+    ``out = s*out - out[p]*row`` with ``den`` scaled by ``s`` (``s`` and
+    ``out[p]`` first divided by their gcd); each entry is divided by
+    ``den`` once at the end."""
     out = {i: c for i, c in vec.items() if c}
     den = 1
     if not all(type(c) is int for c in out.values()):
@@ -104,15 +106,14 @@ def reduce_vector(rows: list[SparseVec], pivots: list[int], vec: SparseVec) -> S
     for row, p in zip(rows, pivots):
         a = out.get(p)
         if a:
-            r = integerize(row)
-            s = r[p]
+            s = row[p]
             g = math.gcd(a, s)
             if g > 1:
                 a, s = a // g, s // g
             if s != 1:
                 out = {i: s * x for i, x in out.items()}
                 den *= s
-            accumulate(out, ((c, -a * x) for c, x in r.items()))
+            accumulate(out, ((c, -a * x) for c, x in row.items()))
     if den == 1:
         return out
     return {i: int_if_whole(Fraction(x, den)) for i, x in out.items()}
@@ -235,8 +236,7 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis) -> LinearS
 def candidate_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
     sys = realization_candidate_system(alg, basis)
     n = len(basis.monomials)
-    rows, _ = rref(({i: c for i, c in v.items() if i < n} for v in nullspace(sys)), n)
-    return rows
+    return rref(({i: c for i, c in v.items() if i < n} for v in nullspace(sys)), n)[0]
 
 
 def verify_casimir(alg: LieAlgebra, K: UEAElement
@@ -257,8 +257,9 @@ def verify_casimir(alg: LieAlgebra, K: UEAElement
 @dataclass
 class CasimirReport:
     """A solved Casimir subspace at one grade/degree target.  The vector
-    fields are ``SparseVec`` rows over the ansatz columns, in reduced
-    echelon form."""
+    fields are rows over the ansatz columns in reduced echelon form, each a
+    primitive integer row with a positive pivot entry, as ``rref`` returns
+    them."""
 
     spec: AlgebraSpec
     grade: GradeVector
@@ -344,22 +345,14 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
     basis = enumerate_ansatz(alg, grade, max_degree)
     ncols = len(basis.monomials)
 
-    cand_vecs: Optional[list[SparseVec]] = None
-    if method == "pipeline":
-        cand_vecs = candidate_vectors(alg, basis)
-        # the same span over whole coefficients
-        col_vecs = [integerize(v) for v in cand_vecs]
-    else:
-        col_vecs = [{i: 1} for i in range(ncols)]
+    cand_vecs = candidate_vectors(alg, basis) if method == "pipeline" else None
+    col_vecs = [{i: 1} for i in range(ncols)] if cand_vecs is None else cand_vecs
     columns = [vector_element(alg, basis, v) for v in col_vecs]
     # nullspace combinations of the columns, back in ansatz coordinates
     raw = [accumulate({}, ((i, k * c) for j, k in combo.items() for i, c in col_vecs[j].items()))
            for combo in nullspace(casimir_conditions_system(alg, columns))]
     cas_vecs, cpivots = rref(raw, ncols)
-    # integer multiples, integerized once for every span_contains below:
-    # they commute exactly when the RREF rows do, and span what they span
-    cas_ints = [integerize(v) for v in cas_vecs]
-    cas_elems = [primitive(vector_element(alg, basis, v)) for v in cas_ints]
+    cas_elems = [primitive(vector_element(alg, basis, v)) for v in cas_vecs]
     for residuals in commutators(alg, cas_elems, alg.basis):
         for g, res in zip(alg.basis, residuals):
             if not res.is_zero():
@@ -372,7 +365,7 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
     lower_vecs = [element_vector(basis, e) for e in lower]
     lrows, lpivots = rref(lower_vecs, ncols)
     for lv in lower_vecs:
-        if not span_contains(cas_ints, cpivots, lv):
+        if not span_contains(cas_vecs, cpivots, lv):
             raise ReducedCheckError("a product of lower Casimirs escaped the solved space")
     reduced = [reduce_vector(lrows, lpivots, v) for v in cas_vecs]
     canonical_vecs, _ = rref(reduced, ncols)

@@ -303,8 +303,7 @@ def theorem_report(spec: AlgebraSpec, which: str) -> TheoremReport:
                 raise AssertionError(f"term {t.name} is off-grade; bad transcription")
     rep = solve_casimirs(alg, grade, degree, method="algebraic")
     basis = rep.ansatz
-    # the primitive Casimirs are the echelon rows, already integerized
-    rows = [element_vector(basis, e) for e in rep.casimir_basis]
+    rows = rep.casimir_vectors
     residual = reduce_vector(rows, [min(v) for v in rows], element_vector(basis, built))
     corrected = built - vector_element(alg, basis, residual)
     if corrected.is_zero() or verify_casimir(alg, corrected) is not None:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cgcasimir import cli, grading, liealg, realization, solver, uea
 from cgcasimir.cli import main
 from cgcasimir.grading import MAX_ANSATZ, MAX_HALF_WORDS
-from cgcasimir.liealg import MAX_TRIALS, make_cga, parse_spec
+from cgcasimir.liealg import MAX_DIM, MAX_TRIALS, make_cga, parse_spec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -144,6 +144,19 @@ def test_rank_refuses_huge_trials_before_any_point(capsys, monkeypatch):
     code, out, err = run(capsys, "rank", "--d", "1", "--ell", "3/2", "--trials", "1000000000")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and str(MAX_TRIALS) in err
+
+
+@pytest.mark.parametrize("argv", [["algebra"], ["rank"], ["solve", "--degree", "2"]])
+def test_oversized_algebra_is_refused_before_any_basis(argv, capsys, monkeypatch):
+    # d=1 ell=9999/2 has 10,004 generators; its dense bracket table alone
+    # would take gigabytes
+    def never(spec):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(liealg, "_basis_d1", never)
+    code, out, err = run(capsys, argv[0], "--d", "1", "--ell", "9999/2", *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(MAX_DIM) in err
 
 
 def test_solve_over_a_thousand_generators(capsys):

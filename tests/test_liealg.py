@@ -35,6 +35,15 @@ def test_spec_validation():
         parse_spec(1, "nonsense")
 
 
+def test_spec_dimension_bound_is_inclusive():
+    # specs only: the largest admitted algebra takes seconds to build
+    assert parse_spec(1, "4091/2").dim == liealg.MAX_DIM
+    assert parse_spec(2, 1022).dim == liealg.MAX_DIM - 1
+    for d, ell in [(1, "4093/2"), (2, 1023)]:
+        with pytest.raises(InvalidSpecError, match=str(liealg.MAX_DIM)):
+            parse_spec(d, ell)
+
+
 @pytest.mark.parametrize("d,ells", [(1, D1_ELLS), (2, D2_ELLS)])
 def test_dimension_formula(d, ells, algebra):
     for ell in ells:

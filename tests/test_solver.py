@@ -178,29 +178,40 @@ def _rref_incremental(vectors, ncols):
 
 def _null_basis_from_rref(rows, ncols):
     """Reference nullspace read off the reduced echelon form: per free
-    column f, ``{f: 1}`` plus ``{pivot column: -entry}`` for each row with
-    an entry at f."""
-    frows, pivot_cols = echelon(rows, ncols)
+    column f, ``{f: 1}`` plus ``{pivot column: -entry / pivot entry}`` for
+    each row with an entry at f."""
+    irows, pivot_cols = echelon(rows, ncols)
     basis = []
     for f in range(ncols):
         if f in pivot_cols:
             continue
         v = {f: Fr(1)}
-        for row, col in zip(frows, pivot_cols):
+        for row, col in zip(irows, pivot_cols):
             if row.get(f):
-                v[col] = -row[f]
+                v[col] = Fr(-row[f], row[col])
         basis.append(v)
     return basis
 
 
+def _assert_primitive_rows(rows, leads):
+    """Each row is a coprime ``int`` row with no zero entry, positive at
+    its lead column."""
+    assert len(rows) == len(leads)
+    for row, lead in zip(rows, leads):
+        assert all(type(c) is int for c in row.values())
+        assert integerize(row) == row and row[lead] > 0
+
+
 def _assert_nullspace_matches_oracle(system):
-    """``nullspace`` equals both reference eliminations in values, types
-    and key order."""
+    """``nullspace``, each vector divided by its free-column entry, equals
+    both reference eliminations in values and key order; every vector is
+    a primitive ``int`` row, positive at its free column."""
     basis = nullspace(system)
+    unit = [{c: Fr(x, next(iter(v.values()))) for c, x in v.items()} for v in basis]
     for want in (_nullspace_smallest_tag(system),
                  _null_basis_from_rref(system.matrix, len(system.columns))):
-        assert [list(v.items()) for v in basis] == [list(v.items()) for v in want]
-    assert all(type(c) is Fr for v in basis for c in v.values())
+        assert [list(v.items()) for v in unit] == [list(v.items()) for v in want]
+    _assert_primitive_rows(basis, [next(iter(v)) for v in basis])
     for vec in basis:
         assert all(vec.values()) and all(j < len(system.columns) for j in vec)
         for row in system.matrix:
@@ -245,7 +256,8 @@ def test_nullspace_matches_smallest_tag_oracle_randomized():
     for rows, ncols in cases:
         system = sys_from_rows(rows, ncols)
         _assert_nullspace_matches_oracle(system)
-        assert rref(system.matrix, ncols) == _rref_incremental(system.matrix, ncols)
+        want, pivots = _rref_incremental(system.matrix, ncols)
+        assert rref(system.matrix, ncols) == ([integerize(r) for r in want], pivots)
 
 
 def _random_sparse_system(rng, nrows, ncols, rank, fractions):
@@ -389,6 +401,41 @@ def test_nullspace_matches_smallest_tag_oracle_on_solver_systems(d, ell, algebra
     _assert_nullspace_matches_oracle(realization_candidate_system(alg, basis))
 
 
+def _assert_span_contract(system):
+    """``rref``'s rows lead at their pivots and ``nullspace``'s vectors at
+    their free columns, ascending, all in the one primitive format."""
+    ncols = len(system.columns)
+    rows, pivots = rref(system.matrix, ncols)
+    assert pivots == [min(r) for r in rows]
+    _assert_primitive_rows(rows, pivots)
+    basis = nullspace(system)
+    free = [f for f in range(ncols) if f not in pivots]
+    assert [next(iter(v)) for v in basis] == free
+    _assert_primitive_rows(basis, free)
+
+
+@pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 3)])
+def test_spans_and_nullspaces_are_primitive_int_rows(d, ell, algebra, solved):
+    # the reduced echelon form is unique, so no comparison of outputs
+    # would notice a row scaled by -1; this pins the sign and the scale
+    rng = random.Random(2511 + d)
+    for _ in range(60):
+        ncols = rng.randint(1, 12)
+        nrows = rng.randint(1, 3 * ncols)
+        rank = rng.randint(0, min(nrows, ncols))
+        _assert_span_contract(_random_sparse_system(rng, nrows, ncols, rank, rng.random() < 0.5))
+    alg = algebra(d, ell)
+    grade = (0, 2 * alg.spec.two_ell) if d == 1 else (0, 2, 0)
+    basis = enumerate_ansatz(alg, grade, 4)
+    _assert_span_contract(realization_candidate_system(alg, basis))
+    _assert_span_contract(casimir_conditions_system(
+        alg, [UEAElement(alg, {m: 1}) for m in basis.monomials]))
+    rep = solved(d, ell, grade, 4, "pipeline")
+    for vecs in (rep.casimir_vectors, rep.candidate_vectors):
+        _assert_primitive_rows(vecs, [min(v) for v in vecs])
+        assert rref(vecs, len(basis.monomials)) == (vecs, [min(v) for v in vecs])
+
+
 def _integerize_via_lcm(row):
     """Scale by the lcm of the denominators, then divide by the gcd."""
     den = math.lcm(*(Fr(c).denominator for c in row.values()))
@@ -440,12 +487,13 @@ def _reduce_by_fractions(rows, pivots, vec):
     for row, p in zip(rows, pivots):
         a = out.get(p)
         if a:
-            accumulate(out, ((c, -a * x) for c, x in row.items()))
+            f = a / row[p]
+            accumulate(out, ((c, -f * x) for c, x in row.items()))
     return out
 
 
 def test_reduce_vector_matches_fraction_arithmetic():
-    # random echelon rows with rational entries, reduced vectors that are
+    # echelon rows of random rational rows, reduced vectors that are
     # integral, rational, inside the span and outside it
     rng = random.Random(5)
     for _ in range(40):
