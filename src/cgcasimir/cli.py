@@ -242,6 +242,10 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # the interpreter's default caps an int's decimal digits (4,300 on
+        # 3.11) below the central pairings printed up to liealg.MAX_DIM
+        sys.set_int_max_str_digits(0)
     try:
         cfg = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:  # argparse reports its own errors on code 2

@@ -11,19 +11,19 @@ Two families are supported:
 It also holds the sparse helpers every layer shares: ``accumulate`` (add
 and drop zeros) and one exact elimination, a spanning forward pass with
 two finishes.  The forward pass is behind the solver's nullspaces and
-spans and behind ``bb_count``'s rank.  When a system has more nonzero rows
-than columns, it first picks its pivot rows, sparsest first, by one
-elimination of the transpose modulo a prime, eliminates only those
-exactly, and certifies in integer arithmetic that every other row lies in
-their span; otherwise it eliminates every row exactly.  ``echelon``
-back-substitutes its pivots to the reduced echelon form.
-``nullspace_basis`` instead back-solves one integer vector per free
+spans, and, modulo a prime alone, behind ``bb_count``'s rank.  When a
+system has more nonzero rows than columns, it first picks its pivot rows,
+sparsest first, by one elimination of the transpose modulo a prime,
+eliminates only those exactly, and certifies in integer arithmetic that
+every other row lies in their span; otherwise it eliminates every row
+exactly.  ``echelon`` back-substitutes its pivots to the reduced echelon
+form.  ``nullspace_basis`` instead back-solves one integer vector per free
 column, the same vectors the certificate checks; a system's rank can be
 hundreds and its nullity a handful, so this reads the few vectors a
-reduced echelon form would give without building one.  ``bb_count``'s
-rank is the number of pivots.  Both finishes return primitive integer
-rows, coprime ``int``s positive at the pivot or free column: the one
-format of every span and nullspace vector in the package.
+reduced echelon form would give without building one.  Both finishes
+return primitive integer rows, coprime ``int``s positive at the pivot or
+free column: the one format of every span and nullspace vector in the
+package.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -537,11 +537,15 @@ def bb_count(alg: LieAlgebra, trials: int = 5, seed: int = 0) -> int:
     """Number of generalised invariants: dim(g) minus the generic rank of
     the structure matrix C(x)_ij = sum_k c_ij^k x_k.
 
-    The generic rank is taken as the maximum exact rank over ``trials``
-    evaluations at pseudo-random integer points drawn from ``seed``.  A
-    sampled rank is at most the generic rank, so the result is an upper
+    The generic rank is taken as the maximum rank modulo ``PRIME`` over
+    ``trials`` evaluations at pseudo-random integer points drawn from
+    ``seed``, each the pivot count of ``_forward`` on the residues.  A rank
+    modulo a prime is at most the rank over the rationals at the same
+    point, which is at most the generic rank, so the result is an upper
     bound on the true count; the failure probability (every sampled point
-    non-generic) vanishes rapidly in ``trials``.
+    non-generic, or the prime dividing every maximal nonzero minor)
+    vanishes rapidly in ``trials``.  Residues keep the entries small,
+    where the exact ones carry the central pairings (2ell-m)!·m!.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
@@ -550,12 +554,12 @@ def bb_count(alg: LieAlgebra, trials: int = 5, seed: int = 0) -> int:
     best = 0
     for _ in range(trials):
         x = [rng.randint(-10**4, 10**4) for _ in range(dim)]
-        rows: list[SparseVec] = [{} for _ in range(dim)]
+        rows: list[dict] = [{} for _ in range(dim)]
         for (i, j), vec in alg.brackets.items():
-            val = sum(c * x[k] for k, c in vec.items())
-            rows[i][j] = val
-            rows[j][i] = -val
-        best = max(best, len(_spanning_forward(rows, dim)[0]))
+            if val := sum(c * x[k] for k, c in vec.items()) % PRIME:
+                rows[i][j] = val
+                rows[j][i] = PRIME - val
+        best = max(best, len(_forward(rows, dim, _mod_clearer)))
     return dim - best
 
 

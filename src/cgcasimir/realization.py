@@ -30,7 +30,13 @@ operator is built by left-multiplying generator images: each such term
 gives at most two terms per term of the right operand.  Monomials are
 realised by one walk over their reversed sorted words that puts each
 word's letters onto the image of the longest suffix it shares with the
-previous word, keeping only the current path.  An element is realised
+previous word, keeping only the current path.  That walk can keep only
+each image's terms of t-degree at most K (its t-jet): every generator
+image but ``rho(H) = -∂_t`` keeps or raises the degree in t of each term
+it multiplies, and ``rho(H)`` lowers it by at most one, so the terms of
+t-degree at most K of ``rho(x₁⋯x_k)`` come only from those of
+``rho(x_i⋯x_k)`` up to K plus the number of ``H`` among ``x₁⋯x_(i-1)``.
+Each partial image is truncated there.  An element is realised
 by Horner's rule over the prefixes of its sorted words, depth first, so
 words sharing a prefix merge before that prefix's letters go on.
 """
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from operator import or_
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .liealg import AlgebraSpec, GeneratorId, LieAlgebra, accumulate, central_pairing, int_if_whole
 from .uea import Monomial, UEAElement, grlex_key, monomial_names, monomial_text, terms_text
@@ -287,28 +293,49 @@ def verify_realization(alg: LieAlgebra) -> list[tuple[GeneratorId, GeneratorId, 
     return failures
 
 
-def realize_monomials(alg: LieAlgebra, monomials: Iterable[Monomial]
+def realize_monomials(alg: LieAlgebra, monomials: Iterable[Monomial], jet: Optional[int] = None
                       ) -> Iterator[tuple[int, DiffOp]]:
     """Yield ``(index, image)`` for each monomial, a sorted word, walking
     the reversed words in sorted order.  ``path[j]`` is the image of the
     last ``j`` letters of the current word, so each word left-multiplies
     generator images onto the longest suffix it shares with the previous
     one, and only that path is kept alive.  A last letter's image is the
-    generator image itself."""
+    generator image itself.
+
+    With ``jet`` K, each image is only its terms of t-degree at most K:
+    ``path[j]`` keeps its terms of t-degree at most K plus the number of
+    ``H`` letters still to go on, which are exact because only ``H``
+    lowers a t-degree, and by at most one.  The words are then walked by
+    their ``H`` count first, so that a shared suffix also shares every
+    level's cap."""
     words = [tuple(reversed(m)) for m in monomials]
     path = [DiffOp.identity(VarSet.for_spec(alg.spec))]
     word: tuple[int, ...] = ()
-    for i in sorted(range(len(words)), key=words.__getitem__):
+    h = alg.position(alg.generator("H"))
+    hs = [0 if jet is None else w.count(h) for w in words]
+    count = None
+    for i in sorted(range(len(words)), key=lambda i: (hs[i], words[i])):
         prev, word = word, words[i]
-        k = _shared(prev, word)
+        k = _shared(prev, word) if hs[i] == count else 0
+        count = hs[i]
         del path[k + 1:]
-        for p in word[k:]:
-            img = realize_generator(alg.spec, alg.basis[p])
-            path.append(compose(img, path[-1]) if len(path) > 1 else img)
+        for j in range(k, len(word)):
+            img = realize_generator(alg.spec, alg.basis[word[j]])
+            op = compose(img, path[-1]) if len(path) > 1 else img
+            path.append(op if jet is None else t_jet(op, jet + word[j + 1:].count(h)))
         yield i, path[-1]
 
 
-def realize_element(alg: LieAlgebra, a: UEAElement) -> DiffOp:
+def t_jet(op: DiffOp, cap: int) -> DiffOp:
+    """The terms of ``op`` whose t exponent is at most ``cap``; t's
+    exponent is packed field ``nvars``."""
+    shift = 32 * op.vs.nvars
+    return DiffOp._of(op.vs, {k: c for k, c in op.packed.items()
+                              if k >> shift & 0xFFFFFFFF <= cap})
+
+
+def realize_element(alg: LieAlgebra, a: UEAElement,
+                    charge: Optional[Callable[[int], object]] = None) -> DiffOp:
     """Linear extension of the realisation to enveloping-algebra elements,
     by Horner's rule over the prefixes of the sorted words: with ``c_u``
     the coefficient of word ``u`` (0 if absent), ``S(u) = c_u + Σₓ
@@ -318,7 +345,9 @@ def realize_element(alg: LieAlgebra, a: UEAElement) -> DiffOp:
     letters, and it is left-multiplied by its letter's image and added one
     level up once no later word has that prefix.  Words sharing a prefix
     thus merge, and cancel, before its letters are composed on, and each
-    distinct non-empty prefix is composed exactly once."""
+    distinct non-empty prefix is composed exactly once.  ``charge``, if
+    given, is called with each product's term count as it is made, so a
+    caller can refuse a realisation that grows too large."""
     vs = VarSet.for_spec(alg.spec)
     # the sums run over integers: coefficients times their common denominator
     den = math.lcm(*(c.denominator for c in a.terms.values()))
@@ -330,7 +359,10 @@ def realize_element(alg: LieAlgebra, a: UEAElement) -> DiffOp:
         while len(acc) > depth + 1:
             top = DiffOp._of(vs, acc.pop())
             img = realize_generator(alg.spec, alg.basis[word[len(acc) - 1]])
-            accumulate(acc[-1], compose(img, top).packed.items())
+            product = compose(img, top).packed
+            if charge is not None:
+                charge(len(product))
+            accumulate(acc[-1], product.items())
 
     for w in sorted(a.terms):
         fold(_shared(word, w))

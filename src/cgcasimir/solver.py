@@ -10,6 +10,17 @@ degree bound:
   symmetry and reduced-commutator conditions on the candidate span;
 * ``algebraic`` imposes those conditions directly on the full ansatz.
 
+The candidate system has one row per operator term of the images, and
+the pipeline builds only its rows of t-degree at most 1 (the "t-jet").
+The images of ``H`` = -∂_t are the only ones that lower a term's degree in
+t, by at most one, so these rows are exact when each partial image keeps
+its terms up to 1 plus the ``H`` letters still to go on.  Their nullspace
+contains the true one, and a certificate decides equality: each of its
+vectors' ansatz parts is realised exactly and must equal the vector's
+combination of diagonal operators.  Where every vector passes, the
+nullspace is the true one, vector for vector; where one fails, the full
+system is built with no truncation and solved instead.
+
 Both paths finish with a full verification against every generator.  The
 reduced conditions (omega-symmetry plus commutators with a small generator
 subset) provably imply full centrality for these families; if a reduced
@@ -43,7 +54,8 @@ from .grading import (AnsatzBasis, GradeVector, default_target_grades, enumerate
                       iter_exponents)
 from .liealg import (AlgebraSpec, GeneratorId, LieAlgebra, SparseVec, accumulate, echelon,
                      int_if_whole, integerize, nullspace_basis)
-from .realization import DiffOp, VarSet, realize_generator, realize_monomials
+from .realization import (DiffOp, VarSet, realize_element, realize_generator, realize_monomials,
+                          t_jet)
 from .uea import UEAElement, commutator, commutators, multiply, omega, to_json_dict
 
 
@@ -53,12 +65,13 @@ class ReducedCheckError(RuntimeError):
     indicates an implementation fault."""
 
 
-# Largest number of realised image terms a candidate system may hold.  The
+# Largest number of operator terms the candidate stage may realise: the
+# images of the candidate system's rows, the products its certificate
+# composes, and a full system's images if the certificate fails.  The
 # pipeline's time and memory follow this count, not the ansatz size.  At
-# degree 4, d=1 ell=27/2 holds 3,791,106 and its whole solve took 14-22 s
-# and 634 MB on a 2-vCPU Xeon; ell=29/2 (5,903,047) took about a minute and
-# 1.3 GB, and ell=33/2 (13,281,027) passed 3 GB.  A larger system is
-# refused as it is built, before its rows are eliminated.
+# degree 4, d=1 ell=45/2 realises 3,792,589 and its whole solve took 15 s
+# and 54 MB on a 2-vCPU Xeon; ell=47/2 (4,587,041) is refused after 17 s.
+# A larger stage is refused as it runs.
 MAX_SYSTEM_ENTRIES = 2**22
 
 
@@ -197,29 +210,48 @@ def _cartan_operator_basis(alg: LieAlgebra):
     return ops
 
 
-def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis) -> LinearSystem:
+class _Realised:
+    """A count of the image terms the candidate stage realises, called
+    with each operator's term count: a ``ValueError`` once the count passes
+    ``MAX_SYSTEM_ENTRIES``."""
+
+    def __init__(self):
+        self.terms = 0
+
+    def __call__(self, terms: int):
+        self.terms += terms
+        if self.terms > MAX_SYSTEM_ENTRIES:
+            raise ValueError(f"the candidate stage would realise more than {MAX_SYSTEM_ENTRIES} "
+                             f"image terms, above the largest accepted; try --method algebraic")
+
+
+def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis, jet: Optional[int] = None,
+                                 charge: Optional[_Realised] = None) -> LinearSystem:
     """Rows demand that the realised combination equals a sum of the
     diagonal operators (identity, D, and J for d=2) with
     parameter-polynomial coefficients, identically in all variables.
 
     Columns are the ansatz monomials followed by auxiliary columns, one
-    per (diagonal operator, parameter monomial) pair; candidate vectors
-    are nullspace vectors projected onto the ansatz block.  A ``ValueError``
-    once the images hold more than ``MAX_SYSTEM_ENTRIES`` terms."""
+    per (diagonal operator, parameter monomial) pair, up to the longest
+    word's length in parameter degree, since each generator image has
+    parameter degree at most 1; candidate vectors are nullspace vectors
+    projected onto the ansatz block.  With ``jet`` K, only the rows of
+    t-degree at most K are built, each exactly (``realize_monomials``, and
+    the diagonal operators' terms up to that degree).  Each image's
+    terms are charged to ``charge``, a fresh count if none is given, so a
+    ``ValueError`` once they pass ``MAX_SYSTEM_ENTRIES``."""
+    charge = charge or _Realised()
     rows: dict[int, SparseVec] = {}  # packed operator key -> row
     vs = VarSet.for_spec(alg.spec)
     nv = vs.nvars
-    entries = 0
-    for ci, op in realize_monomials(alg, basis.monomials):
-        entries += len(op.packed)
-        if entries > MAX_SYSTEM_ENTRIES:
-            raise ValueError(f"the candidate system would hold more than {MAX_SYSTEM_ENTRIES} "
-                             f"image terms, above the largest accepted; try --method algebraic")
+    for ci, op in realize_monomials(alg, basis.monomials, jet):
+        charge(len(op.packed))
         for k, c in op.packed.items():
             rows.setdefault(k, {})[ci] = c
-    pmax = max((sum(vs.unpack(k)[1][nv:]) for k in rows), default=0)
+    pmax = max(map(len, basis.monomials), default=0)
     columns: list = list(basis.monomials)
     for bi, bop in enumerate(_cartan_operator_basis(alg)):
+        bop = bop if jet is None else t_jet(bop, jet)
         for tail in iter_exponents(len(vs.parameters), pmax):
             pm = (0,) * nv + tail
             shift = vs.pack((0,) * nv, pm)
@@ -233,10 +265,55 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis) -> LinearS
     return LinearSystem(columns=columns, matrix=[rows[k] for k in sorted(rows, key=vs.unpack)])
 
 
+# t-degree bound of the candidate rows built first.  K = 0 leaves spurious
+# nullspace vectors (nullity 11-23 against 3-8 at d=1 ell 9/2 and 17/2 and
+# d=2 ell 3 and 5), which would fail the certificate every time.
+JET = 1
+
+
 def candidate_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
-    sys = realization_candidate_system(alg, basis)
+    """Echelon basis of the candidate combinations of the ansatz: the
+    nullspace of the realisation candidate system, projected onto the
+    ansatz block.
+
+    Only ``H`` lowers a t-degree, so the system's rows of t-degree at most
+    ``JET`` are built first, and exactly.  They are a subset of the rows,
+    so their nullspace contains the true one.  The certificate realises
+    each of its vectors' ansatz parts with ``realize_element`` and checks
+    that the image is the vector's combination of diagonal operators.  If
+    every vector passes, the two nullspaces are equal, and so is the
+    basis ``nullspace`` reads off, since that basis depends only on the
+    space and the column order.  If one fails, the full system is built
+    and solved.  Every image term the stage realises, the certificate's
+    products included, counts towards ``MAX_SYSTEM_ENTRIES``."""
     n = len(basis.monomials)
-    return rref(({i: c for i, c in v.items() if i < n} for v in nullspace(sys)), n)[0]
+    charge = _Realised()
+    sys = realization_candidate_system(alg, basis, JET, charge)
+    null = nullspace(sys)
+    if not _certified(alg, basis, sys, null, charge):
+        null = nullspace(realization_candidate_system(alg, basis, charge=charge))
+    return rref(({i: c for i, c in v.items() if i < n} for v in null), n)[0]
+
+
+def _certified(alg: LieAlgebra, basis: AnsatzBasis, sys: LinearSystem, null: list[SparseVec],
+               charge: _Realised) -> bool:
+    """True when every vector of ``null`` solves the full candidate system
+    over the columns of ``sys``: its ansatz part realises exactly to its
+    auxiliary part's combination of diagonal operators."""
+    n = len(basis.monomials)
+    vs = VarSet.for_spec(alg.spec)
+    diagonal = _cartan_operator_basis(alg)
+    for v in null:
+        ansatz = vector_element(alg, basis, {i: c for i, c in v.items() if i < n})
+        residual = dict(realize_element(alg, ansatz, charge).packed)
+        for ci, c in v.items():
+            if ci >= n:
+                _, bi, pm = sys.columns[ci]
+                shift = vs.pack((0,) * vs.nvars, pm)
+                accumulate(residual, ((k + shift, -c * x) for k, x in diagonal[bi].packed.items()))
+        if residual:
+            return False
+    return True
 
 
 def verify_casimir(alg: LieAlgebra, K: UEAElement

@@ -140,7 +140,7 @@ def test_rank_refuses_huge_trials_before_any_point(capsys, monkeypatch):
     def no_rank(*args):
         raise AssertionError("a structure matrix was evaluated")
 
-    monkeypatch.setattr(liealg, "_spanning_forward", no_rank)
+    monkeypatch.setattr(liealg, "_forward", no_rank)
     code, out, err = run(capsys, "rank", "--d", "1", "--ell", "3/2", "--trials", "1000000000")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and str(MAX_TRIALS) in err
@@ -157,6 +157,14 @@ def test_oversized_algebra_is_refused_before_any_basis(argv, capsys, monkeypatch
     code, out, err = run(capsys, argv[0], "--d", "1", "--ell", "9999/2", *argv[1:])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and str(MAX_DIM) in err
+
+
+def test_algebra_prints_integers_past_the_interpreter_digit_limit(capsys):
+    # d=1 ell=1559/2's central pairings (1559-m)!·m! pass 4,300 decimal
+    # digits, the default limit of Python 3.11's int-to-str conversion
+    code, out, err = run(capsys, "algebra", "--d", "1", "--ell", "1559/2")
+    assert code == 0 and err == ""
+    assert max(len(e["value"][0]["coeff"]) for e in json.loads(out)["brackets"]) > 4300
 
 
 def test_solve_over_a_thousand_generators(capsys):

@@ -149,6 +149,47 @@ def test_bb_count(d, ell, count, algebra):
     assert bb_count(algebra(d, ell)) == count
 
 
+def _integer_rank(matrix: list[list[int]]) -> int:
+    """Row rank over the rationals by fraction-free (Bareiss) elimination
+    of a dense integer matrix."""
+    rows = [row[:] for row in matrix]
+    rank, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            rows[r] = [(pv * a - f * b) // prev for a, b in zip(rows[r], rows[rank])]
+        prev, rank = pv, rank + 1
+    return rank
+
+
+def _exact_bb_count(alg, trials=5, seed=0):
+    """dim minus the largest exact rank of the structure matrix at the
+    points ``bb_count`` draws from ``seed``."""
+    rng = random.Random(seed)
+    best = 0
+    for _ in range(trials):
+        x = [rng.randint(-10**4, 10**4) for _ in range(alg.dim)]
+        matrix = [[0] * alg.dim for _ in range(alg.dim)]
+        for (i, j), vec in alg.brackets.items():
+            matrix[i][j] = sum(c * x[k] for k, c in vec.items())
+            matrix[j][i] = -matrix[i][j]
+        best = max(best, _integer_rank(matrix))
+    return alg.dim - best
+
+
+@pytest.mark.parametrize("d,ell", [(1, f"{n}/2") for n in range(1, 22, 2)]
+                         + [(2, ell) for ell in range(1, 11)])
+def test_bb_count_modulo_prime_matches_exact_ranks(d, ell, algebra):
+    # the ranks are taken modulo PRIME; at these points they equal the ranks
+    # over the rationals
+    assert bb_count(algebra(d, ell)) == _exact_bb_count(algebra(d, ell))
+
+
 def test_bb_count_abelian():
     spec = AlgebraSpec(1, Fraction(3, 2))
     basis = [GeneratorId("P", n) for n in range(6)]

@@ -275,19 +275,37 @@ def _quartic_ansatz(alg):
     return enumerate_ansatz(alg, grade, degree)
 
 
+def _t_degree_at_most(op, cap):
+    return DiffOp(op.vs, {(dk, e): c for (dk, e), c in op.terms.items() if e[0] <= cap})
+
+
+@pytest.mark.parametrize("jet", [None, 0, 1, 3])
 @pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 2)])
-def test_realize_monomials_matches_word_folds(d, ell, algebra):
+def test_realize_monomials_matches_word_folds(d, ell, jet, algebra):
+    # with a jet K, each image is the fold's terms of t-degree at most K
     alg = algebra(d, ell)
     monos = _quartic_ansatz(alg).monomials
     folds = [_word_fold(alg, m) for m in monos]
+    if jet is not None:
+        folds = [_t_degree_at_most(op, jet) for op in folds]
     seen = []
-    for i, op in realize_monomials(alg, monos):
+    for i, op in realize_monomials(alg, monos, jet):
         assert op == folds[i], monos[i]
         seen.append(i)
     assert sorted(seen) == list(range(len(monos)))
 
 
 # d=1 ell=3/2 letters: M 0, P0 1, H 2, P1 3, D 4, P2 5, C 6, P3 7
+@pytest.mark.parametrize("jet", [0, 1])
+def test_realize_monomials_shares_a_suffix_only_under_equal_caps(jet, algebra):
+    # P0 P3 and H P3 share the suffix P3, whose t-degree cap is K under P0
+    # but K + 1 under H
+    alg = algebra(1, "3/2")
+    monos = [(1, 7), (2, 7), (2, 2, 7), (1, 2, 7)]
+    for i, op in realize_monomials(alg, monos, jet):
+        assert op == _t_degree_at_most(_word_fold(alg, monos[i]), jet), monos[i]
+
+
 @pytest.mark.parametrize("terms", [
     {(): 5, (4,): -2},
     {(2,): 1, (2, 4): 3, (2, 4, 4): Fraction(-1, 2), (2, 4, 6): 2, (4, 6): 1},

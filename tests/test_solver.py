@@ -10,6 +10,7 @@ import pytest
 from cgcasimir import liealg, solver
 from cgcasimir.grading import default_grade, enumerate_ansatz
 from cgcasimir.liealg import PRIME, accumulate, bb_count, echelon, integerize
+from cgcasimir.realization import DiffOp, VarSet
 from cgcasimir.solver import (
     CasimirReport,
     LinearSystem,
@@ -389,6 +390,89 @@ def test_candidate_system_refuses_more_image_terms_than_the_bound(algebra, monke
     monkeypatch.setattr(solver, "MAX_SYSTEM_ENTRIES", size - 1)
     with pytest.raises(ValueError, match=f"more than {size - 1} image terms"):
         realization_candidate_system(alg, basis)
+
+
+def _full_system_nullspace(alg, basis):
+    """The candidate system's nullspace, built with no jet."""
+    return nullspace(realization_candidate_system(alg, basis))
+
+
+def _ansatz_echelon(vectors, n):
+    return rref(({i: c for i, c in v.items() if i < n} for v in vectors), n)[0]
+
+
+def _record_builds(monkeypatch):
+    """The ``jet`` of every candidate system ``candidate_vectors`` builds."""
+    jets = []
+    build = solver.realization_candidate_system
+
+    def recorded(alg, basis, jet=None, charge=None):
+        jets.append(jet)
+        return build(alg, basis, jet, charge)
+
+    monkeypatch.setattr(solver, "realization_candidate_system", recorded)
+    return jets
+
+
+@pytest.mark.parametrize("d,ell,grade,degree", [
+    # the pipeline-quartic ladder, then its two largest former rungs
+    (1, "7/2", (0, 14), 4), (1, "9/2", (0, 18), 4), (1, "11/2", (0, 22), 4),
+    (2, 2, (0, 2, 0), 4), (2, 3, (0, 2, 0), 4), (1, "17/2", (0, 34), 4), (2, 5, (0, 2, 0), 4),
+    # degree 2, and the grade of M at degree 4, which no default names
+    (2, 3, (0, 1, 0), 2), (1, "5/2", (0, 5), 4)])
+def test_jet_candidates_equal_full_system_candidates(d, ell, grade, degree, algebra,
+                                                      monkeypatch):
+    # the rows of t-degree <= JET have the full system's nullspace, vector
+    # for vector, and their certificate passes, so no full system is built
+    alg = algebra(d, ell)
+    basis = enumerate_ansatz(alg, grade, degree)
+    full = _full_system_nullspace(alg, basis)
+    assert nullspace(realization_candidate_system(alg, basis, solver.JET)) == full
+    jets = _record_builds(monkeypatch)
+    assert candidate_vectors(alg, basis) == _ansatz_echelon(full, len(basis.monomials))
+    assert jets == [solver.JET]
+
+
+def test_a_failed_certificate_builds_the_full_system(algebra, monkeypatch):
+    # K = 0 keeps too few rows: the jet's nullspace is larger than the
+    # true one, so the certificate finds a vector that is no solution
+    alg = algebra(1, "9/2")
+    basis = enumerate_ansatz(alg, (0, 18), 4)
+    full = _full_system_nullspace(alg, basis)
+    assert len(nullspace(realization_candidate_system(alg, basis, 0))) > len(full)
+    monkeypatch.setattr(solver, "JET", 0)
+    jets = _record_builds(monkeypatch)
+    assert candidate_vectors(alg, basis) == _ansatz_echelon(full, len(basis.monomials))
+    assert jets == [0, None]
+
+
+def test_a_wrong_certificate_image_builds_the_full_system(algebra, monkeypatch):
+    alg = algebra(2, 2)
+    basis = enumerate_ansatz(alg, (0, 2, 0), 4)
+    expect = candidate_vectors(alg, basis)
+    realize = solver.realize_element
+
+    def off_by_one(alg, a, charge=None):
+        return realize(alg, a, charge) + DiffOp.identity(VarSet.for_spec(alg.spec))
+
+    monkeypatch.setattr(solver, "realize_element", off_by_one)
+    jets = _record_builds(monkeypatch)
+    assert candidate_vectors(alg, basis) == expect
+    assert jets == [solver.JET, None]
+
+
+def test_candidate_stage_counts_the_certificate_products(algebra, monkeypatch):
+    # the bound admits the jet system's image terms, but not those plus the
+    # products the certificate realises
+    alg = algebra(1, "3/2")
+    basis = enumerate_ansatz(alg, (0, 6), 4)
+    n = len(basis.monomials)
+    jet = realization_candidate_system(alg, basis, solver.JET)
+    size = sum(1 for row in jet.matrix for c in row if c < n)
+    monkeypatch.setattr(solver, "MAX_SYSTEM_ENTRIES", size)
+    assert realization_candidate_system(alg, basis, solver.JET) == jet
+    with pytest.raises(ValueError, match=f"more than {size} image terms"):
+        candidate_vectors(alg, basis)
 
 
 @pytest.mark.parametrize("d,ell", [(1, "7/2"), (1, "11/2"), (2, 2), (2, 3)])
