@@ -25,20 +25,25 @@ multi-index, exponent tuple), packed into one int with a guarded 32-bit
 field per entry, to coefficient, so a polynomial is just an operator
 without derivatives.  Composition applies the Leibniz rule directly on
 those keys, with exact binomial and falling-factorial coefficients.
-Every generator image is first order, ``Σ p(x)∂ᵥ + q(x)``, so every
-operator is built by left-multiplying generator images: each such term
-gives at most two terms per term of the right operand.  Monomials are
-realised by one walk over their reversed sorted words that puts each
-word's letters onto the image of the longest suffix it shares with the
-previous word, keeping only the current path.  That walk can keep only
-each image's terms of t-degree at most K (its t-jet): every generator
-image but ``rho(H) = -∂_t`` keeps or raises the degree in t of each term
-it multiplies, and ``rho(H)`` lowers it by at most one, so the terms of
-t-degree at most K of ``rho(x₁⋯x_k)`` come only from those of
-``rho(x_i⋯x_k)`` up to K plus the number of ``H`` among ``x₁⋯x_(i-1)``.
-Each partial image is truncated there.  An element is realised
-by Horner's rule over the prefixes of its sorted words, depth first, so
-words sharing a prefix merge before that prefix's letters go on.
+Every generator image is first order, ``Σ p(x)∂ᵥ + q(x)``, and has few
+terms, each with at most two nonzero variable exponents: an image on the
+left gives at most two terms per term of the right operand, and an image
+on the right, under left terms of higher order, is looped over
+outermost, each of its terms' exponents read once.  Monomials are
+realised by one walk over their reversed sorted words that
+left-multiplies each word's letters onto the image of the longest suffix
+it shares with the previous word, keeping only the current path.  That
+walk can keep only each image's terms of t-degree at most K (its t-jet):
+every generator image but ``rho(H) = -∂_t`` keeps or raises the degree
+in t of each term it multiplies, and ``rho(H)`` lowers it by at most
+one, so the terms of t-degree at most K of ``rho(x₁⋯x_k)`` come only
+from those of ``rho(x_i⋯x_k)`` up to K plus the number of ``H`` among
+``x₁⋯x_(i-1)``.  Each partial image is truncated there.  An element is
+realised by Horner's rule over the suffixes of its sorted words, depth
+first, so words sharing a suffix merge before that suffix's letters go
+on; each sum is right-multiplied by its letter's image, so a word's
+small low-index images go on first and its large high-index ``P``
+images last.
 """
 
 from __future__ import annotations
@@ -58,8 +63,8 @@ from .uea import Monomial, UEAElement, grlex_key, monomial_names, monomial_text,
 Expo = tuple[int, ...]
 
 FIELD_MAX = 2**31 - 1  # largest entry of a packed key; bit 31 of a field is its guard
-# most terms one operator product may hold: 169 times the 1,551 of the
-# largest image a ladder solve builds (a d=1 ell=17/2 ansatz word)
+# most terms one operator product may hold: 126 times the 2,066 of the
+# largest product a ladder solve builds (in the d=1 ell=17/2 certificate)
 MAX_TERMS = 2**18
 
 
@@ -169,16 +174,18 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     ``Πᵢ C(αᵢ, γᵢ) (eᵢ)↓γᵢ x^(e-γ) ∂^(α-γ)``; the falling factorial
     vanishes once ``γᵢ > eᵢ``, so only those ``γ`` are visited.
 
-    Each term of ``a`` reads its derivative fields ``α`` once, and each
-    term of ``b`` gives up an ``eᵢ`` by one shift where ``αᵢ > 0``, so no
-    key of ``b`` is unpacked.  The ``γ = 0`` key is ``k₁ + k₂``; each ``γ``
+    No key is unpacked: the ``γ = 0`` key is ``k₁ + k₂``, and each ``γ``
     subtracts ``γᵢ`` from fields ``i`` and ``nvars + i``.  A first-order
-    left term ``p ∂ᵢ``, as in every generator image, gives at most two
-    terms: ``k₁ + k₂`` and, when ``eᵢ > 0``, that key less 1 in both
-    fields, times ``eᵢ``.  Fields of guard-clean operands never carry or
-    borrow, so a key reaching a guard bit is an entry above ``FIELD_MAX``
-    and raises ``ValueError``; so does a product of more than
-    ``MAX_TERMS`` terms."""
+    left term ``p ∂ᵢ``, as in every generator image, reads its field ``i``
+    once and gives at most two terms per right term: ``k₁ + k₂`` and, when
+    ``eᵢ > 0``, that key less 1 in both fields, times ``eᵢ``.  The left
+    terms of higher order are taken the other way round, one right term
+    at a time: its nonzero exponents ``eᵢ`` (at most two in a generator
+    image) are read once, and each left term's ``αᵢ`` on those fields
+    picks its Leibniz terms, worked out once per right term and distinct
+    ``αᵢ``.  Fields of guard-clean operands never carry or borrow, so a
+    key reaching a guard bit is an entry above ``FIELD_MAX`` and raises
+    ``ValueError``; so does a product of more than ``MAX_TERMS`` terms."""
     vs = a.vs
     if vs != b.vs:
         raise ValueError("operands live over different variable sets")
@@ -186,11 +193,18 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     unit = 1 + (1 << 32 * nv)  # 1 in field 0 and in field nvars
     low = (1 << 32 * nv) - 1  # the derivative fields
     right = b.packed.items()
+    higher = []  # left terms of order two or more
     out: dict[int, object] = {}
     get = out.get
     for k1, c1 in a.packed.items():
         alpha = k1 & low
-        if alpha & alpha - 1 == 0 and (alpha.bit_length() - 1) % 32 == 0:
+        if not alpha:
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        elif alpha & alpha - 1 or (alpha.bit_length() - 1) % 32:
+            higher.append((k1, c1))
+        else:
             at = alpha.bit_length() - 1  # αᵢ = 1 for i = at / 32
             shift, drop = at + 32 * nv, unit << at
             for k2, c2 in right:
@@ -199,16 +213,26 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
                 if e := k2 >> shift & 0xFFFFFFFF:
                     k -= drop
                     out[k] = get(k, 0) + c * e
-        else:
-            fields = [(32 * i, al) for i in range(nv) if (al := alpha >> 32 * i & 0xFFFFFFFF)]
-            for k2, c2 in right:
-                terms = [(k1 + k2, c1 * c2)]
-                for at, al in fields:
-                    if e := k2 >> at + 32 * nv & 0xFFFFFFFF:
+    for k2, c2 in right if higher else ():
+        fields = [(at, e) for at in range(0, 32 * nv, 32) if (e := k2 >> at + 32 * nv & 0xFFFFFFFF)]
+        mask = sum(0xFFFFFFFF << at for at, _ in fields)
+        leibniz = {}  # α on the fields -> (key offset, coefficient) terms
+        for k1, c1 in higher:
+            if not (sub := k1 & mask):
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+                continue
+            terms = leibniz.get(sub)
+            if terms is None:
+                terms = [(k2, c2)]
+                for at, e in fields:
+                    if al := sub >> at & 0xFFFFFFFF:
                         terms = [(k - (g * unit << at), c * math.comb(al, g) * math.perm(e, g))
                                  for k, c in terms for g in range(min(al, e) + 1)]
-                for k, c in terms:
-                    out[k] = get(k, 0) + c
+                leibniz[sub] = terms
+            for k, c in terms:
+                k += k1
+                out[k] = get(k, 0) + c1 * c
     out = {k: c for k, c in out.items() if c}
     if len(out) > MAX_TERMS:
         raise ValueError(f"an operator product of {len(out)} terms exceeds the bound "
@@ -337,17 +361,19 @@ def t_jet(op: DiffOp, cap: int) -> DiffOp:
 def realize_element(alg: LieAlgebra, a: UEAElement,
                     charge: Optional[Callable[[int], object]] = None) -> DiffOp:
     """Linear extension of the realisation to enveloping-algebra elements,
-    by Horner's rule over the prefixes of the sorted words: with ``c_u``
-    the coefficient of word ``u`` (0 if absent), ``S(u) = c_u + Σₓ
-    rho(x)∘S(ux)`` over the letters ``x`` that extend ``u`` towards a word,
-    and the image is ``S(())``.  The words are visited in sorted order,
-    depth first: ``acc[j]`` sums ``S`` of the current word's first ``j``
-    letters, and it is left-multiplied by its letter's image and added one
-    level up once no later word has that prefix.  Words sharing a prefix
-    thus merge, and cancel, before its letters are composed on, and each
-    distinct non-empty prefix is composed exactly once.  ``charge``, if
-    given, is called with each product's term count as it is made, so a
-    caller can refuse a realisation that grows too large."""
+    by Horner's rule over the suffixes of the sorted words: with ``c_v``
+    the coefficient of word ``v`` (0 if absent), ``S(v) = c_v + Σₓ
+    S(xv)∘rho(x)`` over the letters ``x`` that extend ``v`` towards a word,
+    and the image is ``S(())``.  The reversed words are visited in sorted
+    order, depth first: ``acc[j]`` sums ``S`` of the current word's last
+    ``j`` letters, and it is right-multiplied by its letter's image and
+    added one level up once no later word has that suffix.  Words sharing
+    a suffix thus merge, and cancel, before its letters are composed on,
+    and each distinct non-empty suffix is composed exactly once.  A word's
+    letters are sorted, so its small low-index images go on first and the
+    large high-index ``P`` images last, onto sums that many words share.
+    ``charge``, if given, is called with each product's term count as it
+    is made, so a caller can refuse a realisation that grows too large."""
     vs = VarSet.for_spec(alg.spec)
     # the sums run over integers: coefficients times their common denominator
     den = math.lcm(*(c.denominator for c in a.terms.values()))
@@ -355,20 +381,19 @@ def realize_element(alg: LieAlgebra, a: UEAElement,
     word: tuple[int, ...] = ()
 
     def fold(depth: int):
-        """Close the current word's levels deeper than ``depth``."""
+        """Close the current reversed word's levels deeper than ``depth``."""
         while len(acc) > depth + 1:
             top = DiffOp._of(vs, acc.pop())
             img = realize_generator(alg.spec, alg.basis[word[len(acc) - 1]])
-            product = compose(img, top).packed
+            product = compose(top, img).packed
             if charge is not None:
                 charge(len(product))
             accumulate(acc[-1], product.items())
 
-    for w in sorted(a.terms):
+    for w, c in sorted((w[::-1], c) for w, c in a.terms.items()):  # words are distinct
         fold(_shared(word, w))
         acc.extend({} for _ in w[len(acc) - 1:])
         word = w
-        c = a.terms[w]
         accumulate(acc[-1], [(0, c.numerator * (den // c.denominator))])  # key 0: identity
     fold(0)
     if den == 1:

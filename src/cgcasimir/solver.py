@@ -69,8 +69,8 @@ class ReducedCheckError(RuntimeError):
 # images of the candidate system's rows, the products its certificate
 # composes, and a full system's images if the certificate fails.  The
 # pipeline's time and memory follow this count, not the ansatz size.  At
-# degree 4, d=1 ell=45/2 realises 3,792,589 and its whole solve took 15 s
-# and 54 MB on a 2-vCPU Xeon; ell=47/2 (4,587,041) is refused after 17 s.
+# degree 4, d=1 ell=57/2 realises 4,187,886 and its whole solve took 19 s
+# and 122 MB on a 2-vCPU Xeon; ell=59/2 (4,881,741) is refused after 17 s.
 # A larger stage is refused as it runs.
 MAX_SYSTEM_ENTRIES = 2**22
 
@@ -279,8 +279,9 @@ def candidate_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
     Only ``H`` lowers a t-degree, so the system's rows of t-degree at most
     ``JET`` are built first, and exactly.  They are a subset of the rows,
     so their nullspace contains the true one.  The certificate realises
-    each of its vectors' ansatz parts with ``realize_element`` and checks
-    that the image is the vector's combination of diagonal operators.  If
+    each of its vectors' ansatz parts with ``realize_element``, which
+    composes each suffix the vector's words share once, and checks that
+    the image is the vector's combination of diagonal operators.  If
     every vector passes, the two nullspaces are equal, and so is the
     basis ``nullspace`` reads off, since that basis depends only on the
     space and the column order.  If one fails, the full system is built

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgcasimir import realization
+from cgcasimir import realization, solver
 from cgcasimir.grading import default_target_grades, enumerate_ansatz, iter_exponents
 from cgcasimir.liealg import GeneratorId, accumulate
 from cgcasimir.realization import (
@@ -20,7 +20,7 @@ from cgcasimir.realization import (
     realize_monomials,
     verify_realization,
 )
-from cgcasimir.solver import realization_candidate_system
+from cgcasimir.solver import nullspace, realization_candidate_system
 from cgcasimir.uea import UEAElement, from_term_list, multiply
 
 import known_casimirs as kc
@@ -190,6 +190,42 @@ def test_compose_refuses_a_product_above_max_terms(algebra, monkeypatch):
         compose(d, d)
 
 
+def _order(op):
+    return max(sum(dk) for dk, _ in op.terms)
+
+
+@pytest.mark.parametrize("d,ell", [(1, "1/2"), (1, "7/2"), (2, 2)])
+def test_compose_of_a_many_term_left_operand_matches_leibniz_oracle(d, ell, algebra):
+    # left terms of order two or more loop inside the image's terms; at
+    # ell=1/2 rho(C) has the coefficient 1/2
+    alg = algebra(d, ell)
+    word = max((op for _, op in realize_monomials(alg, _quartic_ansatz(alg).monomials)),
+               key=lambda op: len(op.packed))
+    assert _order(word) >= 2
+    for g in alg.basis:
+        img = realize_generator(alg.spec, g)
+        assert compose(word, img) == _leibniz_oracle(word, img), g.name
+
+
+def test_compose_refuses_through_the_higher_order_loop(algebra, monkeypatch):
+    alg = algebra(1, "3/2")
+    vs = VarSet.for_spec(alg.spec)
+    d = realize_generator(alg.spec, alg.generator("D"))
+    dd = compose(d, d)
+    assert _order(dd) == 2
+    ddd = compose(dd, d)
+    monkeypatch.setattr(realization, "MAX_TERMS", len(ddd.packed))
+    assert compose(dd, d) == ddd
+    monkeypatch.setattr(realization, "MAX_TERMS", len(ddd.packed) - 1)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        compose(dd, d)
+    # t^(2^31-1) ∂_t² ∘ t carries t's exponent into its guard bit
+    top = compose(symbol(vs, "t", 2**31 - 1), compose(partial(vs, "t"), partial(vs, "t")))
+    assert compose(top, symbol(vs, "x0")).terms  # stays inside its field
+    with pytest.raises(ValueError, match="exceeds 2147483647"):
+        compose(top, symbol(vs, "t"))
+
+
 def test_diffop_entries_must_fit_a_field(algebra):
     vs = VarSet.for_spec(algebra(1, "3/2").spec)
     deriv, expo = (0,) * vs.nvars, (0,) * vs.nsyms
@@ -319,7 +355,7 @@ def test_realize_monomials_shares_a_suffix_only_under_equal_caps(jet, algebra):
     {(2,): 1, (2, 4): 3, (2, 4, 4): Fraction(-1, 2), (2, 4, 6): 2, (4, 6): 1},
     # P1² and P0 P2 share t²∂_x0² and 2t∂_x0∂_x1, which cancel under M
     {(0, 3, 3): 1, (0, 1, 5): -1},
-    # one long word, 20,451 terms; D^40's fold alone would take about 13 s
+    # one long word, 20,451 terms; D^40's fold alone would take about 4 s
     {(4,) * 24: 1},
 ], ids=["empty_word", "prefixes", "cancelling_pair", "D^24"])
 def test_realize_element_matches_word_folds(terms, algebra):
@@ -331,21 +367,41 @@ def test_realize_element_matches_word_folds(terms, algebra):
 
 
 def test_realize_element_composes_each_prefix_once(algebra, monkeypatch):
+    # the prefixes of the reversed words, each right-multiplied by the
+    # image of its last letter
     alg = algebra(1, "7/2")
     monos = _quartic_ansatz(alg).monomials
     rng = random.Random(61)
     element = UEAElement(alg, {m: rng.randint(1, 9) for m in monos})
     images = [realize_generator(alg.spec, g) for g in alg.basis]
-    lefts = []
+    rights = []
 
     def counting(a, b):
-        lefts.append(a)
+        rights.append(b)
         return compose(a, b)
 
     monkeypatch.setattr(realization, "compose", counting)
     realize_element(alg, element)
-    assert len(lefts) == len({m[:j] for m in monos for j in range(1, len(m) + 1)})
-    assert all(a in images for a in lefts)
+    prefixes = {m[::-1][:j] for m in monos for j in range(1, len(m) + 1)}
+    assert len(rights) == len(prefixes)
+    assert all(b in images for b in rights)
+    assert sorted(images.index(b) for b in rights) == sorted(p[-1] for p in prefixes)
+
+
+@pytest.mark.parametrize("d,ell", [(1, "9/2"), (2, 3)])
+def test_realize_element_of_each_jet_nullspace_vector_matches_word_folds(d, ell, algebra):
+    # the elements the pipeline's certificate realises
+    alg = algebra(d, ell)
+    basis = _quartic_ansatz(alg)
+    n = len(basis.monomials)
+    null = nullspace(realization_candidate_system(alg, basis, solver.JET))
+    assert null
+    for v in null:
+        ansatz = {basis.monomials[i]: c for i, c in v.items() if i < n}
+        expect = DiffOp(VarSet.for_spec(alg.spec))
+        for w, c in ansatz.items():
+            expect += _word_fold(alg, w).scale(c)
+        assert realize_element(alg, UEAElement(alg, ansatz)) == expect
 
 
 @pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 2)])
