@@ -79,11 +79,12 @@ def _spec(cfg: argparse.Namespace):
 
 
 def _emit(cfg: argparse.Namespace, payload: dict, text: str):
-    print(text if cfg.format == "text" else json.dumps(payload, indent=2, sort_keys=True))
+    # the artifact first: an unwritable --out must not follow a printed result
     if cfg.output_path:
         with open(cfg.output_path, "w") as fh:
             fh.write(json.dumps(payload, indent=2, sort_keys=True))
             fh.write("\n")
+    print(text if cfg.format == "text" else json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _resolve_target(cfg: argparse.Namespace, spec) -> tuple[tuple[int, ...], int]:

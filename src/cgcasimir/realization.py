@@ -64,7 +64,7 @@ Expo = tuple[int, ...]
 
 FIELD_MAX = 2**31 - 1  # largest entry of a packed key; bit 31 of a field is its guard
 # most terms one operator product may hold: 126 times the 2,066 of the
-# largest product a ladder solve builds (in the d=1 ell=17/2 certificate)
+# largest product a ladder solve builds (in a d=1 ell=17/2 residual)
 MAX_TERMS = 2**18
 
 

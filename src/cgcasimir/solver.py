@@ -15,11 +15,11 @@ the pipeline builds only its rows of t-degree at most 1 (the "t-jet").
 The images of ``H`` = -∂_t are the only ones that lower a term's degree in
 t, by at most one, so these rows are exact when each partial image keeps
 its terms up to 1 plus the ``H`` letters still to go on.  Their nullspace
-contains the true one, and a certificate decides equality: each of its
-vectors' ansatz parts is realised exactly and must equal the vector's
-combination of diagonal operators.  Where every vector passes, the
-nullspace is the true one, vector for vector; where one fails, the full
-system is built with no truncation and solved instead.
+contains the true one.  Each of its vectors' ansatz parts is then
+realised exactly, less the vector's combination of diagonal operators;
+that residual is linear in the vector, and the combinations whose
+residuals cancel are exactly the true nullspace.  Where every residual is
+zero, they are the vectors themselves.
 
 Both paths finish with a full verification against every generator.  The
 reduced conditions (omega-symmetry plus commutators with a small generator
@@ -66,12 +66,11 @@ class ReducedCheckError(RuntimeError):
 
 
 # Largest number of operator terms the candidate stage may realise: the
-# images of the candidate system's rows, the products its certificate
-# composes, and a full system's images if the certificate fails.  The
-# pipeline's time and memory follow this count, not the ansatz size.  At
-# degree 4, d=1 ell=57/2 realises 4,187,886 and its whole solve took 19 s
-# and 122 MB on a 2-vCPU Xeon; ell=59/2 (4,881,741) is refused after 17 s.
-# A larger stage is refused as it runs.
+# images of the candidate system's rows and the products its residuals
+# compose.  The pipeline's time and memory follow this count, not the
+# ansatz size.  At degree 4, d=1 ell=57/2 realises 4,187,886 and its whole
+# solve took 19 s and 122 MB on a 2-vCPU Xeon; ell=59/2 (4,881,741) is
+# refused after 17 s.  A larger stage is refused as it runs.
 MAX_SYSTEM_ENTRIES = 2**22
 
 
@@ -265,9 +264,11 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis, jet: Optio
     return LinearSystem(columns=columns, matrix=[rows[k] for k in sorted(rows, key=vs.unpack)])
 
 
-# t-degree bound of the candidate rows built first.  K = 0 leaves spurious
-# nullspace vectors (nullity 11-23 against 3-8 at d=1 ell 9/2 and 17/2 and
-# d=2 ell 3 and 5), which would fail the certificate every time.
+# t-degree bound of the candidate rows.  K = 0 is exact too: the residuals
+# cut its larger nullspace (nullity 11-23 against 3-8 at d=1 ell 9/2 and
+# 17/2 and d=2 ell 3 and 5) to the true one, but realising the spurious
+# vectors' residuals made its candidate stage 1.5-2.5x slower (0.31 s
+# against 0.12 s at d=1 ell=17/2, best of three on a 2-vCPU Xeon).
 JET = 1
 
 
@@ -277,44 +278,37 @@ def candidate_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
     ansatz block.
 
     Only ``H`` lowers a t-degree, so the system's rows of t-degree at most
-    ``JET`` are built first, and exactly.  They are a subset of the rows,
-    so their nullspace contains the true one.  The certificate realises
-    each of its vectors' ansatz parts with ``realize_element``, which
-    composes each suffix the vector's words share once, and checks that
-    the image is the vector's combination of diagonal operators.  If
-    every vector passes, the two nullspaces are equal, and so is the
-    basis ``nullspace`` reads off, since that basis depends only on the
-    space and the column order.  If one fails, the full system is built
-    and solved.  Every image term the stage realises, the certificate's
+    ``JET`` are built, and exactly.  They are a subset of the rows, so
+    their nullspace contains the true one.  Each of its vectors' ansatz
+    parts is realised with ``realize_element``, which composes each suffix
+    the vector's words share once, and the vector's combination of
+    diagonal operators is subtracted.  The residual is linear in the
+    vector, so the combinations of the vectors whose residuals cancel,
+    ``nullspace_basis`` of the residuals keyed by operator term, span the
+    true nullspace.  Where every residual is zero, those combinations are
+    the unit vectors.  Either way ``rref`` of the projection depends only on
+    the space.  Every image term the stage realises, the residuals'
     products included, counts towards ``MAX_SYSTEM_ENTRIES``."""
     n = len(basis.monomials)
     charge = _Realised()
     sys = realization_candidate_system(alg, basis, JET, charge)
     null = nullspace(sys)
-    if not _certified(alg, basis, sys, null, charge):
-        null = nullspace(realization_candidate_system(alg, basis, charge=charge))
-    return rref(({i: c for i, c in v.items() if i < n} for v in null), n)[0]
-
-
-def _certified(alg: LieAlgebra, basis: AnsatzBasis, sys: LinearSystem, null: list[SparseVec],
-               charge: _Realised) -> bool:
-    """True when every vector of ``null`` solves the full candidate system
-    over the columns of ``sys``: its ansatz part realises exactly to its
-    auxiliary part's combination of diagonal operators."""
-    n = len(basis.monomials)
+    parts = [{i: c for i, c in v.items() if i < n} for v in null]
     vs = VarSet.for_spec(alg.spec)
     diagonal = _cartan_operator_basis(alg)
-    for v in null:
-        ansatz = vector_element(alg, basis, {i: c for i, c in v.items() if i < n})
-        residual = dict(realize_element(alg, ansatz, charge).packed)
+    rows: dict[int, SparseVec] = {}  # packed operator key -> {vector: residual}
+    for j, (v, part) in enumerate(zip(null, parts)):
+        residual = dict(realize_element(alg, vector_element(alg, basis, part), charge).packed)
         for ci, c in v.items():
             if ci >= n:
                 _, bi, pm = sys.columns[ci]
                 shift = vs.pack((0,) * vs.nvars, pm)
                 accumulate(residual, ((k + shift, -c * x) for k, x in diagonal[bi].packed.items()))
-        if residual:
-            return False
-    return True
+        for k, c in residual.items():
+            rows.setdefault(k, {})[j] = c
+    true = (accumulate({}, ((i, k * c) for j, k in combo.items() for i, c in parts[j].items()))
+            for combo in nullspace_basis(list(rows.values()), len(null)))
+    return rref(true, n)[0]
 
 
 def verify_casimir(alg: LieAlgebra, K: UEAElement

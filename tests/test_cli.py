@@ -455,6 +455,17 @@ def test_algebra_output_directory_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["rank"], ["solve", "--degree", "4"]])
+def test_unwritable_out_prints_nothing_and_exits_2(argv, tmp_path, capsys):
+    # the artifact is written before the result is printed, so a bad --out
+    # leaves no complete answer on stdout next to the input error
+    code, out, err = run(capsys, *argv, "--d", "1", "--ell", "3/2",
+                         "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_theorem_artifacts_match_golden_digests(tmp_path, capsys):
     # the exact bytes `cgcasimir theorem --out` writes, frozen per target
     with open(fixture("theorem_golden_sha256.json")) as fh:

@@ -262,3 +262,13 @@ def test_json_schema(algebra):
             frac = Fraction(v["coeff"])
             assert str(frac) == v["coeff"]
     assert liealg.to_json_dict(alg) == liealg.to_json_dict(make_cga(alg.spec))
+
+
+@pytest.mark.parametrize("ncols", [0, 1, 4])
+def test_nullspace_basis_of_no_rows_is_the_unit_vectors(ncols):
+    # the pipeline's candidate stage relies on this where every residual
+    # of its jet nullspace vectors is zero
+    units = [{f: 1} for f in range(ncols)]
+    assert liealg.nullspace_basis([], ncols) == units
+    assert liealg.nullspace_basis([{}, {}], ncols) == units
+    assert liealg.nullspace_basis([{}] * (ncols + 2), ncols) == units

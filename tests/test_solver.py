@@ -419,11 +419,13 @@ def _record_builds(monkeypatch):
     (1, "7/2", (0, 14), 4), (1, "9/2", (0, 18), 4), (1, "11/2", (0, 22), 4),
     (2, 2, (0, 2, 0), 4), (2, 3, (0, 2, 0), 4), (1, "17/2", (0, 34), 4), (2, 5, (0, 2, 0), 4),
     # degree 2, and the grade of M at degree 4, which no default names
-    (2, 3, (0, 1, 0), 2), (1, "5/2", (0, 5), 4)])
+    (2, 3, (0, 1, 0), 2), (1, "5/2", (0, 5), 4),
+    # the one target whose images carry a Fraction (C's w**2/2)
+    (1, "1/2", (0, 2), 4)])
 def test_jet_candidates_equal_full_system_candidates(d, ell, grade, degree, algebra,
                                                       monkeypatch):
     # the rows of t-degree <= JET have the full system's nullspace, vector
-    # for vector, and their certificate passes, so no full system is built
+    # for vector, and candidate_vectors builds no other system
     alg = algebra(d, ell)
     basis = enumerate_ansatz(alg, grade, degree)
     full = _full_system_nullspace(alg, basis)
@@ -433,37 +435,51 @@ def test_jet_candidates_equal_full_system_candidates(d, ell, grade, degree, alge
     assert jets == [solver.JET]
 
 
-def test_a_failed_certificate_builds_the_full_system(algebra, monkeypatch):
+def test_a_zero_jet_is_cut_to_the_full_system_candidates(algebra, monkeypatch):
     # K = 0 keeps too few rows: the jet's nullspace is larger than the
-    # true one, so the certificate finds a vector that is no solution
-    alg = algebra(1, "9/2")
-    basis = enumerate_ansatz(alg, (0, 18), 4)
-    full = _full_system_nullspace(alg, basis)
-    assert len(nullspace(realization_candidate_system(alg, basis, 0))) > len(full)
+    # true one, and the residuals of its vectors cut it to the true one
+    # from the one system built
     monkeypatch.setattr(solver, "JET", 0)
     jets = _record_builds(monkeypatch)
-    assert candidate_vectors(alg, basis) == _ansatz_echelon(full, len(basis.monomials))
-    assert jets == [0, None]
+    for d, ell, grade, jet_nullity, nullity in [(1, "9/2", (0, 18), 11, 3),
+                                                 (2, 2, (0, 2, 0), 17, 8)]:
+        alg = algebra(d, ell)
+        basis = enumerate_ansatz(alg, grade, 4)
+        assert len(nullspace(realization_candidate_system(alg, basis, 0))) == jet_nullity
+        full = _full_system_nullspace(alg, basis)
+        assert len(full) == nullity
+        jets.clear()
+        assert candidate_vectors(alg, basis) == _ansatz_echelon(full, len(basis.monomials))
+        assert jets == [0]
 
 
-def test_a_wrong_certificate_image_builds_the_full_system(algebra, monkeypatch):
-    alg = algebra(2, 2)
-    basis = enumerate_ansatz(alg, (0, 2, 0), 4)
-    expect = candidate_vectors(alg, basis)
+def test_a_wrong_residual_image_cuts_exactly_one_candidate(algebra, monkeypatch):
+    # an image off by the identity leaves every vector the same nonzero
+    # residual, so exactly the differences of the vectors remain, inside
+    # the true candidate space
     realize = solver.realize_element
 
     def off_by_one(alg, a, charge=None):
         return realize(alg, a, charge) + DiffOp.identity(VarSet.for_spec(alg.spec))
 
-    monkeypatch.setattr(solver, "realize_element", off_by_one)
-    jets = _record_builds(monkeypatch)
-    assert candidate_vectors(alg, basis) == expect
-    assert jets == [solver.JET, None]
+    for d, ell, grade, dim in [(1, "9/2", (0, 18), 3), (2, 2, (0, 2, 0), 8)]:
+        alg = algebra(d, ell)
+        basis = enumerate_ansatz(alg, grade, 4)
+        n = len(basis.monomials)
+        expect = candidate_vectors(alg, basis)
+        assert len(expect) == dim
+        with monkeypatch.context() as m:
+            m.setattr(solver, "realize_element", off_by_one)
+            jets = _record_builds(m)
+            got = candidate_vectors(alg, basis)
+        assert len(got) == dim - 1 and jets == [solver.JET]
+        rows, pivots = rref(expect, n)
+        assert all(span_contains(rows, pivots, v) for v in got)
 
 
 def test_candidate_stage_counts_the_certificate_products(algebra, monkeypatch):
     # the bound admits the jet system's image terms, but not those plus the
-    # products the certificate realises
+    # products its vectors' residuals realise
     alg = algebra(1, "3/2")
     basis = enumerate_ansatz(alg, (0, 6), 4)
     n = len(basis.monomials)
@@ -732,6 +748,7 @@ PATH_TARGETS = [
     (2, 3, (0, 1, 0), 2),
     (2, 1, (0, 2, 0), 4),
     (2, 2, (0, 2, 0), 4),
+    (1, "1/2", (0, 2), 4),
 ]
 
 
