@@ -134,7 +134,10 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
 
 def _load_elements(cfg: argparse.Namespace, alg) -> list[uea.UEAElement]:
     with open(cfg.input_path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise CliError(f"{cfg.input_path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise CliError(f"{cfg.input_path}: neither an element nor a report")
     if "terms" in data:
@@ -206,6 +209,8 @@ def cmd_theorem(cfg: argparse.Namespace) -> int:
 def cmd_realize(cfg: argparse.Namespace) -> int:
     spec = _spec(cfg)
     alg = make_cga(spec)
+    if cfg.gen is not None and cfg.input_path:
+        raise CliError("realize takes --in FILE or --gen NAME, not both")
     if cfg.gen is not None:
         op = realization.realize_generator(spec, alg.generator(cfg.gen))
         label = cfg.gen

@@ -203,22 +203,20 @@ def _spanning_forward(rows: Iterable[SparseVec], ncols: int
     exactly.  With at most ``ncols`` nonzero rows the exact pass runs
     alone."""
     rows = [r for r in rows if r]
-    if len(rows) <= ncols:
-        return _exact_forward(list(map(integerize, rows)), ncols), None
-    rows = [r if all(type(c) is int for c in r.values()) else integerize(r) for r in rows]
-    order = sorted(range(len(rows)), key=lambda i: len(rows[i]))
-    cols: list[dict] = [{} for _ in range(ncols)]
-    for pos, i in enumerate(order):
-        for c, x in rows[i].items():
-            if m := x % PRIME:
-                cols[c][pos] = m
-    kept = {order[pos] for pos, _, _ in _forward(cols, len(rows), _mod_clearer)}
-    pivots = _exact_forward([integerize(r) for i, r in enumerate(rows) if i in kept], ncols)
-    null = _back_solve(pivots, ncols)
-    for r in (r for i, r in enumerate(rows) if i not in kept):
-        if any(_dot(r, x) for _, x in null):
-            return _exact_forward(list(map(integerize, rows)), ncols), None
-    return pivots, null
+    if len(rows) > ncols:
+        rows = [r if all(type(c) is int for c in r.values()) else integerize(r) for r in rows]
+        order = sorted(range(len(rows)), key=lambda i: len(rows[i]))
+        cols: list[dict] = [{} for _ in range(ncols)]
+        for pos, i in enumerate(order):
+            for c, x in rows[i].items():
+                if m := x % PRIME:
+                    cols[c][pos] = m
+        kept = {order[pos] for pos, _, _ in _forward(cols, len(rows), _mod_clearer)}
+        pivots = _exact_forward([integerize(r) for i, r in enumerate(rows) if i in kept], ncols)
+        null = _back_solve(pivots, ncols)
+        if not any(_dot(r, x) for i, r in enumerate(rows) if i not in kept for _, x in null):
+            return pivots, null
+    return _exact_forward(list(map(integerize, rows)), ncols), None
 
 
 def echelon(rows: Iterable[SparseVec], ncols: int
@@ -392,7 +390,8 @@ class LieAlgebra:
 
     ``brackets`` stores [b_i, b_j] only for i < j; antisymmetry is
     synthesized on lookup.  ``pair_table`` is the dense per-pair expansion
-    (both orientations) used by the normal-ordering hot path.
+    used by the normal-ordering hot path: ``pair_table[j][i]`` is
+    ``pair_table[i][j]`` negated term for term.
     """
 
     __slots__ = ("spec", "basis", "positions", "by_name", "brackets", "pair_table")

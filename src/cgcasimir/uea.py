@@ -152,48 +152,39 @@ def _first_descent(word: tuple[int, ...]) -> int:
     return -1
 
 
-def _runs(word: Monomial, lo: int, hi: int):
-    """(letter, start, end) of each run of equal letters in the sorted
-    ``word[lo:hi]``."""
-    while lo < hi:
-        end = bisect_right(word, word[lo], lo, hi)
-        yield word[lo], lo, end
-        lo = end
-
-
 def _place(table, head: Monomial, j: int, tail: Monomial, c, done: dict, lower: dict) -> None:
     """Add ``c`` times the word ``head + (j,) + tail`` into ``done`` with
     ``j`` moved to its sorted place: left into the sorted ``head`` when it
     is below ``head[-1]``, else right into the sorted ``tail``.  Each letter
-    it passes leaves its bracket term, one letter shorter, in ``lower``:
-    [head[m], j] in place of head[m] when ``j`` moves left, [j, tail[m]] in
-    place of tail[m] when it moves right.  Letters are passed a run of
-    equal letters at a time.  A word whose coefficient cancels is deleted,
-    as ``accumulate`` does; ``c`` and every bracket coefficient are
-    nonzero, so no zero is ever added."""
+    x it passes leaves its bracket term in ``lower``: the word ``w = head +
+    tail`` with x replaced by c [x, j] when ``j`` moves left, by c [j, x]
+    when it moves right.  ``pair_table`` holds [j, x] as -[x, j] term for
+    term, so one loop reads [x, j] for both moves, with the sign -c for the
+    right one.  Letters are passed a run of equal letters at a time.  A
+    word whose coefficient cancels is deleted, as ``accumulate`` does;
+    ``c`` and every bracket coefficient are nonzero, so no zero is ever
+    added."""
     if head and j < head[-1]:
-        k = bisect_right(head, j)
-        word = head[:k] + (j,) + head[k:] + tail
-        for x, lo, hi in _runs(head, k, len(head)):
-            for u, cu in table[x][j]:
-                v = c * cu
-                for m in range(lo, hi):
-                    key = head[:m] + (u,) + head[m + 1:] + tail
-                    s = lower.get(key)
-                    if s is None:
-                        lower[key] = v
-                    elif s := s + v:
-                        lower[key] = s
-                    else:
-                        del lower[key]
+        lo = at = bisect_right(head, j)
+        hi, sign = len(head), c
     elif tail and tail[0] < j:
-        k = bisect_left(tail, j)
-        word = head + tail[:k] + (j,) + tail[k:]
-        for x, lo, hi in _runs(tail, 0, k):
-            for u, cu in table[j][x]:
-                v = c * cu
-                for m in range(lo, hi):
-                    key = head + tail[:m] + (u,) + tail[m + 1:]
+        lo = len(head)
+        hi = at = lo + bisect_left(tail, j)
+        sign = -c
+    else:
+        at = None
+    if at is None:
+        word = head + (j,) + tail
+    else:
+        w = head + tail
+        word = w[:at] + (j,) + w[at:]
+        while lo < hi:
+            x = w[lo]
+            end = bisect_right(w, x, lo, hi)
+            for u, cu in table[x][j]:
+                v = sign * cu
+                for m in range(lo, end):
+                    key = w[:m] + (u,) + w[m + 1:]
                     s = lower.get(key)
                     if s is None:
                         lower[key] = v
@@ -201,8 +192,7 @@ def _place(table, head: Monomial, j: int, tail: Monomial, c, done: dict, lower: 
                         lower[key] = s
                     else:
                         del lower[key]
-    else:
-        word = head + (j,) + tail
+            lo = end
     s = done.get(word)
     if s is None:
         done[word] = c

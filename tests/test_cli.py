@@ -422,6 +422,26 @@ def test_malformed_json_is_bad_input(tmp_path, capsys, command):
     assert err.startswith("error: bad input (")
 
 
+@pytest.mark.parametrize("command", ["realize", "verify"])
+@pytest.mark.parametrize("key", ["terms", "canonical"], ids=["element", "report"])
+def test_deeply_nested_json_is_bad_input(tmp_path, capsys, command, key):
+    # the decoder recurses once per bracket, past the interpreter's depth limit
+    path = tmp_path / "deep.json"
+    path.write_text(f'{{"{key}": ' + "[" * 200000 + "]" * 200000 + "}")
+    code, out, err = run(capsys, command, "--d", "1", "--ell", "3/2", "--in", str(path))
+    _assert_rejected(code, out, err)
+    assert str(path) in err
+
+
+def test_realize_refuses_a_generator_and_a_file_together(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text('{"terms": [{"monomial": {"M": 1}, "coeff": 1}]}')
+    code, out, err = run(capsys, "realize", "--d", "1", "--ell", "3/2",
+                         "--gen", "P0", "--in", str(path))
+    _assert_rejected(code, out, err)
+    assert "--in" in err and "--gen" in err
+
+
 def test_realize_refuses_an_image_above_max_terms(tmp_path, capsys, monkeypatch):
     # D^8 at d=1 ell=3/2 has 487 terms, D^7 323
     monkeypatch.setattr(realization, "MAX_TERMS", 400)

@@ -116,6 +116,16 @@ def test_antisymmetry_everywhere(algebra):
                 assert xy == {k: -c for k, c in yx.items()}
 
 
+@pytest.mark.parametrize("d,ell", [(1, "1/2"), (1, "7/2"), (2, 1), (2, 3)])
+def test_pair_table_is_antisymmetric_term_for_term(d, ell, algebra):
+    # uea._place reads [x, j] for both of its moves and negates it for [j, x]
+    table = algebra(d, ell).pair_table
+    for x, row in enumerate(table):
+        assert row[x] == ()
+        for j, terms in enumerate(row):
+            assert table[j][x] == tuple((u, -c) for u, c in terms)
+
+
 def test_central_element_commutes(algebra):
     for d, ell in [(1, "3/2"), (1, "7/2"), (2, 1), (2, 3)]:
         alg = algebra(d, ell)
