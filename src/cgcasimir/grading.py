@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from operator import itemgetter
 from typing import Iterator
@@ -106,6 +106,11 @@ class AnsatzBasis:
         return len(self.monomials)
 
     def index(self) -> dict[Monomial, int]:
+        """Position of each monomial, built on the first call and kept."""
+        return self._index
+
+    @cached_property
+    def _index(self) -> dict[Monomial, int]:
         return {m: i for i, m in enumerate(self.monomials)}
 
 

@@ -87,7 +87,7 @@ class VarSet:
         ys = tuple(f"y{j}" for j in range(ell))
         return cls(("t",) + xs + ys, ("delta", "r", "theta"))
 
-    @property
+    @cached_property
     def nvars(self) -> int:
         return len(self.variables)
 
@@ -99,7 +99,7 @@ class VarSet:
     def _fields(self) -> struct.Struct:
         return struct.Struct(f"<{self.nvars + self.nsyms}I")
 
-    @property
+    @cached_property
     def guard(self) -> int:
         """Bit 31 of every field, which no entry of a packed key may set."""
         return int.from_bytes(b"\0\0\0\x80" * (self.nvars + self.nsyms), "little")
@@ -263,10 +263,13 @@ def realize_generator(spec: AlgebraSpec, g: GeneratorId) -> DiffOp:
                   {"theta": 1, x[-1]: 1, y[-1]: 1})
         z, centre, towers = "theta", {"Theta": -1}, {"Q": (x, y, -1), "P": (y, x, 1)}
     terms: dict[int, object] = {}
+    # 1 in the packed field of each derivative and of each symbol's exponent
+    d_unit = {v: 1 << 32 * i for i, v in enumerate(vs.variables)}
+    e_unit = {s: 1 << 32 * (vs.nvars + i) for i, s in enumerate(syms)}
 
     def add(c, mono: dict[str, int], deriv: Optional[str] = None):
         """Add the term ``c · Π name^power · ∂_deriv`` over ``mono``."""
-        key = vs.pack([int(v == deriv) for v in vs.variables], [mono.get(s, 0) for s in syms])
+        key = sum(e * e_unit[s] for s, e in mono.items()) + (d_unit[deriv] if deriv else 0)
         accumulate(terms, [(key, c)])
 
     if g.kind == "H":
@@ -299,6 +302,8 @@ def realize_generator(spec: AlgebraSpec, g: GeneratorId) -> DiffOp:
                 add(sign, {v: 1}, v)
     else:
         raise ValueError(f"no realisation rule for generator {g.name}")
+    if reduce(or_, terms, 0) & vs.guard:
+        raise ValueError(f"an exponent of the image of {g.name} exceeds {FIELD_MAX}")
     return DiffOp._of(vs, terms)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -65,6 +66,34 @@ def test_generator_images(algebra):
               + compose(symbol(vs, "x0"), partial(vs, "x0")).scale(-3)
               + compose(symbol(vs, "x1"), partial(vs, "x1")).scale(-1))
     assert d == expect
+
+
+def test_generator_images_match_pack_built_keys(algebra):
+    # realize_generator sums field units over each term's nonzero fields:
+    # each key is the one ``VarSet.pack`` builds from the term's full
+    # derivative and exponent lists, and the images, as (deriv, expo)
+    # terms, hash to the digest of the images built term by term with pack
+    h = hashlib.sha256()
+    for d, ell in [(1, "1/2"), (1, "3/2"), (1, "7/2"), (1, "21/2"), (2, 1), (2, 3), (2, 6)]:
+        alg = algebra(d, ell)
+        vs = VarSet.for_spec(alg.spec)
+        for g in alg.basis:
+            op = realize_generator(alg.spec, g)
+            assert op.packed and op.packed == {vs.pack(dv, e): c for (dv, e), c in op.terms.items()}
+            h.update(repr((g.name, sorted(op.terms.items()))).encode())
+    assert h.hexdigest() == "9727195ec73629be44790b0c0f66f464253eb3c87b8084666cf5efdd443d15e9"
+
+
+def test_generator_image_refuses_a_key_on_the_guard(algebra, monkeypatch):
+    # no admitted spec reaches an exponent above FIELD_MAX, so the guard is
+    # moved onto bit 0 of t's exponent field: an image with a t term is
+    # refused, and one without is not
+    spec = algebra(1, "3/2").spec
+    monkeypatch.setattr(VarSet, "guard", property(lambda vs: 1 << 32 * vs.nvars))
+    build = realize_generator.__wrapped__
+    assert build(spec, GeneratorId("H")) == realize_generator(spec, GeneratorId("H"))
+    with pytest.raises(ValueError, match="image of C exceeds"):
+        build(spec, GeneratorId("C"))
 
 
 def test_central_images_d2(algebra):

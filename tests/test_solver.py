@@ -9,7 +9,7 @@ import pytest
 
 from cgcasimir import liealg, solver
 from cgcasimir.grading import default_grade, enumerate_ansatz
-from cgcasimir.liealg import PRIME, accumulate, bb_count, echelon, integerize
+from cgcasimir.liealg import PRIME, accumulate, bb_count, echelon, integerize, nullspace_basis
 from cgcasimir.realization import DiffOp, VarSet
 from cgcasimir.solver import (
     CasimirReport,
@@ -18,6 +18,7 @@ from cgcasimir.solver import (
     casimir_conditions_system,
     element_vector,
     nullspace,
+    omega_orbit_vectors,
     primitive,
     proportional,
     realization_candidate_system,
@@ -27,7 +28,8 @@ from cgcasimir.solver import (
     vector_element,
     verify_casimir,
 )
-from cgcasimir.uea import UEAElement, commutator, from_json_dict, from_term_list, multiply
+from cgcasimir.uea import (UEAElement, commutator, from_json_dict, from_term_list, multiply, omega,
+                           omega_positions)
 
 import known_casimirs as kc
 
@@ -39,6 +41,13 @@ def candidates_via_realization(alg, grade, max_degree):
     restricted to the realisation, as a reduced-echelon basis."""
     basis = enumerate_ansatz(alg, grade, max_degree)
     return [primitive(vector_element(alg, basis, v)) for v in candidate_vectors(alg, basis)]
+
+
+def orbit_columns(alg, basis, coeff=int):
+    """The algebraic route's condition columns, ``omega_orbit_vectors`` as
+    elements, each coefficient passed through ``coeff``."""
+    return [UEAElement(alg, {basis.monomials[i]: coeff(c) for i, c in v.items()})
+            for v in omega_orbit_vectors(alg, basis)]
 
 
 def sys_from_rows(rows, ncols):
@@ -366,8 +375,7 @@ def test_echelon_certifies_the_kept_rows_without_a_fallback(d, ell, conditions, 
     alg = algebra(d, ell)
     basis = enumerate_ansatz(alg, (0, 2 * alg.spec.two_ell) if d == 1 else (0, 2, 0), 4)
     if conditions:
-        monomials = [UEAElement(alg, {m: 1}) for m in basis.monomials]
-        system = casimir_conditions_system(alg, monomials)
+        system = casimir_conditions_system(alg, orbit_columns(alg, basis))
     else:
         system = realization_candidate_system(alg, basis)
     ncols = len(system.columns)
@@ -496,8 +504,7 @@ def test_nullspace_matches_smallest_tag_oracle_on_solver_systems(d, ell, algebra
     alg = algebra(d, ell)
     grade = (0, 2 * alg.spec.two_ell) if d == 1 else (0, 2, 0)
     basis = enumerate_ansatz(alg, grade, 4)
-    monomials = [UEAElement(alg, {m: Fr(1)}) for m in basis.monomials]
-    _assert_nullspace_matches_oracle(casimir_conditions_system(alg, monomials))
+    _assert_nullspace_matches_oracle(casimir_conditions_system(alg, orbit_columns(alg, basis, Fr)))
     _assert_nullspace_matches_oracle(realization_candidate_system(alg, basis))
 
 
@@ -528,8 +535,7 @@ def test_spans_and_nullspaces_are_primitive_int_rows(d, ell, algebra, solved):
     grade = (0, 2 * alg.spec.two_ell) if d == 1 else (0, 2, 0)
     basis = enumerate_ansatz(alg, grade, 4)
     _assert_span_contract(realization_candidate_system(alg, basis))
-    _assert_span_contract(casimir_conditions_system(
-        alg, [UEAElement(alg, {m: 1}) for m in basis.monomials]))
+    _assert_span_contract(casimir_conditions_system(alg, orbit_columns(alg, basis)))
     rep = solved(d, ell, grade, 4, "pipeline")
     for vecs in (rep.casimir_vectors, rep.candidate_vectors):
         _assert_primitive_rows(vecs, [min(v) for v in vecs])
@@ -812,6 +818,62 @@ def test_verify_casimir_stops_at_the_first_failing_generator(algebra, monkeypatc
     assert tried == list(alg.basis[:k + 1])
     assert all(commutator(alg, ka, g).is_zero() for g in alg.basis[:k])
     assert residual == commutator(alg, ka, gen) and not residual.is_zero()
+
+
+def _omega_fixed_oracle(alg, basis):
+    """Echelon basis of the nullspace of omega(K) = K over unit monomial
+    columns, one row per monomial, and the number of monomials whose
+    letters omega maps onto the same sorted word."""
+    n = len(basis.monomials)
+    rows = {}
+    for i, m in enumerate(basis.monomials):
+        e = UEAElement(alg, {m: 1})
+        for m2, c in (omega(alg, e) - e).terms.items():
+            rows.setdefault(m2, {})[i] = c
+    img = omega_positions(alg)
+    fixed = sum(tuple(sorted(img[p] for p in m)) == m for m in basis.monomials)
+    return rref(nullspace_basis(list(rows.values()), n), n)[0], fixed
+
+
+def _assert_orbit_vectors_span_the_fixed_space(alg, basis):
+    vecs = omega_orbit_vectors(alg, basis)
+    want, fixed = _omega_fixed_oracle(alg, basis)
+    n = len(basis.monomials)
+    assert len(vecs) == (n + fixed) // 2 == len(want)
+    assert rref(vecs, n)[0] == want
+
+
+@pytest.mark.parametrize("d,ell", [(1, "7/2"), (1, "9/2"), (1, "11/2"), (1, "13/2"),
+                                   (1, "15/2"), (1, "17/2"), (2, 2), (2, 3), (2, 4), (2, 5)])
+def test_omega_orbit_vectors_span_the_omega_fixed_space(d, ell, algebra):
+    # one vector per sigma-orbit, (N + #sigma-fixed) / 2 of them, spanning
+    # exactly what the omega rows over unit columns leave
+    alg = algebra(d, ell)
+    basis = enumerate_ansatz(alg, default_grade(alg.spec, 4), 4)
+    _assert_orbit_vectors_span_the_fixed_space(alg, basis)
+
+
+def test_omega_orbit_vectors_keep_the_lower_words_of_omega(algebra):
+    # at d=2 ell=2 grade (0, 1, 0) some omega images have a second, shorter
+    # word, which a vector built from sigma(m) alone would drop
+    alg = algebra(2, 2)
+    basis = enumerate_ansatz(alg, (0, 1, 0), 4)
+    images = [omega(alg, UEAElement(alg, {m: 1})) for m in basis.monomials]
+    assert len(basis.monomials) == 78
+    assert sum(len(e.terms) == 2 for e in images) == 4
+    assert all(len(e.terms) <= 2 for e in images)
+    _assert_orbit_vectors_span_the_fixed_space(alg, basis)
+
+
+def test_a_grade_omega_moves_has_no_omega_fixed_columns(algebra, solved):
+    # omega maps grade (2, 4) at d=1 ell=5/2 to (-2, 6): no combination
+    # there is omega-fixed, so both routes find no Casimir
+    alg = algebra(1, "5/2")
+    basis = enumerate_ansatz(alg, (2, 4), 4)
+    assert basis.monomials and omega_orbit_vectors(alg, basis) == []
+    assert _omega_fixed_oracle(alg, basis)[0] == []
+    for method in ("pipeline", "algebraic"):
+        assert solved(1, "5/2", (2, 4), 4, method).casimir_dim == 0
 
 
 @pytest.mark.parametrize("d,ell", [(1, "5/2"), (2, 2)])

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from cgcasimir import uea
 from cgcasimir.liealg import LieAlgebra, accumulate, jacobi_check
 from cgcasimir.grading import default_target_grades, enumerate_ansatz
-from cgcasimir.solver import casimir_conditions_system, reduced_check_generators, vector_element
+from cgcasimir.solver import (casimir_conditions_system, omega_orbit_vectors,
+                              reduced_check_generators, vector_element)
 from cgcasimir.uea import (
     MAX_DEGREE,
     MAX_LETTERS,
@@ -235,7 +236,7 @@ def test_coefficients_stay_int_where_exact(d, ell, algebra):
         assert all(ints(commutator(alg, gen, y).terms.values()) for y in alg.basis)
     grade, degree = default_target_grades(alg.spec)[0]
     basis = enumerate_ansatz(alg, grade, degree)
-    columns = [vector_element(alg, basis, {i: 1}) for i in range(len(basis))]
+    columns = [vector_element(alg, basis, v) for v in omega_orbit_vectors(alg, basis)]
     matrix = casimir_conditions_system(alg, columns).matrix
     assert matrix and all(ints(row.values()) for row in matrix)
 
