@@ -11,11 +11,12 @@ degree bound:
 * ``algebraic`` imposes those conditions directly on the full ansatz.
 
 Omega-symmetry is imposed by construction: the condition system's columns
-are omega-fixed, and its rows are the reduced commutators alone.  On the
-algebraic route the columns are m + omega(m), one per orbit of omega's
-letter permutation on the ansatz (``omega_orbit_vectors``), with no
-elimination; at d=2 ell=5 that is 211 columns where the ansatz has 316.
-The pipeline takes the omega-fixed combinations of its 3-8 candidates.
+are omega-sums v + omega(v) (``omega_sums``), which are omega-fixed, and
+its rows are the reduced commutators alone.  No elimination builds them.
+On the algebraic route v runs over one monomial of each orbit of omega's
+letter permutation on the ansatz (``omega_orbit_vectors``); at d=2 ell=5
+that is 211 columns where the ansatz has 316.  On the pipeline v runs
+over its 3-8 candidates.
 
 The candidate system has one row per operator term of the images, and
 the pipeline builds only its rows of t-degree at most 1 (the "t-jet").
@@ -63,14 +64,22 @@ from .liealg import (AlgebraSpec, GeneratorId, LieAlgebra, SparseVec, accumulate
                      int_if_whole, integerize, nullspace_basis)
 from .realization import (DiffOp, VarSet, realize_element, realize_generator, realize_monomials,
                           t_jet)
-from .uea import (Monomial, UEAElement, commutator, commutators, multiply, omega, omega_positions,
-                  to_json_dict)
+from .uea import (UEAElement, commutator, commutators, multiply, omega, omega_positions,
+                  to_json_dict, word_key)
 
 
 class ReducedCheckError(RuntimeError):
     """An element passing the reduced conditions failed the exhaustive
     centrality check; this contradicts the symmetry-reduction argument and
     indicates an implementation fault."""
+
+
+def _bounded(res: UEAElement) -> str:
+    """The first five terms of ``res`` as it prints, largest graded-lex
+    first, then how many terms are left out."""
+    words = sorted(res.terms, key=word_key, reverse=True)
+    head = UEAElement(res.alg, {w: res.terms[w] for w in words[:5]})
+    return f"{head} and {len(words) - 5} more terms" if len(words) > 5 else str(head)
 
 
 # Largest number of operator terms the candidate stage may realise: the
@@ -200,10 +209,9 @@ def casimir_conditions_system(alg: LieAlgebra, columns: list[UEAElement]) -> Lin
     """Rows: [K, g] = 0 for the reduced generator set, where K is a
     combination of the column elements, with one row per (generator,
     monomial) pair appearing in a residual.  The columns must be
-    omega-fixed (``omega_orbit_vectors``, ``omega_fixed``): omega-symmetry is
-    imposed by the choice of columns, not by rows.  Every column's
-    commutators come from one ``commutators`` call over the columns and
-    that set."""
+    omega-fixed (``omega_sums``): omega-symmetry is imposed by the choice
+    of columns, not by rows.  Every column's commutators come from one
+    ``commutators`` call over the columns and that set."""
     rows: dict[tuple, SparseVec] = {}
     checks = reduced_check_generators(alg)
     for ci, residuals in enumerate(commutators(alg, columns, checks)):
@@ -213,11 +221,37 @@ def casimir_conditions_system(alg: LieAlgebra, columns: list[UEAElement]) -> Lin
     return LinearSystem(columns=list(range(len(columns))), matrix=[rows[t] for t in sorted(rows)])
 
 
+def omega_sums(alg: LieAlgebra, basis: AnsatzBasis, vecs: list[SparseVec]) -> list[SparseVec]:
+    """v + omega(v) in ansatz coordinates for each of ``vecs``, or ``[]``
+    when omega maps the ansatz's grade to another grade.  These are the
+    condition system's columns on both routes.
+
+    Each sum is omega-fixed, since omega is an involution.  omega maps a
+    grade linearly, and the lower words of omega(m) keep the grade of its
+    top word, so either every word of every image lies in the ansatz or
+    none does; the first image's first word settles which.  Where none
+    does, nothing nonzero in the ansatz is omega-fixed.
+
+    The sums lose no omega-fixed element of the span of ``vecs``: such an
+    element C = sum a_i v_i equals (C + omega(C)) / 2 = sum a_i (v_i +
+    omega(v_i)) / 2.  On the pipeline every Casimir is a candidate, so the
+    sums of the candidates keep every omega-fixed Casimir; a sum outside
+    the candidate span still meets the reduced conditions and the
+    exhaustive check, so nothing false is admitted."""
+    index = basis.index()
+    try:
+        return [accumulate(dict(v), ((index[w], c) for w, c in
+                                     omega(alg, vector_element(alg, basis, v)).terms.items()))
+                for v in vecs]
+    except KeyError:  # a word outside the ansatz
+        return []
+
+
 def omega_orbit_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
-    """A basis of the omega-fixed combinations of the ansatz: m + omega(m)
-    for the first monomial m, in ansatz order, of each orbit of sigma,
-    where sigma(m) is m's word with every letter mapped by
-    ``omega_positions`` and sorted.
+    """A basis of the omega-fixed combinations of the ansatz: the
+    ``omega_sums`` m + omega(m) of the first monomial m, in ansatz order, of
+    each orbit of sigma, where sigma(m) is m's word with every letter mapped
+    by ``omega_positions`` and sorted.
 
     omega(m) is sigma(m) plus words of lower degree, so omega maps the
     ansatz into itself exactly when sigma does, and sigma maps a grade
@@ -230,28 +264,10 @@ def omega_orbit_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
     independent."""
     index = basis.index()
     img = omega_positions(alg)
-    out = []
-    for i, m in enumerate(basis.monomials):
-        s = index.get(tuple(sorted(img[p] for p in m)))
-        if s is None:
-            return []
-        if s >= i:
-            image = omega(alg, UEAElement(alg, {m: 1}))
-            out.append(accumulate({i: 1}, ((index[w], c) for w, c in image.terms.items())))
-    return out
-
-
-def omega_fixed(alg: LieAlgebra, basis: AnsatzBasis, vecs: list[SparseVec]) -> list[SparseVec]:
-    """A basis of the omega-fixed combinations of ``vecs``: the nullspace
-    of omega(K) - K over them, one row per monomial, in ansatz
-    coordinates.  Where every vector is fixed the system has no rows and
-    the vectors come back unchanged."""
-    rows: dict[Monomial, SparseVec] = {}
-    for ci, v in enumerate(vecs):
-        elem = vector_element(alg, basis, v)
-        for m, c in (omega(alg, elem) - elem).terms.items():
-            rows.setdefault(m, {})[ci] = c
-    return combine(nullspace_basis(list(rows.values()), len(vecs)), vecs)
+    # a monomial whose sigma(m) leaves the ansatz is kept, and omega_sums
+    # then finds that omega(m) leaves it too
+    return omega_sums(alg, basis, [{i: 1} for i, m in enumerate(basis.monomials)
+                                   if index.get(tuple(sorted(img[p] for p in m)), i) >= i])
 
 
 def _cartan_operator_basis(alg: LieAlgebra):
@@ -461,12 +477,12 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
     """Run the search at one (grade, degree) target.
 
     ``method`` only chooses the columns of the condition system: the
-    omega-fixed combinations of the realisation candidates (``pipeline``)
-    or of the ansatz monomials (``algebraic``).  The Casimir space is
+    ``omega_sums`` of the realisation candidates (``pipeline``) or of one
+    ansatz monomial per omega-orbit (``algebraic``).  The Casimir space is
     returned in reduced echelon form over the ansatz (identical for both
-    methods when they agree); canonical representatives are the space
-    reduced modulo products of lower Casimirs, primitive and with positive
-    leading coefficient.
+    methods when they agree); canonical representatives are the space's
+    echelon form modulo products of lower Casimirs, read off one echelon
+    form of both, primitive and with positive leading coefficient.
     """
     if method not in ("pipeline", "algebraic"):
         raise ValueError(f"unknown method {method!r}")
@@ -475,32 +491,35 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
 
     if method == "pipeline":
         cand_vecs = candidate_vectors(alg, basis)
-        col_vecs = omega_fixed(alg, basis, cand_vecs)
+        col_vecs = omega_sums(alg, basis, cand_vecs)
     else:
         cand_vecs = None
         col_vecs = omega_orbit_vectors(alg, basis)
     columns = [vector_element(alg, basis, v) for v in col_vecs]
     # nullspace combinations of the columns, back in ansatz coordinates
     raw = combine(nullspace(casimir_conditions_system(alg, columns)), col_vecs)
-    cas_vecs, cpivots = rref(raw, ncols)
+    cas_vecs = rref(raw, ncols)[0]
     cas_elems = [primitive(vector_element(alg, basis, v)) for v in cas_vecs]
     for residuals in commutators(alg, cas_elems, alg.basis):
         for g, res in zip(alg.basis, residuals):
             if not res.is_zero():
                 raise ReducedCheckError(
                     f"reduced conditions accepted a non-Casimir: residual against "
-                    f"{g.name} is {res}"
+                    f"{g.name} is {_bounded(res)}"
                 )
 
+    # the lower products L lie in the solved space V exactly when they add
+    # no rank to it; the rows of the echelon form of L + V whose pivots L
+    # lacks are then zero at L's pivots, so they are the echelon form of V
+    # modulo L
     lower = lower_casimir_products(alg, grade, max_degree)
     lower_vecs = [element_vector(basis, e) for e in lower]
-    lrows, lpivots = rref(lower_vecs, ncols)
-    for lv in lower_vecs:
-        if not span_contains(cas_vecs, cpivots, lv):
-            raise ReducedCheckError("a product of lower Casimirs escaped the solved space")
-    reduced = [reduce_vector(lrows, lpivots, v) for v in cas_vecs]
-    canonical_vecs, _ = rref(reduced, ncols)
-    canonical = [primitive(vector_element(alg, basis, v)) for v in canonical_vecs]
+    lpivots = set(rref(lower_vecs, ncols)[1])
+    rows, pivots = rref(lower_vecs + cas_vecs, ncols)
+    if len(rows) > len(cas_vecs):
+        raise ReducedCheckError("a product of lower Casimirs escaped the solved space")
+    canonical = [primitive(vector_element(alg, basis, v))
+                 for v, p in zip(rows, pivots) if p not in lpivots]
 
     return CasimirReport(
         spec=alg.spec,

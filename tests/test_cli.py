@@ -464,6 +464,19 @@ def test_solve_refuses_a_candidate_system_above_the_bound(capsys, monkeypatch):
     assert code == 0
 
 
+def test_a_failed_reduced_check_exits_1_with_a_bounded_line(capsys, monkeypatch):
+    # with no reduced commutator conditions the exhaustive check refuses a
+    # non-Casimir: a verification failure, so exit 1, and one error line
+    # that prints five of the residual's eight terms
+    monkeypatch.setattr(solver, "reduced_check_generators", lambda alg: [])
+    code, out, err = run(capsys, "solve", "--d", "2", "--ell", "3", "--degree", "4")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: reduced conditions accepted a non-Casimir: residual against Q0 is ")
+    assert err.endswith(" and 3 more terms\n")
+    assert len(re.split(" [+-] ", err)) == 5
+
+
 def test_verify_input_directory_exits_2(tmp_path, capsys):
     _assert_rejected(*run(capsys, "verify", "--d", "1", "--ell", "3/2",
                           "--in", str(tmp_path)))

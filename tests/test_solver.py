@@ -3,12 +3,14 @@ import json
 import math
 import os
 import random
+import re
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from cgcasimir import liealg, solver
-from cgcasimir.grading import default_grade, enumerate_ansatz
+from cgcasimir.grading import default_grade, enumerate_ansatz, grade_of
 from cgcasimir.liealg import PRIME, accumulate, bb_count, echelon, integerize, nullspace_basis
 from cgcasimir.realization import DiffOp, VarSet
 from cgcasimir.solver import (
@@ -19,11 +21,13 @@ from cgcasimir.solver import (
     element_vector,
     nullspace,
     omega_orbit_vectors,
+    omega_sums,
     primitive,
     proportional,
     realization_candidate_system,
     reduce_vector,
     rref,
+    solve_casimirs,
     span_contains,
     vector_element,
     verify_casimir,
@@ -865,6 +869,23 @@ def test_omega_orbit_vectors_keep_the_lower_words_of_omega(algebra):
     _assert_orbit_vectors_span_the_fixed_space(alg, basis)
 
 
+def test_omega_sums_of_a_spanning_set_span_its_omega_fixed_part(algebra):
+    # the sums of all the unit vectors span what omega fixes in the ansatz,
+    # a fixed vector comes back doubled, and at a grade omega moves there
+    # are no sums
+    alg = algebra(2, 2)
+    basis = enumerate_ansatz(alg, (0, 1, 0), 4)
+    n = len(basis.monomials)
+    sums = omega_sums(alg, basis, [{i: 1} for i in range(n)])
+    assert len(sums) == n
+    assert rref(sums, n)[0] == _omega_fixed_oracle(alg, basis)[0]
+    fixed = omega_orbit_vectors(alg, basis)
+    assert omega_sums(alg, basis, fixed) == [{i: 2 * c for i, c in v.items()} for v in fixed]
+    alg = algebra(1, "5/2")
+    basis = enumerate_ansatz(alg, (2, 4), 4)
+    assert omega_sums(alg, basis, [{0: 1}]) == []
+
+
 def test_a_grade_omega_moves_has_no_omega_fixed_columns(algebra, solved):
     # omega maps grade (2, 4) at d=1 ell=5/2 to (-2, 6): no combination
     # there is omega-fixed, so both routes find no Casimir
@@ -876,16 +897,80 @@ def test_a_grade_omega_moves_has_no_omega_fixed_columns(algebra, solved):
         assert solved(1, "5/2", (2, 4), 4, method).casimir_dim == 0
 
 
+def _refusal(alg, method, monkeypatch):
+    """The message a solve with no reduced commutator conditions raises,
+    with the generator and the whole residual of the exhaustive check's
+    first failure."""
+    checked = []
+    real = solver.commutators
+
+    def recorded(alg, elements, gens):
+        for residuals in real(alg, elements, gens):
+            checked.extend(zip(gens, residuals))
+            yield residuals
+
+    monkeypatch.setattr(solver, "reduced_check_generators", lambda alg: [])
+    monkeypatch.setattr(solver, "commutators", recorded)
+    with pytest.raises(solver.ReducedCheckError) as info:
+        solver.solve_casimirs(alg, default_grade(alg.spec, 4), 4, method=method)
+    g, res = next((g, r) for g, r in checked if not r.is_zero())
+    return str(info.value), g, res
+
+
+def _assert_bounded_residual(message, g, res):
+    # the message names the generator and prints the residual's first five
+    # terms as the whole residual prints them, then counts the rest
+    prefix = f"reduced conditions accepted a non-Casimir: residual against {g.name} is "
+    assert message.startswith(prefix)
+    shown = message[len(prefix):]
+    n = len(res.terms)
+    if n <= 5:
+        assert shown == str(res)
+        return
+    head, more = shown.rsplit(" and ", 1)
+    assert more == f"{n - 5} more terms"
+    assert len(re.split(" [+-] ", head)) == 5
+    assert str(res).startswith(head + " ")
+
+
 @pytest.mark.parametrize("d,ell", [(1, "5/2"), (2, 2)])
 def test_exhaustive_check_refuses_what_weaker_conditions_admit(d, ell, algebra, monkeypatch):
     # with no reduced commutator conditions, omega-symmetry alone admits
     # non-Casimirs, and the check against every generator must refuse them
-    alg = algebra(d, ell)
-    monkeypatch.setattr(solver, "reduced_check_generators", lambda alg: [])
-    with pytest.raises(solver.ReducedCheckError) as info:
-        solver.solve_casimirs(alg, default_grade(alg.spec, 4), 4, method="algebraic")
-    assert str(info.value).startswith(
+    message, g, res = _refusal(algebra(d, ell), "algebraic", monkeypatch)
+    assert message.startswith(
         "reduced conditions accepted a non-Casimir: residual against H ")
+    _assert_bounded_residual(message, g, res)
+
+
+def test_a_long_residual_is_cut_to_its_first_five_terms(algebra, monkeypatch):
+    # the pipeline's first refused element at d=2 ell=3 leaves eight terms
+    # against Q0
+    message, g, res = _refusal(algebra(2, 3), "pipeline", monkeypatch)
+    assert g.name == "Q0" and len(res.terms) == 8
+    assert message.endswith(" and 3 more terms")
+    _assert_bounded_residual(message, g, res)
+
+
+def _grades(alg, degree):
+    """Every grade that a word of at most ``degree`` letters reaches."""
+    return sorted({grade_of(alg, w) for k in range(degree + 1)
+                   for w in combinations_with_replacement(range(alg.dim), k)})
+
+
+@pytest.mark.parametrize("d,ell,degree,count", [
+    (1, "1/2", 4, 45), (1, "3/2", 4, 77), (1, "5/2", 4, 109), (2, 1, 4, 185), (2, 2, 3, 148)])
+def test_routes_agree_at_every_grade(d, ell, degree, count, algebra):
+    # both routes take their columns from omega_sums, over the candidates
+    # or over one monomial per orbit; at every grade, the ones omega moves
+    # included, they must find the same space and canonical basis
+    alg = algebra(d, ell)
+    grades = _grades(alg, degree)
+    assert len(grades) == count
+    for grade in grades:
+        a, b = (solve_casimirs(alg, grade, degree, method=m) for m in ("pipeline", "algebraic"))
+        assert a.casimir_vectors == b.casimir_vectors, grade
+        assert a.canonical == b.canonical, grade
 
 
 def test_count_consistency_with_bb(solved, algebra):
@@ -942,6 +1027,10 @@ GOLDEN_TARGETS = [
     (2, 1, (0, 2, 0), 4),
     (2, 2, (0, 2, 0), 4),
     (2, 3, (0, 2, 0), 4),
+    (1, "11/2", (0, 22), 4),
+    (1, "17/2", (0, 34), 4),
+    (2, 4, (0, 2, 0), 4),
+    (2, 5, (0, 2, 0), 4),
 ]
 
 
