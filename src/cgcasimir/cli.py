@@ -212,7 +212,9 @@ def cmd_realize(cfg: argparse.Namespace) -> int:
     if cfg.gen is not None and cfg.input_path:
         raise CliError("realize takes --in FILE or --gen NAME, not both")
     if cfg.gen is not None:
-        op = realization.realize_generator(spec, alg.generator(cfg.gen))
+        if cfg.gen not in alg.by_name:
+            raise CliError(f"no generator named {cfg.gen!r} in this algebra")
+        op = realization.realize_generator(spec, alg.by_name[cfg.gen])
         label = cfg.gen
     elif cfg.input_path:
         elements = _load_elements(cfg, alg)

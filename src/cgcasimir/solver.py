@@ -24,9 +24,9 @@ The images of ``H`` = -∂_t are the only ones that lower a term's degree in
 t, by at most one, so these rows are exact when each partial image keeps
 its terms up to 1 plus the ``H`` letters still to go on.  Their nullspace
 contains the true one.  Each of its vectors' ansatz parts is then
-realised exactly, less the vector's combination of diagonal operators;
-that residual is linear in the vector, and the combinations whose
-residuals cancel are exactly the true nullspace.  Where every residual is
+realised exactly, less its entries times the operators of their
+auxiliary ``(operator, shift)`` columns; that residual is linear in the
+vector, and the combinations whose residuals cancel are exactly the true nullspace.  Where every residual is
 zero, they are the vectors themselves.
 
 Both paths finish with a full verification against every generator.  The
@@ -270,18 +270,6 @@ def omega_orbit_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
                                    if index.get(tuple(sorted(img[p] for p in m)), i) >= i])
 
 
-def _cartan_operator_basis(alg: LieAlgebra):
-    """Identity plus the realised diagonal generators (D, and J for d=2).
-    A Casimir acts on the realisation's lowest-weight structure through
-    these, so candidate combinations are those whose realisation lies in
-    their span with parameter-polynomial coefficients."""
-    vs = VarSet.for_spec(alg.spec)
-    ops = [DiffOp.identity(vs), realize_generator(alg.spec, alg.generator("D"))]
-    if alg.spec.d == 2:
-        ops.append(realize_generator(alg.spec, alg.generator("J")))
-    return ops
-
-
 class _Realised:
     """A count of the image terms the candidate stage realises, called
     with each operator's term count: a ``ValueError`` once the count passes
@@ -301,39 +289,41 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis, jet: Optio
                                  charge: Optional[_Realised] = None) -> LinearSystem:
     """Rows demand that the realised combination equals a sum of the
     diagonal operators (identity, D, and J for d=2) with
-    parameter-polynomial coefficients, identically in all variables.
+    parameter-polynomial coefficients, identically in all variables: a
+    Casimir acts on the realisation's lowest-weight structure through them.
 
-    Columns are the ansatz monomials followed by auxiliary columns, one
-    per (diagonal operator, parameter monomial) pair, up to the longest
-    word's length in parameter degree, since each generator image has
-    parameter degree at most 1; candidate vectors are nullspace vectors
-    projected onto the ansatz block.  With ``jet`` K, only the rows of
-    t-degree at most K are built, each exactly (``realize_monomials``, and
-    the diagonal operators' terms up to that degree).  Each image's
+    Columns are the ansatz monomials, then one auxiliary ``(operator,
+    shift)`` column per diagonal operator and parameter monomial: the full
+    operator, built once here, and the monomial as a packed key offset.
+    The monomials run up to the longest word's length in parameter degree,
+    since each generator image has parameter degree at most 1; candidate
+    vectors are nullspace vectors projected onto the ansatz block.  With
+    ``jet`` K, only the rows of t-degree at most K are built, each exactly
+    (``realize_monomials``, and ``t_jet`` of each operator).  Each image's
     terms are charged to ``charge``, a fresh count if none is given, so a
     ``ValueError`` once they pass ``MAX_SYSTEM_ENTRIES``."""
     charge = charge or _Realised()
     rows: dict[int, SparseVec] = {}  # packed operator key -> row
-    vs = VarSet.for_spec(alg.spec)
-    nv = vs.nvars
     for ci, op in realize_monomials(alg, basis.monomials, jet):
         charge(len(op.packed))
         for k, c in op.packed.items():
             rows.setdefault(k, {})[ci] = c
+    vs = VarSet.for_spec(alg.spec)
+    diagonal = [DiffOp.identity(vs)] + [realize_generator(alg.spec, alg.generator(x))
+                                        for x in ("D", "J")[:alg.spec.d]]
     pmax = max(map(len, basis.monomials), default=0)
     columns: list = list(basis.monomials)
-    for bi, bop in enumerate(_cartan_operator_basis(alg)):
-        bop = bop if jet is None else t_jet(bop, jet)
+    for op in diagonal:
+        cut = op if jet is None else t_jet(op, jet)
         for tail in iter_exponents(len(vs.parameters), pmax):
-            pm = (0,) * nv + tail
-            shift = vs.pack((0,) * nv, pm)
+            shift = vs.pack((0,) * vs.nvars, (0,) * vs.nvars + tail)
             ci = len(columns)
-            columns.append(("aux", bi, pm))
-            for k, c in bop.packed.items():
+            columns.append((op, shift))
+            for k, c in cut.packed.items():
                 # auxiliary directions are subtracted from the image
                 rows.setdefault(k + shift, {})[ci] = -c
-    # rows in (deriv, expo) order; the raw packed order would sort by the
-    # last parameter's exponent first
+    # rows in (deriv, expo) order: in arrival order, the tests' smallest-tag
+    # elimination of the full system at d=1 ell=11/2 ran past 2.4 GB
     return LinearSystem(columns=columns, matrix=[rows[k] for k in sorted(rows, key=vs.unpack)])
 
 
@@ -354,29 +344,27 @@ def candidate_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
     ``JET`` are built, and exactly.  They are a subset of the rows, so
     their nullspace contains the true one.  Each of its vectors' ansatz
     parts is realised with ``realize_element``, which composes each suffix
-    the vector's words share once, and the vector's combination of
-    diagonal operators is subtracted.  The residual is linear in the
-    vector, so the combinations of the vectors whose residuals cancel,
-    ``nullspace_basis`` of the residuals keyed by operator term, span the
-    true nullspace.  Where every residual is zero, those combinations are
-    the unit vectors.  Either way ``rref`` of the projection depends only on
-    the space.  Every image term the stage realises, the residuals'
-    products included, counts towards ``MAX_SYSTEM_ENTRIES``."""
+    the vector's words share once, less each auxiliary column's full
+    operator, moved by its shift and scaled by the vector's entry there.
+    The residual is linear in the vector, so the combinations of the
+    vectors whose residuals cancel, ``nullspace_basis`` of the residuals
+    keyed by operator term, span the true nullspace.  Where every residual
+    is zero, those combinations are the unit vectors.  Either way ``rref``
+    of the projection depends only on the space.  Every image term the
+    stage realises, the residuals' products included, counts towards
+    ``MAX_SYSTEM_ENTRIES``."""
     n = len(basis.monomials)
     charge = _Realised()
     sys = realization_candidate_system(alg, basis, JET, charge)
     null = nullspace(sys)
     parts = [{i: c for i, c in v.items() if i < n} for v in null]
-    vs = VarSet.for_spec(alg.spec)
-    diagonal = _cartan_operator_basis(alg)
     rows: dict[int, SparseVec] = {}  # packed operator key -> {vector: residual}
     for j, (v, part) in enumerate(zip(null, parts)):
         residual = dict(realize_element(alg, vector_element(alg, basis, part), charge).packed)
         for ci, c in v.items():
             if ci >= n:
-                _, bi, pm = sys.columns[ci]
-                shift = vs.pack((0,) * vs.nvars, pm)
-                accumulate(residual, ((k + shift, -c * x) for k, x in diagonal[bi].packed.items()))
+                op, shift = sys.columns[ci]
+                accumulate(residual, ((k + shift, -c * x) for k, x in op.packed.items()))
         for k, c in residual.items():
             rows.setdefault(k, {})[j] = c
     return rref(combine(nullspace_basis(list(rows.values()), len(null)), parts), n)[0]

@@ -201,6 +201,10 @@ def test_solve_rejects_unresolvable_grade(capsys):
                        "--grade", "0,1")
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    code, _, err = run(capsys, "solve", "--d", "2", "--ell", "1", "--degree", "2",
+                       "--grade", "a,b")
+    assert code == 2
+    assert err == "error: cannot parse grade 'a,b'\n"
 
 
 def test_verify_fixture_casimirs(capsys):
@@ -324,9 +328,18 @@ def test_report_of_many_high_degree_terms_refused_up_front(capsys, tmp_path, mon
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(uea.MAX_LETTERS) in err
 
-def test_realize_needs_input(capsys):
+def test_realize_needs_input(capsys, tmp_path):
     code, _, err = run(capsys, "realize", "--d", "1", "--ell", "3/2")
     assert code == 2
+    # a report of two elements is not one input
+    path = tmp_path / "two.json"
+    element = {"terms": [{"monomial": {"M": 1}, "coeff": "1"}]}
+    path.write_text(json.dumps({"canonical": [element, element]}))
+    _assert_rejected(*run(capsys, "realize", "--d", "1", "--ell", "3/2", "--in", str(path)))
+    # an unknown name prints as it does inside a JSON element
+    code, out, err = run(capsys, "realize", "--d", "1", "--ell", "3/2", "--gen", "Nope")
+    _assert_rejected(code, out, err)
+    assert err == "error: no generator named 'Nope' in this algebra\n"
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -407,7 +420,8 @@ def test_verify_rejects_malformed_terms(tmp_path, capsys, term):
     {"terms": []},
     {"terms": [{"monomial": {"Theta": 1}, "coeff": "0"}]},
     {"canonical": []},
-], ids=["empty_element", "zero_coefficient", "empty_report"])
+    {"canonical": {"terms": []}},
+], ids=["empty_element", "zero_coefficient", "empty_report", "report_of_no_list"])
 def test_verify_rejects_zero_or_empty_input(tmp_path, capsys, payload):
     # zero commutes with every generator, but it is not a Casimir
     _assert_rejected(*_verify_json(tmp_path, capsys, payload, d="2", ell="1"))
@@ -477,6 +491,23 @@ def test_a_failed_reduced_check_exits_1_with_a_bounded_line(capsys, monkeypatch)
     assert len(re.split(" [+-] ", err)) == 5
 
 
+def test_a_lower_product_outside_the_solved_space_exits_1(capsys, monkeypatch):
+    # a non-central ansatz monomial passed off as a lower product adds rank
+    # to the solved space: a verification failure, so exit 1, on one line
+    lower = solver.lower_casimir_products
+
+    def with_a_stray(alg, grade, max_degree):
+        monos = grading.enumerate_ansatz(alg, grade, max_degree).monomials
+        stray = next(e for e in (uea.UEAElement(alg, {m: 1}) for m in monos)
+                     if solver.verify_casimir(alg, e) is not None)
+        return lower(alg, grade, max_degree) + [stray]
+
+    monkeypatch.setattr(solver, "lower_casimir_products", with_a_stray)
+    code, out, err = run(capsys, "solve", "--d", "1", "--ell", "3/2", "--degree", "4")
+    assert code == 1 and out == ""
+    assert err == "error: a product of lower Casimirs escaped the solved space\n"
+
+
 def test_verify_input_directory_exits_2(tmp_path, capsys):
     _assert_rejected(*run(capsys, "verify", "--d", "1", "--ell", "3/2",
                           "--in", str(tmp_path)))
@@ -504,7 +535,11 @@ def test_theorem_artifacts_match_golden_digests(tmp_path, capsys):
     with open(fixture("theorem_golden_sha256.json")) as fh:
         golden = json.load(fh)
     seen = {}
-    for d, ell, which in [(1, "5/2", "quartic"), (2, "3", "quadratic"), (2, "3", "quartic")]:
+    targets = [(1, "5/2", "quartic"), (2, "3", "quadratic"), (2, "3", "quartic")]
+    # and every other quartic ladder point
+    targets += [(1, f"{n}/2", "quartic") for n in (7, 9, 11, 13, 15, 17)]
+    targets += [(2, "4", "quartic"), (2, "5", "quartic")]
+    for d, ell, which in targets:
         out_file = tmp_path / "theorem.json"
         code, _, _ = run(capsys, "theorem", "--d", str(d), "--ell", ell, "--which", which,
                          "--out", str(out_file))

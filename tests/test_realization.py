@@ -446,10 +446,10 @@ def test_candidate_system_matches_build_from_folds(d, ell, algebra):
     diagonal = [DiffOp.identity(vs), realize_generator(alg.spec, alg.generator("D"))]
     if d == 2:
         diagonal.append(realize_generator(alg.spec, alg.generator("J")))
-    for bi, bop in enumerate(diagonal):
+    for bop in diagonal:
         for tail in iter_exponents(len(vs.parameters), pmax):
             pm = (0,) * vs.nvars + tail
-            columns.append(("aux", bi, pm))
+            columns.append((bop, vs.pack((0,) * vs.nvars, pm)))
             for (dk, e), c in bop.terms.items():
                 key = ("real", dk, tuple(a + b for a, b in zip(e, pm)))
                 rows.setdefault(key, {})[len(columns) - 1] = -c

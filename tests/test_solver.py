@@ -897,6 +897,27 @@ def test_a_grade_omega_moves_has_no_omega_fixed_columns(algebra, solved):
         assert solved(1, "5/2", (2, 4), 4, method).casimir_dim == 0
 
 
+def test_the_pipeline_omega_step_drops_a_candidate_omega_moves(algebra, monkeypatch):
+    # 2*M*H + P0*P2 - P1^2 at d=1 ell=3/2 commutes with H and P3 but not
+    # with D, and omega moves its grade, (2, 2).  No natural input has a
+    # candidate that omega moves, so it is patched in as the one candidate:
+    # it leaves no omega-sum, so nothing is solved, and passed on without
+    # the omega step it meets the reduced conditions and the exhaustive
+    # check refuses it
+    alg = algebra(1, "3/2")
+    grade = (2, 2)
+    k = from_term_list(alg, [(2, ["M", "H"]), (1, ["P0", "P2"]), (-1, ["P1", "P1"])])
+    basis = enumerate_ansatz(alg, grade, 4)
+    vec = element_vector(basis, k)
+    assert omega_sums(alg, basis, [vec]) == []
+    assert all(commutator(alg, k, g).is_zero() for g in solver.reduced_check_generators(alg))
+    monkeypatch.setattr(solver, "candidate_vectors", lambda alg, basis: [vec])
+    assert solve_casimirs(alg, grade, 4).casimir_dim == 0
+    monkeypatch.setattr(solver, "omega_sums", lambda alg, basis, vecs: vecs)
+    with pytest.raises(solver.ReducedCheckError, match="residual against D is "):
+        solve_casimirs(alg, grade, 4)
+
+
 def _refusal(alg, method, monkeypatch):
     """The message a solve with no reduced commutator conditions raises,
     with the generator and the whole residual of the exhaustive check's
@@ -956,6 +977,14 @@ def _grades(alg, degree):
     """Every grade that a word of at most ``degree`` letters reaches."""
     return sorted({grade_of(alg, w) for k in range(degree + 1)
                    for w in combinations_with_replacement(range(alg.dim), k)})
+
+
+@pytest.mark.parametrize("d,ell,grade", [(1, "17/2", (0, 34)), (2, 5, (0, 2, 0))])
+def test_routes_agree_at_the_largest_ladder_points(d, ell, grade, solved):
+    # the solves the golden digests make, compared across the routes
+    a, b = (solved(d, ell, grade, 4, m) for m in ("pipeline", "algebraic"))
+    assert a.casimir_vectors == b.casimir_vectors
+    assert a.canonical == b.canonical
 
 
 @pytest.mark.parametrize("d,ell,degree,count", [
