@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from operator import itemgetter
@@ -94,23 +94,18 @@ def default_grade(spec: AlgebraSpec, degree: int) -> GradeVector:
 
 @dataclass
 class AnsatzBasis:
-    """All PBW monomials of the given grade with degree <= max_degree, as
-    sorted words, duplicate-free and in the graded-lex order of their
-    exponent tuples (``uea.word_key``)."""
+    """All PBW monomials of one grade up to a degree bound, as sorted
+    words, duplicate-free and in the graded-lex order of their exponent
+    tuples (``uea.word_key``)."""
 
-    grade: GradeVector
-    max_degree: int
-    monomials: list[Monomial] = field(default_factory=list)
+    monomials: list[Monomial]
 
     def __len__(self):
         return len(self.monomials)
 
-    def index(self) -> dict[Monomial, int]:
-        """Position of each monomial, built on the first call and kept."""
-        return self._index
-
     @cached_property
-    def _index(self) -> dict[Monomial, int]:
+    def index(self) -> dict[Monomial, int]:
+        """Position of each monomial, built on first use and kept."""
         return {m: i for i, m in enumerate(self.monomials)}
 
 
@@ -157,7 +152,7 @@ def enumerate_ansatz(alg: LieAlgebra, grade: GradeVector, max_degree: int) -> An
                          f"{MAX_ANSATZ}")
     found = [head + tail for head, group, start in joins for tail in group[start:]]
     found.sort(key=word_key)
-    return AnsatzBasis(grade=grade, max_degree=max_degree, monomials=found)
+    return AnsatzBasis(found)
 
 
 def iter_exponents(dim: int, max_degree: int) -> Iterator[tuple[int, ...]]:

@@ -69,9 +69,10 @@ from .uea import (UEAElement, commutator, commutators, multiply, omega, omega_po
 
 
 class ReducedCheckError(RuntimeError):
-    """An element passing the reduced conditions failed the exhaustive
-    centrality check; this contradicts the symmetry-reduction argument and
-    indicates an implementation fault."""
+    """A built-in self-check failed, such as the exhaustive centrality
+    check of an element passing the reduced conditions, or the projection
+    of a printed closed form onto the solved space; this indicates an
+    implementation fault, not bad input."""
 
 
 def _bounded(res: UEAElement) -> str:
@@ -118,33 +119,21 @@ def rref(vectors: Iterable[SparseVec], ncols: int) -> tuple[list[SparseVec], lis
 
 
 def reduce_vector(rows: list[SparseVec], pivots: list[int], vec: SparseVec) -> SparseVec:
-    """``vec`` minus its component in the span of the echelon ``rows``,
-    with ``int`` entries where whole.
+    """``vec`` minus its component in the span of ``rows``, with ``int``
+    entries where whole and zeros dropped.
 
-    Over the integers: ``vec`` is ``out / den`` for integer ``out``, and
-    ``rows`` are integer rows as ``rref`` returns them.  Each row whose
-    pivot ``out`` holds, with pivot entry ``s``, is cross-multiplied out,
-    ``out = s*out - out[p]*row`` with ``den`` scaled by ``s`` (``s`` and
-    ``out[p]`` first divided by their gcd); each entry is divided by
-    ``den`` once at the end."""
-    out = {i: c for i, c in vec.items() if c}
-    den = 1
-    if not all(type(c) is int for c in out.values()):
-        den = math.lcm(*(c.denominator for c in out.values()))
-        out = {i: c.numerator * (den // c.denominator) for i, c in out.items()}
-    for row, p in zip(rows, pivots):
-        a = out.get(p)
-        if a:
-            s = row[p]
-            g = math.gcd(a, s)
-            if g > 1:
-                a, s = a // g, s // g
-            if s != 1:
-                out = {i: s * x for i, x in out.items()}
-                den *= s
-            accumulate(out, ((c, -a * x) for c, x in row.items()))
-    if den == 1:
-        return out
+    ``rows`` and ``pivots`` must be as ``rref`` returns them: integer rows
+    in reduced echelon form, so no row has an entry at another row's
+    pivot.  The multiple of the row with pivot ``p`` is then ``vec[p] /
+    row[p]``, read off ``vec`` itself.  ``vec`` and the multiples are put
+    over one common denominator ``den``, each row's integer multiple is
+    subtracted once, and each entry is divided by ``den`` at the end."""
+    mults = [(row, Fraction(vec[p], row[p])) for row, p in zip(rows, pivots) if vec.get(p)]
+    den = math.lcm(*(c.denominator for c in vec.values()), *(f.denominator for _, f in mults))
+    out = {i: c.numerator * (den // c.denominator) for i, c in vec.items() if c}
+    for row, f in mults:
+        k = f.numerator * (den // f.denominator)
+        accumulate(out, ((c, -k * x) for c, x in row.items()))
     return {i: int_if_whole(Fraction(x, den)) for i, x in out.items()}
 
 
@@ -162,7 +151,7 @@ def combine(combos: Iterable[SparseVec], vecs: list[SparseVec]) -> list[SparseVe
 # -- elements <-> vectors ----------------------------------------------
 
 def element_vector(basis: AnsatzBasis, elem: UEAElement) -> SparseVec:
-    index = basis.index()
+    index = basis.index
     try:
         return {index[mono]: c for mono, c in elem.terms.items()}
     except KeyError:
@@ -238,7 +227,7 @@ def omega_sums(alg: LieAlgebra, basis: AnsatzBasis, vecs: list[SparseVec]) -> li
     sums of the candidates keep every omega-fixed Casimir; a sum outside
     the candidate span still meets the reduced conditions and the
     exhaustive check, so nothing false is admitted."""
-    index = basis.index()
+    index = basis.index
     try:
         return [accumulate(dict(v), ((index[w], c) for w, c in
                                      omega(alg, vector_element(alg, basis, v)).terms.items()))
@@ -262,7 +251,7 @@ def omega_orbit_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
     dimension (N + #sigma-fixed) / 2, the number of orbits; each m +
     omega(m) is fixed, and their top-degree parts, m + sigma(m), are
     independent."""
-    index = basis.index()
+    index = basis.index
     img = omega_positions(alg)
     # a monomial whose sigma(m) leaves the ansatz is kept, and omega_sums
     # then finds that omega(m) leaves it too

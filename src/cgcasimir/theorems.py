@@ -27,6 +27,7 @@ from .grading import default_grade, grade_of
 from .liealg import AlgebraSpec, LieAlgebra, int_if_whole, make_cga
 from .solver import (
     CasimirReport,
+    ReducedCheckError,
     element_vector,
     reduce_vector,
     solve_casimirs,
@@ -68,7 +69,7 @@ def _term(alg: LieAlgebra, value, words: list[list[str]]) -> TheoremTerm:
         mirror = omega(alg, part)
         for p in [part] if mirror == part else [part, mirror]:
             if len(p.terms) != 1 or next(iter(p.terms.values())) != 1:
-                raise AssertionError(f"term word {w} or its ω-image is not an ordered monomial")
+                raise ReducedCheckError(f"term word {w} or its ω-image is not an ordered monomial")
             elem = elem + p
             names.append(pretty_monomial(alg, next(iter(p.terms))))
     return TheoremTerm(" + ".join(names), int_if_whole(Fraction(value)), elem)
@@ -271,8 +272,6 @@ class Discrepancy:
 
 @dataclass
 class TheoremReport:
-    spec: AlgebraSpec
-    which: str
     element: UEAElement
     verified: bool
     discrepancies: list[Discrepancy]
@@ -295,19 +294,19 @@ def theorem_report(spec: AlgebraSpec, which: str) -> TheoremReport:
     degree = 2 if which == "quadratic" else 4
     grade = default_grade(spec, degree)
     if verify_casimir(alg, built) is None:
-        return TheoremReport(spec, which, built, True, [], None, None, (grade, degree))
+        return TheoremReport(built, True, [], None, None, (grade, degree))
 
     for t in terms:
         for mono in t.element.terms:
             if grade_of(alg, mono) != grade:
-                raise AssertionError(f"term {t.name} is off-grade; bad transcription")
+                raise ReducedCheckError(f"term {t.name} is off-grade; bad transcription")
     rep = solve_casimirs(alg, grade, degree, method="algebraic")
     basis = rep.ansatz
     rows = rep.casimir_vectors
     residual = reduce_vector(rows, [min(v) for v in rows], element_vector(basis, built))
     corrected = built - vector_element(alg, basis, residual)
     if corrected.is_zero() or verify_casimir(alg, corrected) is not None:
-        raise AssertionError("projection onto the solved space failed")
+        raise ReducedCheckError("projection onto the solved space failed")
 
     discrepancies: list[Discrepancy] = []
     seen: set = set()
@@ -330,8 +329,7 @@ def theorem_report(spec: AlgebraSpec, which: str) -> TheoremReport:
     for mono in sorted(corrected.terms.keys() - seen, key=lex_key):
         discrepancies.append(Discrepancy(pretty_monomial(alg, mono), Fraction(0),
                                          corrected.terms[mono]))
-    return TheoremReport(spec, which, built, False, discrepancies, corrected, rep,
-                         (grade, degree))
+    return TheoremReport(built, False, discrepancies, corrected, rep, (grade, degree))
 
 
 def theorem_casimir_report(spec: AlgebraSpec, which: str) -> tuple[TheoremReport, dict]:

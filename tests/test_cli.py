@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgcasimir import cli, grading, liealg, realization, solver, uea
+from cgcasimir import cli, grading, liealg, realization, solver, theorems, uea
 from cgcasimir.cli import main
 from cgcasimir.grading import MAX_ANSATZ, MAX_HALF_WORDS
 from cgcasimir.liealg import MAX_DIM, MAX_TRIALS, make_cga, parse_spec
@@ -506,6 +506,16 @@ def test_a_lower_product_outside_the_solved_space_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, "solve", "--d", "1", "--ell", "3/2", "--degree", "4")
     assert code == 1 and out == ""
     assert err == "error: a product of lower Casimirs escaped the solved space\n"
+
+
+def test_a_failed_theorem_projection_exits_1(capsys, monkeypatch):
+    # a projection that removes nothing leaves a zero corrected element: the
+    # theorem's self-check fails, so exit 1 on one line, not a traceback
+    monkeypatch.setattr(theorems, "reduce_vector", lambda rows, pivots, vec: vec)
+    code, out, err = run(capsys, "theorem", "--d", "1", "--ell", "5/2", "--which", "quartic")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_verify_input_directory_exits_2(tmp_path, capsys):

@@ -11,6 +11,7 @@ from cgcasimir.liealg import (
     LieAlgebra,
     bb_count,
     bracket,
+    central_pairing,
     jacobi_check,
     make_cga,
     parse_spec,
@@ -56,6 +57,8 @@ def test_dimension_formula(d, ells, algebra):
 def test_generator_ordering_d1(algebra):
     alg = algebra(1, "3/2")
     assert [g.name for g in alg.basis] == ["M", "P0", "H", "P1", "D", "P2", "C", "P3"]
+    with pytest.raises(KeyError, match="no generator named 'Nope' in this algebra"):
+        alg.generator("Nope")
     alg = algebra(1, "5/2")
     assert [g.name for g in alg.basis] == [
         "M", "P0", "P1", "H", "P2", "D", "P3", "C", "P4", "P5"]
@@ -82,6 +85,9 @@ def test_bracket_table_d1(algebra):
     # I_0 = (-1)^(0+2) * 3! * 0! = 6
     assert bracket(alg, g("P0"), g("P3")) == _vec(alg, {"M": 6})
     assert bracket(alg, g("P1"), g("P2")) == _vec(alg, {"M": -2})
+    for m in (-1, 4):
+        with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+            central_pairing(alg.spec, m)
 
 
 def test_bracket_table_d1_52(algebra):
@@ -151,6 +157,10 @@ def test_jacobi_detects_injected_fault(algebra):
     assert failing is not None
     names = {g.name for g in failing}
     assert names & {"D", "H"}
+    # a bracket keyed (j, i) or (i, i) is refused, not stored
+    for key in [(max(i, j), min(i, j)), (i, i)]:
+        with pytest.raises(ValueError, match=r"must satisfy i < j"):
+            LieAlgebra(alg.spec, alg.basis, {key: {i: 1}})
 
 
 @pytest.mark.parametrize("d,ell,count", [(1, "3/2", 2), (1, "5/2", 2), (1, "7/2", 2),

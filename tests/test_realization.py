@@ -57,7 +57,9 @@ def test_generator_images(algebra):
     vs = VarSet.for_spec(spec)
     h = realize_generator(spec, GeneratorId("H"))
     assert h == partial(vs, "t").scale(-1)
+    assert -h == partial(vs, "t")
     assert pretty_diffop(h) == "-∂_t"
+    assert pretty_diffop(h + -h) == "0"
     m = realize_generator(spec, GeneratorId("M"))
     assert m == symbol(vs, "m")
     d = realize_generator(spec, GeneratorId("D"))
@@ -111,6 +113,8 @@ def test_compose_leibniz_base(algebra):
     assert compose(dt, t) == compose(t, dt) + DiffOp.identity(vs)
     assert compose(DiffOp.identity(vs), dt) == dt
     assert compose(dt, DiffOp.identity(vs)) == dt
+    with pytest.raises(ValueError, match="different variable sets"):
+        compose(dt, partial(VarSet.for_spec(algebra(2, 1).spec), "t"))
 
 
 def test_compose_reproduces_bracket(algebra):

@@ -629,6 +629,10 @@ def test_primitive_normalization(algebra):
     assert all(c.denominator == 1 for c in p.terms.values())
     assert p.terms[p.leading_monomial()] > 0
     assert proportional(k, p)
+    zero = UEAElement.zero(alg)
+    assert primitive(zero).is_zero()
+    assert proportional(zero, zero)
+    assert not proportional(k, zero) and not proportional(zero, k)
 
 
 def test_candidates_contain_central(algebra):

@@ -81,6 +81,7 @@ def test_multiply_reorders_concatenated_word(algebra):
     b = elem(alg, [(1, ["P0", "P3"])])
     prod = multiply(alg, a, b)
     assert prod == normal_order(alg, [alg.generator(n) for n in ["P3", "P0", "P3"]])
+    assert a * b == prod
     assert prod == elem(alg, [(1, ["P0", "P3", "P3"]), (-6, ["M", "P3"])])
 
 
