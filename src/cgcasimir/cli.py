@@ -20,10 +20,6 @@ from .grading import default_grade
 from .liealg import make_cga, parse_spec
 
 
-class CliError(Exception):
-    """An invalid request; ``main`` prints it on one line and exits 2."""
-
-
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it as it
@@ -44,12 +40,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("algebra", help="emit the bracket table")
     common(p)
+    p.set_defaults(run=cmd_algebra)
 
     p = sub.add_parser("rank", help="invariant count from the structure matrix")
     common(p, summary=False)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(format="text")  # stdout is the bare count
+    p.set_defaults(run=cmd_rank, format="text")  # stdout is the bare count
 
     p = sub.add_parser("solve", help="search for Casimir operators")
     common(p)
@@ -57,34 +54,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grade", default="auto",
                    help='target grade, e.g. "0,2,0", or "auto" for the default at this degree')
     p.add_argument("--method", choices=["pipeline", "algebraic"], default="pipeline")
+    p.set_defaults(run=cmd_solve)
 
     p = sub.add_parser("verify", help="check a stored element (or report) for centrality")
     common(p)
     p.add_argument("--in", dest="input_path", required=True)
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("theorem", help="build a closed-form Casimir and check it")
     common(p)
     p.add_argument("--which", choices=["quadratic", "quartic"], required=True)
+    p.set_defaults(run=cmd_theorem)
 
     p = sub.add_parser("realize", help="map an element to a differential operator")
     common(p)
     p.add_argument("--in", dest="input_path")
     p.add_argument("--gen", help="realize a single generator by name instead of a file")
+    p.set_defaults(run=cmd_realize)
 
     return parser
 
 
-def _spec(cfg: argparse.Namespace):
-    return parse_spec(cfg.d, cfg.ell)
-
-
 def _emit(cfg: argparse.Namespace, payload: dict, text: str):
     # the artifact first: an unwritable --out must not follow a printed result
+    artifact = json.dumps(payload, indent=2, sort_keys=True)
     if cfg.output_path:
         with open(cfg.output_path, "w") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True))
-            fh.write("\n")
-    print(text if cfg.format == "text" else json.dumps(payload, indent=2, sort_keys=True))
+            fh.write(artifact + "\n")
+    print(text if cfg.format == "text" else artifact)
 
 
 def _resolve_target(cfg: argparse.Namespace, spec) -> tuple[tuple[int, ...], int]:
@@ -93,19 +90,19 @@ def _resolve_target(cfg: argparse.Namespace, spec) -> tuple[tuple[int, ...], int
     try:
         grade = tuple(int(x) for x in cfg.grade.split(","))
     except ValueError:
-        raise CliError(f"cannot parse grade {cfg.grade!r}") from None
+        raise ValueError(f"cannot parse grade {cfg.grade!r}") from None
     return grade, cfg.degree
 
 
 def cmd_algebra(cfg: argparse.Namespace) -> int:
-    alg = make_cga(_spec(cfg))
+    alg = make_cga(parse_spec(cfg.d, cfg.ell))
     payload = liealg.to_json_dict(alg)
     _emit(cfg, payload, f"{alg!r}: basis {', '.join(g.name for g in alg.basis)}")
     return 0
 
 
 def cmd_rank(cfg: argparse.Namespace) -> int:
-    alg = make_cga(_spec(cfg))
+    alg = make_cga(parse_spec(cfg.d, cfg.ell))
     count = liealg.bb_count(alg, trials=cfg.trials, seed=cfg.seed)
     payload = {"spec": alg.spec.to_json_dict(), "invariant_count": count}
     _emit(cfg, payload, str(count))
@@ -113,7 +110,7 @@ def cmd_rank(cfg: argparse.Namespace) -> int:
 
 
 def cmd_solve(cfg: argparse.Namespace) -> int:
-    spec = _spec(cfg)
+    spec = parse_spec(cfg.d, cfg.ell)
     alg = make_cga(spec)
     grade, degree = _resolve_target(cfg, spec)
     report = solver.solve_casimirs(alg, grade, degree, method=cfg.method)
@@ -133,39 +130,49 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
 
 
 def _load_elements(cfg: argparse.Namespace, alg) -> list[uea.UEAElement]:
-    with open(cfg.input_path) as fh:
+    """The elements of the ``--in`` file; every refusal names the file."""
+    path = cfg.input_path
+    with open(path) as fh:
         try:
             data = json.load(fh)
         except RecursionError:
-            raise CliError(f"{cfg.input_path}: JSON nested too deeply") from None
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
     if not isinstance(data, dict):
-        raise CliError(f"{cfg.input_path}: neither an element nor a report")
+        raise ValueError(f"{path}: neither an element nor a report")
     if "terms" in data:
         entries = [data]
     elif "canonical" in data:
         if "spec" in data:
             spec = data["spec"]
             if not (isinstance(spec, dict) and "d" in spec and "ell" in spec):
-                raise CliError(f"{cfg.input_path}: report spec needs 'd' and 'ell'")
-            if parse_spec(spec["d"], spec["ell"]) != alg.spec:
-                raise CliError(f"{cfg.input_path} was produced for "
-                               f"d={spec['d']} ell={spec['ell']}")
+                raise ValueError(f"{path}: report spec needs 'd' and 'ell'")
+            try:
+                produced = parse_spec(spec["d"], spec["ell"])
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            if produced != alg.spec:
+                raise ValueError(f"{path} was produced for d={spec['d']} ell={spec['ell']}")
         if not isinstance(data["canonical"], list):
-            raise ValueError("a report needs a list under 'canonical'")
+            raise ValueError(f"{path}: a report needs a list under 'canonical'")
         entries = data["canonical"]
     else:
-        raise CliError(f"{cfg.input_path}: neither an element nor a report")
-    elements = uea.from_json_dicts(alg, entries)
+        raise ValueError(f"{path}: neither an element nor a report")
+    try:
+        elements = uea.from_json_dicts(alg, entries)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     # zero commutes with everything, so neither it nor an empty report is a Casimir
     if not elements:
-        raise CliError(f"{cfg.input_path}: the report has no elements")
+        raise ValueError(f"{path}: the report has no elements")
     if any(e.is_zero() for e in elements):
-        raise CliError(f"{cfg.input_path}: a zero element is not a Casimir")
+        raise ValueError(f"{path}: a zero element is not a Casimir")
     return elements
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
-    alg = make_cga(_spec(cfg))
+    alg = make_cga(parse_spec(cfg.d, cfg.ell))
     elements = _load_elements(cfg, alg)
     failures = []
     for idx, e in enumerate(elements):
@@ -191,7 +198,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 def cmd_theorem(cfg: argparse.Namespace) -> int:
-    spec = _spec(cfg)
+    spec = parse_spec(cfg.d, cfg.ell)
     tr, payload = theorems.theorem_casimir_report(spec, cfg.which)
     lines = [f"closed form {cfg.which} for d={spec.d} ell={spec.ell}"]
     if tr.verified:
@@ -207,23 +214,23 @@ def cmd_theorem(cfg: argparse.Namespace) -> int:
 
 
 def cmd_realize(cfg: argparse.Namespace) -> int:
-    spec = _spec(cfg)
+    spec = parse_spec(cfg.d, cfg.ell)
     alg = make_cga(spec)
     if cfg.gen is not None and cfg.input_path:
-        raise CliError("realize takes --in FILE or --gen NAME, not both")
+        raise ValueError("realize takes --in FILE or --gen NAME, not both")
     if cfg.gen is not None:
         if cfg.gen not in alg.by_name:
-            raise CliError(f"no generator named {cfg.gen!r} in this algebra")
+            raise ValueError(f"no generator named {cfg.gen!r} in this algebra")
         op = realization.realize_generator(spec, alg.by_name[cfg.gen])
         label = cfg.gen
     elif cfg.input_path:
         elements = _load_elements(cfg, alg)
         if len(elements) != 1:
-            raise CliError("realize expects exactly one element")
+            raise ValueError(f"{cfg.input_path}: realize expects exactly one element")
         op = realization.realize_element(alg, elements[0])
         label = cfg.input_path
     else:
-        raise CliError("realize needs --in FILE or --gen NAME")
+        raise ValueError("realize needs --in FILE or --gen NAME")
     scalar, residual = realization.is_parameter_scalar(op)
     payload = {
         "spec": spec.to_json_dict(),
@@ -239,16 +246,6 @@ def cmd_realize(cfg: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "algebra": cmd_algebra,
-    "rank": cmd_rank,
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "theorem": cmd_theorem,
-    "realize": cmd_realize,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         # the interpreter's default caps an int's decimal digits (4,300 on
@@ -259,14 +256,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse reports its own errors on code 2
         return int(exc.code or 0)
     try:
-        return _HANDLERS[cfg.subcommand](cfg)
+        return cfg.run(cfg)
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         # before ValueError, which JSONDecodeError subclasses
         print(f"error: bad input ({exc})", file=sys.stderr)
         return 2
-    except (CliError, ValueError) as exc:
-        # ValueError covers bad specs, grades, degree/trials/term bounds
-        # and out-of-range closed forms
+    except ValueError as exc:
+        # every refused request: bad specs, grades, inputs, degree/trials/term
+        # bounds and out-of-range closed forms
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except solver.ReducedCheckError as exc:

@@ -341,10 +341,6 @@ class GeneratorId:
         return f"GeneratorId({self.name})"
 
 
-def _gen(kind: str, index: Optional[int] = None) -> GeneratorId:
-    return GeneratorId(kind, index)
-
-
 def central_pairing(spec: AlgebraSpec, m: int) -> int:
     """Coefficient of the central element in the degree-complementary
     bracket of the translation towers, as an exact integer.
@@ -365,22 +361,24 @@ def central_pairing(spec: AlgebraSpec, m: int) -> int:
 def _basis_d1(spec: AlgebraSpec) -> list[GeneratorId]:
     # M, P_0 .. P_{ell-3/2}, H, P_{ell-1/2}, D, P_{ell+1/2}, C, P_{ell+3/2} .. P_{2ell}
     half = (spec.two_ell - 1) // 2
-    basis = [_gen("M")]
-    basis += [_gen("P", n) for n in range(half)]
-    basis += [_gen("H"), _gen("P", half), _gen("D"), _gen("P", half + 1), _gen("C")]
-    basis += [_gen("P", n) for n in range(half + 2, spec.two_ell + 1)]
+    basis = [GeneratorId("M")]
+    basis += [GeneratorId("P", n) for n in range(half)]
+    basis += [GeneratorId("H"), GeneratorId("P", half), GeneratorId("D"),
+              GeneratorId("P", half + 1), GeneratorId("C")]
+    basis += [GeneratorId("P", n) for n in range(half + 2, spec.two_ell + 1)]
     return basis
 
 
 def _basis_d2(spec: AlgebraSpec) -> list[GeneratorId]:
     # Theta, Q_0, P_0, .., Q_{l-1}, P_{l-1}, H, D, J, Q_l, P_l, C, Q_{l+1}, P_{l+1}, ..
     ell = int(spec.ell)
-    basis = [_gen("Theta")]
+    basis = [GeneratorId("Theta")]
     for n in range(ell):
-        basis += [_gen("Q", n), _gen("P", n)]
-    basis += [_gen("H"), _gen("D"), _gen("J"), _gen("Q", ell), _gen("P", ell), _gen("C")]
+        basis += [GeneratorId("Q", n), GeneratorId("P", n)]
+    basis += [GeneratorId("H"), GeneratorId("D"), GeneratorId("J"),
+              GeneratorId("Q", ell), GeneratorId("P", ell), GeneratorId("C")]
     for n in range(ell + 1, spec.two_ell + 1):
-        basis += [_gen("Q", n), _gen("P", n)]
+        basis += [GeneratorId("Q", n), GeneratorId("P", n)]
     return basis
 
 
@@ -457,16 +455,14 @@ def make_cga(spec: AlgebraSpec) -> LieAlgebra:
     brackets: dict[tuple[int, int], SparseVec] = {}
 
     def put(x: GeneratorId, y: GeneratorId, combo: dict[GeneratorId, int]):
+        # LieAlgebra drops zero coefficients and empty brackets
         i, j = pos[x], pos[y]
-        vec = {pos[g]: c for g, c in combo.items() if c}
-        if not vec:
-            return
         if i < j:
-            brackets[(i, j)] = vec
+            brackets[(i, j)] = {pos[g]: c for g, c in combo.items()}
         else:
-            brackets[(j, i)] = {k: -c for k, c in vec.items()}
+            brackets[(j, i)] = {pos[g]: -c for g, c in combo.items()}
 
-    H, D, C = _gen("H"), _gen("D"), _gen("C")
+    H, D, C = GeneratorId("H"), GeneratorId("D"), GeneratorId("C")
     put(D, H, {H: 2})
     put(D, C, {C: -2})
     put(C, H, {D: 1})
@@ -474,27 +470,27 @@ def make_cga(spec: AlgebraSpec) -> LieAlgebra:
     towers = ["P"] if spec.d == 1 else ["Q", "P"]
     for kind in towers:
         for n in range(n2 + 1):
-            g = _gen(kind, n)
+            g = GeneratorId(kind, n)
             if n >= 1:
-                put(H, g, {_gen(kind, n - 1): -n})
+                put(H, g, {GeneratorId(kind, n - 1): -n})
             put(D, g, {g: n2 - 2 * n})
             if n < n2:
-                put(C, g, {_gen(kind, n + 1): n2 - n})
+                put(C, g, {GeneratorId(kind, n + 1): n2 - n})
 
     if spec.d == 1:
-        central = _gen("M")
+        central = GeneratorId("M")
         for m in range(n2 + 1):
             n = n2 - m
             if m < n:
-                put(_gen("P", m), _gen("P", n), {central: central_pairing(spec, m)})
+                put(GeneratorId("P", m), GeneratorId("P", n), {central: central_pairing(spec, m)})
     else:
-        central = _gen("Theta")
-        J = _gen("J")
+        central = GeneratorId("Theta")
+        J = GeneratorId("J")
         for n in range(n2 + 1):
-            put(J, _gen("Q", n), {_gen("Q", n): 1})
-            put(J, _gen("P", n), {_gen("P", n): -1})
+            put(J, GeneratorId("Q", n), {GeneratorId("Q", n): 1})
+            put(J, GeneratorId("P", n), {GeneratorId("P", n): -1})
         for m in range(n2 + 1):
-            put(_gen("Q", m), _gen("P", n2 - m), {central: central_pairing(spec, m)})
+            put(GeneratorId("Q", m), GeneratorId("P", n2 - m), {central: central_pairing(spec, m)})
 
     return LieAlgebra(spec, basis, brackets)
 

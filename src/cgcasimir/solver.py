@@ -437,9 +437,10 @@ def lower_casimir_products(alg: LieAlgebra, grade: GradeVector, max_degree: int
     """PBW expansions of all products of lower Casimirs with the target
     grade and admissible degree (the subspace quotiented away when
     presenting canonical representatives).  Each product is a multiset of
-    factors, multiplied in the order ``known_lower_casimirs`` lists them."""
+    factors, multiplied in the order ``known_lower_casimirs`` lists them;
+    at the zero grade they include the empty product, 1."""
     known = known_lower_casimirs(alg, max_degree)
-    out: list[UEAElement] = []
+    out = [] if any(grade) else [UEAElement.one(alg)]
     # every factor has degree >= 1, so a product has at most max_degree of them
     for k in range(1, max_degree + 1):
         for factors in combinations_with_replacement(known, k):

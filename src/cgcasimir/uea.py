@@ -430,11 +430,8 @@ def from_json_dicts(alg: LieAlgebra, dicts: list) -> list[UEAElement]:
                          f"the largest accepted, {MAX_LETTERS}")
     out = []
     for terms in parsed:
-        words: dict[Monomial, int | Fraction] = {}
-        for expo, c in terms:
-            word = monomial_word([expo.get(p, 0) for p in range(alg.dim)])
-            words[word] = words.get(word, 0) + c
-        out.append(UEAElement(alg, words))
+        words = ((monomial_word([expo.get(p, 0) for p in range(alg.dim)]), c) for expo, c in terms)
+        out.append(UEAElement(alg, accumulate({}, words)))
     return out
 
 

@@ -384,13 +384,18 @@ def _assert_rejected(code, out, err):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _assert_rejected_naming_the_file(tmp_path, code, out, err):
+    _assert_rejected(code, out, err)
+    assert err.startswith(f"error: {tmp_path / 'input.json'}: ")
+
+
 def test_verify_rejects_terms_not_a_list(tmp_path, capsys):
-    _assert_rejected(*_verify_json(tmp_path, capsys, {"terms": 5}))
+    _assert_rejected_naming_the_file(tmp_path, *_verify_json(tmp_path, capsys, {"terms": 5}))
 
 
 def test_verify_rejects_zero_denominator(tmp_path, capsys):
     payload = {"terms": [{"monomial": {"M": 1}, "coeff": "1/0"}]}
-    _assert_rejected(*_verify_json(tmp_path, capsys, payload))
+    _assert_rejected_naming_the_file(tmp_path, *_verify_json(tmp_path, capsys, payload))
 
 
 def test_verify_rejects_report_spec_without_ell(tmp_path, capsys):
@@ -403,7 +408,7 @@ def test_verify_rejects_report_spec_without_ell(tmp_path, capsys):
 def test_verify_rejects_bad_exponent(tmp_path, capsys, exponent):
     # {"H": -1} used to become the empty monomial and verify as central
     payload = {"terms": [{"monomial": {"H": exponent}, "coeff": "1"}]}
-    _assert_rejected(*_verify_json(tmp_path, capsys, payload))
+    _assert_rejected_naming_the_file(tmp_path, *_verify_json(tmp_path, capsys, payload))
 
 
 @pytest.mark.parametrize("term", [
@@ -413,7 +418,7 @@ def test_verify_rejects_bad_exponent(tmp_path, capsys, exponent):
     {"monomial": {"M": 1}},
 ])
 def test_verify_rejects_malformed_terms(tmp_path, capsys, term):
-    _assert_rejected(*_verify_json(tmp_path, capsys, {"terms": [term]}))
+    _assert_rejected_naming_the_file(tmp_path, *_verify_json(tmp_path, capsys, {"terms": [term]}))
 
 
 @pytest.mark.parametrize("payload", [
@@ -424,7 +429,8 @@ def test_verify_rejects_malformed_terms(tmp_path, capsys, term):
 ], ids=["empty_element", "zero_coefficient", "empty_report", "report_of_no_list"])
 def test_verify_rejects_zero_or_empty_input(tmp_path, capsys, payload):
     # zero commutes with every generator, but it is not a Casimir
-    _assert_rejected(*_verify_json(tmp_path, capsys, payload, d="2", ell="1"))
+    _assert_rejected_naming_the_file(tmp_path,
+                                     *_verify_json(tmp_path, capsys, payload, d="2", ell="1"))
 
 
 @pytest.mark.parametrize("command", ["realize", "verify"])
@@ -433,7 +439,7 @@ def test_malformed_json_is_bad_input(tmp_path, capsys, command):
     path.write_text('{"terms": [\n')
     code, out, err = run(capsys, command, "--d", "1", "--ell", "3/2", "--in", str(path))
     _assert_rejected(code, out, err)
-    assert err.startswith("error: bad input (")
+    assert err.startswith(f"error: bad input ({path}: ")
 
 
 @pytest.mark.parametrize("command", ["realize", "verify"])
@@ -730,3 +736,4 @@ def test_loader_fuzz_exits_cleanly(tmp_path_factory, payload, command):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert str(path) in err.getvalue()

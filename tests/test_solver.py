@@ -1006,6 +1006,18 @@ def test_routes_agree_at_every_grade(d, ell, degree, count, algebra):
         assert a.canonical == b.canonical, grade
 
 
+@pytest.mark.parametrize("method", ["pipeline", "algebraic"])
+@pytest.mark.parametrize("d,ell,grade,degree", [(1, "3/2", (0, 0), 4), (2, 1, (0, 0, 0), 3)])
+def test_the_constant_is_not_a_canonical_casimir(d, ell, grade, degree, method, algebra):
+    # 1 is central, so the zero grade's space holds it; it is also the empty
+    # product of lower Casimirs, so the canonical basis does not
+    alg = algebra(d, ell)
+    report = solve_casimirs(alg, grade, degree, method=method)
+    assert report.casimir_basis == [UEAElement.one(alg)]
+    assert report.lower_products == [UEAElement.one(alg)]
+    assert report.canonical == []
+
+
 def test_count_consistency_with_bb(solved, algebra):
     # canonical Casimirs across the default targets, plus the central
     # generator, match the structure-matrix count
