@@ -313,6 +313,14 @@ class AlgebraSpec:
 
 
 def parse_spec(d: int | str, ell: int | str | Fraction) -> AlgebraSpec:
+    """The spec of ``d`` and ``ell``, each an ``int`` or a string, and
+    ``ell`` also a ``Fraction``.  A ``bool`` or a ``float`` is an
+    ``InvalidSpecError``: ``int`` and ``Fraction`` would read JSON's
+    ``true`` as 1 and ``1.5`` as 3/2, where a report states its spec
+    exactly."""
+    if any(isinstance(x, (bool, float)) for x in (d, ell)):
+        raise InvalidSpecError(f"cannot parse algebra spec d={d!r} ell={ell!r}: "
+                               f"each must be an integer or a string")
     try:
         return AlgebraSpec(int(d), Fraction(ell))
     except (ValueError, TypeError, ZeroDivisionError) as exc:

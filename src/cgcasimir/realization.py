@@ -63,8 +63,8 @@ from .uea import Monomial, UEAElement, grlex_key, monomial_names, monomial_text,
 Expo = tuple[int, ...]
 
 FIELD_MAX = 2**31 - 1  # largest entry of a packed key; bit 31 of a field is its guard
-# most terms one operator product may hold: 126 times the 2,066 of the
-# largest product a ladder solve builds (in a d=1 ell=17/2 residual)
+# most terms one operator product may hold: 547 times the 479 of the
+# largest product a ladder solve builds (d=2 ell=5, on the pipeline)
 MAX_TERMS = 2**18
 
 

@@ -23,11 +23,15 @@ the pipeline builds only its rows of t-degree at most 1 (the "t-jet").
 The images of ``H`` = -∂_t are the only ones that lower a term's degree in
 t, by at most one, so these rows are exact when each partial image keeps
 its terms up to 1 plus the ``H`` letters still to go on.  Their nullspace
-contains the true one.  Each of its vectors' ansatz parts is then
-realised exactly, less its entries times the operators of their
-auxiliary ``(operator, shift)`` columns; that residual is linear in the
-vector, and the combinations whose residuals cancel are exactly the true nullspace.  Where every residual is
-zero, they are the vectors themselves.
+contains the true one.  Each of its vectors gets a residual: the image
+of its ansatz part less its entries times the operators of their
+auxiliary ``(operator, shift)`` columns.  That residual is linear in the
+vector, and the combinations whose residuals cancel are exactly the true
+nullspace.  A part that commutes with ``H`` has an image free of t,
+which the jet rows already fix, so its residual is read off the
+auxiliary sum and nothing is composed; this covers every Casimir.  Only
+the other parts, of 1 to 23 words on the quartic ladder, are realised.
+Where every residual is zero, the true nullspace is the jet's.
 
 Both paths finish with a full verification against every generator.  The
 reduced conditions (omega-symmetry plus commutators with a small generator
@@ -84,11 +88,12 @@ def _bounded(res: UEAElement) -> str:
 
 
 # Largest number of operator terms the candidate stage may realise: the
-# images of the candidate system's rows and the products its residuals
-# compose.  The pipeline's time and memory follow this count, not the
-# ansatz size.  At degree 4, d=1 ell=57/2 realises 4,187,886 and its whole
-# solve took 19 s and 122 MB on a 2-vCPU Xeon; ell=59/2 (4,881,741) is
-# refused after 17 s.  A larger stage is refused as it runs.
+# images of the candidate system's jet rows and the products its composed
+# residuals make.  At degree 4 the jet rows are most of them: d=1
+# ell=141/2 realises 466,062 and d=2 ell=20 640,822, and their whole
+# solves took 68 s and 645 MB and 6.9 s and 65 MB on a 2-vCPU Xeon.
+# Higher degrees reach it: d=2 ell=3 at degree 8 and grade (0,2,0) is
+# refused after 19 s and 336 MB.  A larger stage is refused as it runs.
 MAX_SYSTEM_ENTRIES = 2**22
 
 
@@ -318,9 +323,10 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis, jet: Optio
 
 # t-degree bound of the candidate rows.  K = 0 is exact too: the residuals
 # cut its larger nullspace (nullity 11-23 against 3-8 at d=1 ell 9/2 and
-# 17/2 and d=2 ell 3 and 5) to the true one, but realising the spurious
-# vectors' residuals made its candidate stage 1.5-2.5x slower (0.31 s
-# against 0.12 s at d=1 ell=17/2, best of three on a 2-vCPU Xeon).
+# 17/2 and d=2 ell 3 and 5) to the true one, but most spurious vectors do
+# not commute with H, and realising their residuals made the candidate
+# stage 2-6x slower (0.19 s against 0.030 s at d=1 ell=17/2, 0.23 s
+# against 0.061 s at d=2 ell=5, best of three on a 2-vCPU Xeon).
 JET = 1
 
 
@@ -331,32 +337,60 @@ def candidate_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
 
     Only ``H`` lowers a t-degree, so the system's rows of t-degree at most
     ``JET`` are built, and exactly.  They are a subset of the rows, so
-    their nullspace contains the true one.  Each of its vectors' ansatz
-    parts is realised with ``realize_element``, which composes each suffix
-    the vector's words share once, less each auxiliary column's full
-    operator, moved by its shift and scaled by the vector's entry there.
-    The residual is linear in the vector, so the combinations of the
-    vectors whose residuals cancel, ``nullspace_basis`` of the residuals
-    keyed by operator term, span the true nullspace.  Where every residual
-    is zero, those combinations are the unit vectors.  Either way ``rref``
-    of the projection depends only on the space.  Every image term the
-    stage realises, the residuals' products included, counts towards
+    their nullspace contains the true one.  Each of its vectors then gets
+    its residual (``_residual``): the image of its ansatz part K less its
+    auxiliary sum, the sum of each auxiliary column's full operator, moved
+    by its shift and scaled by the vector's entry there.  The residual is
+    linear in the vector, so the combinations of the vectors whose
+    residuals cancel, ``nullspace_basis`` of the residuals keyed by
+    operator term, span the true nullspace.  Where every residual is zero,
+    those combinations are the unit vectors.  Either way ``rref`` of the
+    projection depends only on the space.
+
+    Where [K, H] = 0, the image of K is the t-jet of the auxiliary sum,
+    with nothing composed; otherwise ``realize_element`` composes it.
+    Proof, for any ``JET`` >= 0: rho is a homomorphism
+    (``realization.verify_realization``) and rho(H) = -∂_t, so [H, K] = 0
+    gives [∂_t, rho(K)] = 0, and the coefficients of rho(K) have no t.
+    Every term of rho(K) then has t-degree 0 <= ``JET`` and lies in the
+    jet rows, on which rho(K) equals the auxiliary sum; so rho(K) is the
+    auxiliary sum's terms of t-degree at most ``JET``.  The identity,
+    rho(D) and rho(J) have t-degree at most 1, so at ``JET`` = 1 such a
+    residual is zero.  Every Casimir commutes with H, and so do 2 of the 3
+    jet vectors at each quartic d=1 ladder point and 6 of the 8 at d=2;
+    the others hold 1 to 23 words.  Every image term the stage realises,
+    the jet rows and the composed residuals' products, counts towards
     ``MAX_SYSTEM_ENTRIES``."""
     n = len(basis.monomials)
     charge = _Realised()
     sys = realization_candidate_system(alg, basis, JET, charge)
     null = nullspace(sys)
-    parts = [{i: c for i, c in v.items() if i < n} for v in null]
     rows: dict[int, SparseVec] = {}  # packed operator key -> {vector: residual}
-    for j, (v, part) in enumerate(zip(null, parts)):
-        residual = dict(realize_element(alg, vector_element(alg, basis, part), charge).packed)
-        for ci, c in v.items():
-            if ci >= n:
-                op, shift = sys.columns[ci]
-                accumulate(residual, ((k + shift, -c * x) for k, x in op.packed.items()))
-        for k, c in residual.items():
+    for j, v in enumerate(null):
+        for k, c in _residual(alg, basis, sys.columns, v, charge).packed.items():
             rows.setdefault(k, {})[j] = c
+    parts = [{i: c for i, c in v.items() if i < n} for v in null]
     return rref(combine(nullspace_basis(list(rows.values()), len(null)), parts), n)[0]
+
+
+def _residual(alg: LieAlgebra, basis: AnsatzBasis, columns: list, vec: SparseVec,
+              charge: _Realised) -> DiffOp:
+    """The image of ``vec``'s ansatz part K less its auxiliary sum, where
+    ``columns`` are the candidate system's: the t-jet of that sum where
+    [K, H] = 0, by ``candidate_vectors``' proof, and otherwise K's image
+    by ``realize_element``, its products charged to ``charge``."""
+    n = len(basis.monomials)
+    aux = DiffOp(VarSet.for_spec(alg.spec))
+    for ci, c in vec.items():
+        if ci >= n:
+            op, shift = columns[ci]
+            accumulate(aux.packed, ((k + shift, c * x) for k, x in op.packed.items()))
+    K = vector_element(alg, basis, {i: c for i, c in vec.items() if i < n})
+    if commutator(alg, K, alg.generator("H")).is_zero():
+        image = t_jet(aux, JET)
+    else:
+        image = realize_element(alg, K, charge)
+    return image - aux
 
 
 def verify_casimir(alg: LieAlgebra, K: UEAElement

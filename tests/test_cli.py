@@ -404,6 +404,15 @@ def test_verify_rejects_report_spec_without_ell(tmp_path, capsys):
     _assert_rejected(*_verify_json(tmp_path, capsys, payload))
 
 
+@pytest.mark.parametrize("spec", [{"d": True, "ell": 1.5}, {"d": 1, "ell": 1.5},
+                                  {"d": True, "ell": "3/2"}, {"d": 1.0, "ell": "3/2"}])
+def test_verify_rejects_a_report_spec_of_bool_or_float(tmp_path, capsys, spec):
+    # int(True) is 1 and Fraction(1.5) is 3/2, so {"d": true, "ell": 1.5}
+    # used to pass as d=1 ell=3/2 and verify
+    payload = {"spec": spec, "canonical": [{"terms": [{"monomial": {"M": 1}, "coeff": "1"}]}]}
+    _assert_rejected_naming_the_file(tmp_path, *_verify_json(tmp_path, capsys, payload))
+
+
 @pytest.mark.parametrize("exponent", [-1, 1.5, True, "2"])
 def test_verify_rejects_bad_exponent(tmp_path, capsys, exponent):
     # {"H": -1} used to become the empty monomial and verify as central

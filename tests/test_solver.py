@@ -12,7 +12,7 @@ import pytest
 from cgcasimir import liealg, solver
 from cgcasimir.grading import default_grade, enumerate_ansatz, grade_of
 from cgcasimir.liealg import PRIME, accumulate, bb_count, echelon, integerize, nullspace_basis
-from cgcasimir.realization import DiffOp, VarSet
+from cgcasimir.realization import DiffOp, VarSet, realize_element, t_jet
 from cgcasimir.solver import (
     CasimirReport,
     LinearSystem,
@@ -466,9 +466,9 @@ def test_a_zero_jet_is_cut_to_the_full_system_candidates(algebra, monkeypatch):
 
 
 def test_a_wrong_residual_image_cuts_exactly_one_candidate(algebra, monkeypatch):
-    # an image off by the identity leaves every vector the same nonzero
-    # residual, so exactly the differences of the vectors remain, inside
-    # the true candidate space
+    # an image off by the identity leaves every vector that is realised, one
+    # that does not commute with H, the same nonzero residual and the others
+    # none, so exactly one dimension is cut, inside the true candidate space
     realize = solver.realize_element
 
     def off_by_one(alg, a, charge=None):
@@ -487,6 +487,63 @@ def test_a_wrong_residual_image_cuts_exactly_one_candidate(algebra, monkeypatch)
         assert len(got) == dim - 1 and jets == [solver.JET]
         rows, pivots = rref(expect, n)
         assert all(span_contains(rows, pivots, v) for v in got)
+
+
+def _moved(op, shift, c):
+    """``c`` times ``op`` with each term's exponents raised by those of the
+    packed ``shift``, built from the unpacked terms."""
+    lift = op.vs.unpack(shift)[1]
+    return DiffOp(op.vs, {(deriv, tuple(map(sum, zip(expo, lift)))): c * x
+                          for (deriv, expo), x in op.terms.items()})
+
+
+@pytest.mark.parametrize("jet", [0, 1])
+@pytest.mark.parametrize("d,ell", [(1, "7/2"), (1, "9/2"), (1, "11/2"), (2, 2), (2, 3)])
+def test_a_jet_vector_that_commutes_with_h_has_the_residual_its_image_gives(d, ell, jet, algebra,
+                                                                           monkeypatch):
+    # every jet nullspace vector whose ansatz part K commutes with H, the
+    # Casimirs among them: the residual read off its auxiliary sum equals
+    # the one built from K's composed image, which is the sum's t-jet
+    monkeypatch.setattr(solver, "JET", jet)
+    alg = algebra(d, ell)
+    basis = enumerate_ansatz(alg, default_grade(alg.spec, 4), 4)
+    n = len(basis.monomials)
+    system = realization_candidate_system(alg, basis, jet)
+    null = nullspace(system)
+    parts = [vector_element(alg, basis, {i: c for i, c in v.items() if i < n}) for v in null]
+    rows = {}  # word of [K, H] -> {vector: coeff}
+    for j, K in enumerate(parts):
+        for w, c in commutator(alg, K, alg.generator("H")).terms.items():
+            rows.setdefault(w, {})[j] = c
+    commuting = solver.combine(nullspace_basis(list(rows.values()), len(null)), null)
+    assert len(commuting) == (2 if d == 1 else 6)
+    for v in commuting:
+        K = vector_element(alg, basis, {i: c for i, c in v.items() if i < n})
+        aux = DiffOp(VarSet.for_spec(alg.spec))
+        for ci, c in v.items():
+            if ci >= n:
+                aux = aux + _moved(*system.columns[ci], c)
+        image = realize_element(alg, K)
+        assert image == t_jet(aux, jet)
+        assert solver._residual(alg, basis, system.columns, v, solver._Realised()) == image - aux
+
+
+def test_only_the_jet_vectors_that_do_not_commute_with_h_are_realised(algebra, monkeypatch):
+    # at d=1 ell=17/2 two of the three jet vectors, one of them 156 words
+    # long, commute with H; only the third, of one word, is composed
+    realize = solver.realize_element
+    calls = []
+
+    def recorded(alg, a, charge=None):
+        calls.append(len(a.terms))
+        return realize(alg, a, charge)
+
+    monkeypatch.setattr(solver, "realize_element", recorded)
+    alg = algebra(1, "17/2")
+    basis = enumerate_ansatz(alg, (0, 34), 4)
+    assert len(nullspace(realization_candidate_system(alg, basis, solver.JET))) == 3
+    assert len(candidate_vectors(alg, basis)) == 3
+    assert calls == [1]
 
 
 def test_candidate_stage_counts_the_certificate_products(algebra, monkeypatch):
