@@ -2,7 +2,8 @@
 
 Subcommands: ``algebra | rank | solve | verify | theorem | realize``.
 Summaries go to stdout; JSON artifacts are written only with ``--out``.
-Exit codes: 0 success/verified, 1 verification failure, 2 invalid input.
+Exit codes: 0 success/verified, 1 verification failure, 2 invalid input,
+141 stdout closed by its reader.
 All output is deterministic for fixed flags (the only randomness, the
 rank trials, is seeded).
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -256,7 +258,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse reports its own errors on code 2
         return int(exc.code or 0)
     try:
-        return cfg.run(cfg)
+        code = cfg.run(cfg)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone, as under `| head`: exit as a shell reports
+        # SIGPIPE, and send what is left unwritten to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         # before ValueError, which JSONDecodeError subclasses
         print(f"error: bad input ({exc})", file=sys.stderr)

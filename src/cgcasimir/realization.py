@@ -38,12 +38,13 @@ every generator image but ``rho(H) = -∂_t`` keeps or raises the degree
 in t of each term it multiplies, and ``rho(H)`` lowers it by at most
 one, so the terms of t-degree at most K of ``rho(x₁⋯x_k)`` come only
 from those of ``rho(x_i⋯x_k)`` up to K plus the number of ``H`` among
-``x₁⋯x_(i-1)``.  Each partial image is truncated there.  An element is
-realised by Horner's rule over the suffixes of its sorted words, depth
-first, so words sharing a suffix merge before that suffix's letters go
-on; each sum is right-multiplied by its letter's image, so a word's
-small low-index images go on first and its large high-index ``P``
-images last.
+``x₁⋯x_(i-1)``.  Each partial image is made within that cap, not cut to
+it afterwards: ``compose`` takes the cap, skips the left terms above it
+and keeps no product term above it.  An element is realised by Horner's
+rule over the suffixes of its sorted words, depth first, so words
+sharing a suffix merge before that suffix's letters go on; each sum is
+right-multiplied by its letter's image, so a word's small low-index
+images go on first and its large high-index ``P`` images last.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ from .uea import Monomial, UEAElement, grlex_key, monomial_names, monomial_text,
 Expo = tuple[int, ...]
 
 FIELD_MAX = 2**31 - 1  # largest entry of a packed key; bit 31 of a field is its guard
-# most terms one operator product may hold: 547 times the 479 of the
-# largest product a ladder solve builds (d=2 ell=5, on the pipeline)
+# most terms the product ``compose`` returns may hold, under a cap the
+# terms it keeps: 547 times the 479 of the largest product a ladder solve
+# builds (d=2 ell=5, on the pipeline)
 MAX_TERMS = 2**18
 
 
@@ -168,7 +170,7 @@ class DiffOp:
         return f"DiffOp({pretty_diffop(self)})"
 
 
-def compose(a: DiffOp, b: DiffOp) -> DiffOp:
+def compose(a: DiffOp, b: DiffOp, cap: Optional[int] = None) -> DiffOp:
     """Operator product a∘b in canonical form.  By the Leibniz rule,
     ``∂^α x^e`` is the sum over ``γ <= α`` of
     ``Πᵢ C(αᵢ, γᵢ) (eᵢ)↓γᵢ x^(e-γ) ∂^(α-γ)``; the falling factorial
@@ -185,18 +187,29 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     picks its Leibniz terms, worked out once per right term and distinct
     ``αᵢ``.  Fields of guard-clean operands never carry or borrow, so a
     key reaching a guard bit is an entry above ``FIELD_MAX`` and raises
-    ``ValueError``; so does a product of more than ``MAX_TERMS`` terms."""
+    ``ValueError``; so does a product of more than ``MAX_TERMS`` terms.
+
+    With ``cap``, the product is only its terms of t-degree at most
+    ``cap`` (``t_jet(compose(a, b), cap)``), and only those are made.  A
+    Leibniz term's t exponent is ``e₁ + e₂ - γ`` in field ``nvars``, with
+    ``γ <= e₂``, so never below its left term's: a left term of t-degree
+    above ``cap`` is skipped, and the other products above it are dropped
+    with the zeros.  The guard and ``MAX_TERMS`` checks see what is kept."""
     vs = a.vs
     if vs != b.vs:
         raise ValueError("operands live over different variable sets")
     nv = vs.nvars
     unit = 1 + (1 << 32 * nv)  # 1 in field 0 and in field nvars
     low = (1 << 32 * nv) - 1  # the derivative fields
+    t_at = 32 * nv  # t's exponent field
     right = b.packed.items()
+    left = a.packed.items()
+    if cap is not None:
+        left = [(k1, c1) for k1, c1 in left if k1 >> t_at & 0xFFFFFFFF <= cap]
     higher = []  # left terms of order two or more
     out: dict[int, object] = {}
     get = out.get
-    for k1, c1 in a.packed.items():
+    for k1, c1 in left:
         alpha = k1 & low
         if not alpha:
             for k2, c2 in right:
@@ -233,7 +246,10 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
             for k, c in terms:
                 k += k1
                 out[k] = get(k, 0) + c1 * c
-    out = {k: c for k, c in out.items() if c}
+    if cap is None:
+        out = {k: c for k, c in out.items() if c}
+    else:
+        out = {k: c for k, c in out.items() if c and k >> t_at & 0xFFFFFFFF <= cap}
     if len(out) > MAX_TERMS:
         raise ValueError(f"an operator product of {len(out)} terms exceeds the bound "
                          f"of {MAX_TERMS}")
@@ -332,12 +348,14 @@ def realize_monomials(alg: LieAlgebra, monomials: Iterable[Monomial], jet: Optio
     generator image itself.
 
     With ``jet`` K, each image is only its terms of t-degree at most K:
-    ``path[j]`` keeps its terms of t-degree at most K plus the number of
+    ``path[j]`` holds its terms of t-degree at most K plus the number of
     ``H`` letters still to go on, which are exact because only ``H``
-    lowers a t-degree, and by at most one.  The words are then walked by
-    their ``H`` count first, so that a shared suffix also shares every
-    level's cap."""
+    lowers a t-degree, and by at most one.  Each is made within that cap
+    by ``compose``; a last letter's image is cut to it.  The words are then
+    walked by their ``H`` count first, so that a shared suffix also shares
+    every level's cap."""
     words = [tuple(reversed(m)) for m in monomials]
+    images = {p: realize_generator(alg.spec, alg.basis[p]) for p in set().union(*words)}
     path = [DiffOp.identity(VarSet.for_spec(alg.spec))]
     word: tuple[int, ...] = ()
     h = alg.position(alg.generator("H"))
@@ -349,9 +367,12 @@ def realize_monomials(alg: LieAlgebra, monomials: Iterable[Monomial], jet: Optio
         count = hs[i]
         del path[k + 1:]
         for j in range(k, len(word)):
-            img = realize_generator(alg.spec, alg.basis[word[j]])
-            op = compose(img, path[-1]) if len(path) > 1 else img
-            path.append(op if jet is None else t_jet(op, jet + word[j + 1:].count(h)))
+            img = images[word[j]]
+            cap = None if jet is None else jet + word[j + 1:].count(h)
+            if len(path) > 1:
+                path.append(compose(img, path[-1], cap))
+            else:
+                path.append(img if cap is None else t_jet(img, cap))
         yield i, path[-1]
 
 

@@ -91,9 +91,9 @@ def _bounded(res: UEAElement) -> str:
 # images of the candidate system's jet rows and the products its composed
 # residuals make.  At degree 4 the jet rows are most of them: d=1
 # ell=141/2 realises 466,062 and d=2 ell=20 640,822, and their whole
-# solves took 68 s and 645 MB and 6.9 s and 65 MB on a 2-vCPU Xeon.
+# solves took 13 s and 642 MB and 4.7 s and 66 MB on a 2-vCPU Xeon.
 # Higher degrees reach it: d=2 ell=3 at degree 8 and grade (0,2,0) is
-# refused after 19 s and 336 MB.  A larger stage is refused as it runs.
+# refused after 18 s and 336 MB.  A larger stage is refused as it runs.
 MAX_SYSTEM_ENTRIES = 2**22
 
 

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -553,6 +555,25 @@ def test_unwritable_out_prints_nothing_and_exits_2(argv, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_141_with_no_error_line(unbuffered):
+    # stdout is a pipe whose reader has already gone, as under `| head`;
+    # buffered or not, the process exits as a shell reports SIGPIPE, and
+    # says nothing of bad input
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+               PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cgcasimir.cli", "solve", "--d", "1",
+                               "--ell", "3/2", "--degree", "4"],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_theorem_artifacts_match_golden_digests(tmp_path, capsys):

@@ -19,6 +19,7 @@ from cgcasimir.realization import (
     realize_element,
     realize_generator,
     realize_monomials,
+    t_jet,
     verify_realization,
 )
 from cgcasimir.solver import nullspace, realization_candidate_system
@@ -227,6 +228,27 @@ def _order(op):
     return max(sum(dk) for dk, _ in op.terms)
 
 
+@pytest.mark.parametrize("d,ell", [(1, "3/2"), (2, 1)])
+def test_compose_under_a_cap_is_the_t_jet_of_the_product(d, ell, algebra):
+    # generator images and their products on the left, as the jet walk
+    # composes them, and one left operand of order two or more, whose
+    # terms go through the higher-order loop
+    alg = algebra(d, ell)
+    vs = VarSet.for_spec(alg.spec)
+    rng = random.Random(73)
+    images = [realize_generator(alg.spec, g) for g in alg.basis]
+    products = [compose(x, y) for x, y in (rng.sample(images, 2) for _ in range(8))]
+    dd = compose(images[alg.position(alg.generator("D"))], images[alg.position(alg.generator("C"))])
+    assert _order(dd) >= 2
+    lefts = images + products + [dd, _random_op(vs, rng, nterms=6, degree=4)]
+    rights = images + products + [_random_op(vs, rng, nterms=6, degree=4) for _ in range(4)]
+    for a in lefts:
+        for b in rng.sample(rights, 6):
+            full = compose(a, b)
+            for cap in range(4):
+                assert compose(a, b, cap) == t_jet(full, cap)
+
+
 @pytest.mark.parametrize("d,ell", [(1, "1/2"), (1, "7/2"), (2, 2)])
 def test_compose_of_a_many_term_left_operand_matches_leibniz_oracle(d, ell, algebra):
     # left terms of order two or more loop inside the image's terms; at
@@ -370,6 +392,19 @@ def test_realize_monomials_matches_word_folds(d, ell, algebra):
 def test_realize_monomials_under_a_jet_matches_truncated_word_folds(d, ell, jet, algebra):
     # with a jet K, each image is the fold's terms of t-degree at most K
     _check_monomials_against_folds(algebra(d, ell), jet)
+
+
+@pytest.mark.parametrize("d,ell", [(1, "9/2"), (2, 3)])
+def test_realize_monomials_under_the_jet_cuts_the_uncapped_walk(d, ell, algebra):
+    # the capped walk makes only the terms each image keeps; they are the
+    # uncapped images' terms of t-degree at most JET
+    alg = algebra(d, ell)
+    monos = _quartic_ansatz(alg).monomials
+    full = dict(realize_monomials(alg, monos))
+    capped = dict(realize_monomials(alg, monos, solver.JET))
+    assert sorted(capped) == sorted(full) == list(range(len(monos)))
+    for i, op in capped.items():
+        assert op == t_jet(full[i], solver.JET), monos[i]
 
 
 # d=1 ell=3/2 letters: M 0, P0 1, H 2, P1 3, D 4, P2 5, C 6, P3 7
