@@ -69,6 +69,11 @@ FIELD_MAX = 2**31 - 1  # largest entry of a packed key; bit 31 of a field is its
 # builds (d=2 ell=5, on the pipeline)
 MAX_TERMS = 2**18
 
+# the generator each parameter stands for: its image holds the parameter
+# as a bare term (delta in rho(D), m in rho(M), r in rho(J) and theta in
+# rho(Theta)), and the parameter has that generator's grade
+PARAMETER_GENERATORS = {"delta": "D", "m": "M", "r": "J", "theta": "Theta"}
+
 
 @dataclass(frozen=True)
 class VarSet:

@@ -18,8 +18,16 @@ letter permutation on the ansatz (``omega_orbit_vectors``); at d=2 ell=5
 that is 211 columns where the ansatz has 316.  On the pipeline v runs
 over its 3-8 candidates.
 
-The candidate system has one row per operator term of the images, and
-the pipeline builds only its rows of t-degree at most 1 (the "t-jet").
+The candidate system's columns are the ansatz, then one auxiliary
+``(operator, shift)`` column per diagonal operator and parameter monomial
+of the ansatz's grade.  rho is graded and the diagonal operators have
+grade 0, so with every grade's auxiliary columns the system would be
+block-diagonal by grade; the ansatz lies in one block, and the other
+blocks' columns are independent, so leaving them out changes neither the
+candidates nor the nullity (at d=2 ell=3 the jet system is 229 x 130,
+against 506 x 217 with them).  The system has one row per operator term
+of the images, and the pipeline builds only its rows of t-degree at most
+1 (the "t-jet").
 The images of ``H`` = -∂_t are the only ones that lower a term's degree in
 t, by at most one, so these rows are exact when each partial image keeps
 its terms up to 1 plus the ``H`` letters still to go on.  Their nullspace
@@ -66,8 +74,8 @@ from .grading import (AnsatzBasis, GradeVector, default_target_grades, enumerate
                       iter_exponents)
 from .liealg import (AlgebraSpec, GeneratorId, LieAlgebra, SparseVec, accumulate, echelon,
                      int_if_whole, integerize, nullspace_basis)
-from .realization import (DiffOp, VarSet, realize_element, realize_generator, realize_monomials,
-                          t_jet)
+from .realization import (PARAMETER_GENERATORS, DiffOp, VarSet, realize_element, realize_generator,
+                          realize_monomials, t_jet)
 from .uea import (UEAElement, commutator, commutators, multiply, omega, omega_positions,
                   to_json_dict, word_key)
 
@@ -287,15 +295,31 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis, jet: Optio
     Casimir acts on the realisation's lowest-weight structure through them.
 
     Columns are the ansatz monomials, then one auxiliary ``(operator,
-    shift)`` column per diagonal operator and parameter monomial: the full
-    operator, built once here, and the monomial as a packed key offset.
-    The monomials run up to the longest word's length in parameter degree,
-    since each generator image has parameter degree at most 1; candidate
-    vectors are nullspace vectors projected onto the ansatz block.  With
-    ``jet`` K, only the rows of t-degree at most K are built, each exactly
-    (``realize_monomials``, and ``t_jet`` of each operator).  Each image's
-    terms are charged to ``charge``, a fresh count if none is given, so a
-    ``ValueError`` once they pass ``MAX_SYSTEM_ENTRIES``."""
+    shift)`` column per diagonal operator and parameter monomial of the
+    ansatz's grade: the full operator, built once here, and the monomial as
+    a packed key offset.  A parameter has the grade of its generator
+    (``PARAMETER_GENERATORS``), and the monomials run up to the longest
+    word's length in parameter degree, since each generator image has
+    parameter degree at most 1; an empty ansatz gets no auxiliary column.
+    Candidate vectors are nullspace vectors projected onto the ansatz
+    block.  Leaving out the other grades' columns changes neither those
+    projections nor the nullity:
+
+    * rho is graded and the diagonal operators have grade 0, so the column
+      ``(op, mu)`` has the grade of ``mu``, and the system with every
+      auxiliary column is block-diagonal by grade;
+    * every ansatz column lies in one block, and a nullspace vector's part
+      in a block is itself a nullspace vector, so the projections onto the
+      ansatz are those of that block's nullspace, built here;
+    * the other blocks' columns are independent on the jet rows: rho(D) mu,
+      and rho(J) mu at d=2, alone reach the rows x0 ∂_x0 mu and y0 ∂_y0 mu,
+      and after them the identity's mu alone reaches the row mu; so they
+      add nothing to the nullity.
+
+    With ``jet`` K, only the rows of t-degree at most K are built, each
+    exactly (``realize_monomials``, and ``t_jet`` of each operator).  Each
+    image's terms are charged to ``charge``, a fresh count if none is
+    given, so a ``ValueError`` once they pass ``MAX_SYSTEM_ENTRIES``."""
     charge = charge or _Realised()
     rows: dict[int, SparseVec] = {}  # packed operator key -> row
     for ci, op in realize_monomials(alg, basis.monomials, jet):
@@ -306,10 +330,14 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis, jet: Optio
     diagonal = [DiffOp.identity(vs)] + [realize_generator(alg.spec, alg.generator(x))
                                         for x in ("D", "J")[:alg.spec.d]]
     pmax = max(map(len, basis.monomials), default=0)
+    letters = [alg.position(alg.generator(PARAMETER_GENERATORS[p])) for p in vs.parameters]
+    grade = grade_of(alg, basis.monomials[0]) if basis.monomials else None
+    tails = [tail for tail in iter_exponents(len(letters), pmax)
+             if grade_of(alg, [p for p, e in zip(letters, tail) for _ in range(e)]) == grade]
     columns: list = list(basis.monomials)
     for op in diagonal:
         cut = op if jet is None else t_jet(op, jet)
-        for tail in iter_exponents(len(vs.parameters), pmax):
+        for tail in tails:
             shift = vs.pack((0,) * vs.nvars, (0,) * vs.nvars + tail)
             ci = len(columns)
             columns.append((op, shift))

@@ -10,6 +10,7 @@ from cgcasimir import realization, solver
 from cgcasimir.grading import default_target_grades, enumerate_ansatz, iter_exponents
 from cgcasimir.liealg import GeneratorId, accumulate
 from cgcasimir.realization import (
+    PARAMETER_GENERATORS,
     DiffOp,
     VarSet,
     compose,
@@ -104,6 +105,19 @@ def test_central_images_d2(algebra):
     theta = realize_generator(alg.spec, GeneratorId("Theta"))
     vs = VarSet.for_spec(alg.spec)
     assert theta == symbol(vs, "theta").scale(-1)
+
+
+@pytest.mark.parametrize("d,ell", [(1, "3/2"), (1, "7/2"), (2, 1), (2, 3)])
+def test_each_parameter_is_a_bare_term_of_its_generators_image(d, ell, algebra):
+    # the map that gives each parameter its generator's grade: delta in
+    # rho(D), m in rho(M), r in rho(J) and theta in rho(Theta)
+    alg = algebra(d, ell)
+    vs = VarSet.for_spec(alg.spec)
+    assert set(vs.parameters) <= set(PARAMETER_GENERATORS)
+    for p in vs.parameters:
+        image = realize_generator(alg.spec, alg.generator(PARAMETER_GENERATORS[p]))
+        (key,) = symbol(vs, p).packed
+        assert image.packed.get(key), p
 
 
 def test_compose_leibniz_base(algebra):
@@ -474,8 +488,13 @@ def test_realize_element_of_each_jet_nullspace_vector_matches_word_folds(d, ell,
 
 @pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 2)])
 def test_candidate_system_matches_build_from_folds(d, ell, algebra):
+    # the oracle has an auxiliary column for every parameter monomial; the
+    # system built is its restriction to the columns of the ansatz's grade
+    # and the rows they or the ansatz reach, and the oracle's nullspace has
+    # no entry on the other columns and the same ansatz projections
     alg = algebra(d, ell)
     basis = _quartic_ansatz(alg)
+    n = len(basis.monomials)
     vs = VarSet.for_spec(alg.spec)
     rows, columns = {}, list(basis.monomials)
     for ci, mono in enumerate(basis.monomials):
@@ -485,16 +504,31 @@ def test_candidate_system_matches_build_from_folds(d, ell, algebra):
     diagonal = [DiffOp.identity(vs), realize_generator(alg.spec, alg.generator("D"))]
     if d == 2:
         diagonal.append(realize_generator(alg.spec, alg.generator("J")))
+    kept = list(range(n))
     for bop in diagonal:
         for tail in iter_exponents(len(vs.parameters), pmax):
             pm = (0,) * vs.nvars + tail
+            # m carries M's grade (0, 2ell) and theta Theta's (0, 1, 0); delta
+            # and r have grade 0, and the ansatz's is twice the central one
+            if tail[-1] == 2:
+                kept.append(len(columns))
             columns.append((bop, vs.pack((0,) * vs.nvars, pm)))
             for (dk, e), c in bop.terms.items():
                 key = ("real", dk, tuple(a + b for a, b in zip(e, pm)))
                 rows.setdefault(key, {})[len(columns) - 1] = -c
+    oracle = [rows[t] for t in sorted(rows)]
+    new = {ci: j for j, ci in enumerate(kept)}
+    # block-diagonal: no row meets both kinds of column
+    assert all(new.keys() >= row.keys() or not new.keys() & row.keys() for row in oracle)
+    restricted = [{new[ci]: c for ci, c in row.items() if ci in new} for row in oracle]
     sys = realization_candidate_system(alg, basis)
-    assert sys.columns == columns
-    assert sys.matrix == [rows[t] for t in sorted(rows)]
+    assert sys.columns == [columns[ci] for ci in kept]
+    assert sys.matrix == [row for row in restricted if row]
+    null = nullspace(solver.LinearSystem(columns, oracle))
+    assert all(new.keys() >= v.keys() for v in null)
+    ansatz = [{i: c for i, c in v.items() if i < n} for v in null]
+    assert solver.rref(ansatz, n) == solver.rref(
+        ({i: c for i, c in v.items() if i < n} for v in nullspace(sys)), n)
 
 
 @pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 2)])

@@ -10,9 +10,11 @@ from itertools import combinations_with_replacement
 import pytest
 
 from cgcasimir import liealg, solver
-from cgcasimir.grading import default_grade, enumerate_ansatz, grade_of
+from cgcasimir.grading import (default_grade, enumerate_ansatz, generator_grades, grade_of,
+                               iter_exponents)
 from cgcasimir.liealg import PRIME, accumulate, bb_count, echelon, integerize, nullspace_basis
-from cgcasimir.realization import DiffOp, VarSet, realize_element, t_jet
+from cgcasimir.realization import (PARAMETER_GENERATORS, DiffOp, VarSet, realize_element,
+                                   realize_generator, realize_monomials, t_jet)
 from cgcasimir.solver import (
     CasimirReport,
     LinearSystem,
@@ -463,6 +465,69 @@ def test_a_zero_jet_is_cut_to_the_full_system_candidates(algebra, monkeypatch):
         jets.clear()
         assert candidate_vectors(alg, basis) == _ansatz_echelon(full, len(basis.monomials))
         assert jets == [0]
+
+
+def _every_grade_system(alg, basis, jet):
+    """The candidate system with an auxiliary column for every parameter
+    monomial up to the longest word's length, whatever its grade, and the
+    set of columns whose monomial's grade is not the ansatz's."""
+    vs = VarSet.for_spec(alg.spec)
+    grades = generator_grades(alg)
+    pgrades = [grades[alg.position(alg.generator(PARAMETER_GENERATORS[p]))] for p in vs.parameters]
+    grade = grade_of(alg, basis.monomials[0])
+    tails = [(tail, tuple(sum(e * g for e, g in zip(tail, axis)) for axis in zip(*pgrades)))
+             for tail in iter_exponents(len(vs.parameters), max(map(len, basis.monomials)))]
+    rows, columns, off = {}, list(basis.monomials), set()
+    for ci, op in realize_monomials(alg, basis.monomials, jet):
+        for k, c in op.packed.items():
+            rows.setdefault(k, {})[ci] = c
+    diagonal = [DiffOp.identity(vs)] + [realize_generator(alg.spec, alg.generator(x))
+                                        for x in ("D", "J")[:alg.spec.d]]
+    for op in diagonal:
+        cut = op if jet is None else t_jet(op, jet)
+        for tail, tail_grade in tails:
+            shift = vs.pack((0,) * vs.nvars, (0,) * vs.nvars + tail)
+            if tail_grade != grade:
+                off.add(len(columns))
+            for k, c in cut.packed.items():
+                rows.setdefault(k + shift, {})[len(columns)] = -c
+            columns.append((op, shift))
+    return LinearSystem(columns, [rows[k] for k in sorted(rows, key=vs.unpack)]), off
+
+
+@pytest.mark.parametrize("jet", [0, 1, None])
+@pytest.mark.parametrize("d,ell", [(1, "3/2"), (2, 1)])
+def test_the_other_grades_auxiliary_columns_change_no_nullspace(d, ell, jet, algebra):
+    # at every grade up to degree 4, the build with every grade's auxiliary
+    # columns has the nullity of the one built, and none of its nullspace
+    # vectors has an entry on a column of another grade: those columns are
+    # independent of the ansatz block and of each other
+    alg = algebra(d, ell)
+    for grade in _grades(alg, 4):
+        basis = enumerate_ansatz(alg, grade, 4)
+        n = len(basis.monomials)
+        built = nullspace(realization_candidate_system(alg, basis, jet))
+        every, off = _every_grade_system(alg, basis, jet)
+        null = nullspace(every)
+        assert len(null) == len(built), grade
+        assert not any(off.intersection(v) for v in null), grade
+        assert _ansatz_echelon(null, n) == _ansatz_echelon(built, n), grade
+
+
+def test_a_grade_no_parameter_monomial_has_gets_no_auxiliary_column(algebra):
+    # H's grade: every parameter monomial has grade (0, 3k) at d=1 ell=3/2,
+    # so the system is the ansatz images alone, with the same candidates
+    alg = algebra(1, "3/2")
+    basis = enumerate_ansatz(alg, (2, -1), 4)
+    n = len(basis.monomials)
+    for jet in (solver.JET, None):
+        assert realization_candidate_system(alg, basis, jet).columns == basis.monomials
+    every, off = _every_grade_system(alg, basis, None)
+    assert off == set(range(n, len(every.columns)))
+    assert candidate_vectors(alg, basis) == _ansatz_echelon(nullspace(every), n)
+    # nor does an empty ansatz: no word reaches (5, 5)
+    empty = enumerate_ansatz(alg, (5, 5), 2)
+    assert realization_candidate_system(alg, empty) == LinearSystem([], [])
 
 
 def test_a_wrong_residual_image_cuts_exactly_one_candidate(algebra, monkeypatch):
