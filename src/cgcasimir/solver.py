@@ -10,29 +10,29 @@ degree bound:
   symmetry and reduced-commutator conditions on the candidate span;
 * ``algebraic`` imposes those conditions directly on the full ansatz.
 
-Omega-symmetry is imposed by construction: the condition system's columns
-are omega-sums v + omega(v) (``omega_sums``), which are omega-fixed, and
-its rows are the reduced commutators alone.  No elimination builds them.
-On the algebraic route v runs over one monomial of each orbit of omega's
-letter permutation on the ansatz (``omega_orbit_vectors``); at d=2 ell=5
-that is 211 columns where the ansatz has 316.  On the pipeline v runs
-over its 3-8 candidates.
+Omega-symmetry is imposed by construction: both routes start from one
+column set, m + omega(m) for one monomial m of each orbit of omega's
+letter permutation on the ansatz (``omega_orbit_vectors``), a basis of the
+omega-fixed combinations; at d=2 ell=5 that is 211 columns where the
+ansatz has 316.  No elimination builds them, and where omega moves the
+grade there are none.  The pipeline narrows them to its 3-8 candidates,
+which are then omega-fixed too; the condition system's rows are the
+reduced commutators alone.
 
-The candidate system's columns are the ansatz, then one auxiliary
-``(operator, shift)`` column per diagonal operator and parameter monomial
-of the ansatz's grade.  rho is graded and the diagonal operators have
-grade 0, so with every grade's auxiliary columns the system would be
-block-diagonal by grade; the ansatz lies in one block, and the other
+The candidate system's columns are those orbit vectors, then one
+auxiliary ``(operator, shift)`` column per diagonal operator and parameter
+monomial of the ansatz's grade.  rho is graded and the diagonal operators
+have grade 0, so with every grade's auxiliary columns the system would be
+block-diagonal by grade; the orbit vectors lie in one block, and the other
 blocks' columns are independent, so leaving them out changes neither the
-candidates nor the nullity (at d=2 ell=3 the jet system is 229 x 130,
-against 506 x 217 with them).  The system has one row per operator term
-of the images, and the pipeline builds only its rows of t-degree at most
-1 (the "t-jet").
+candidates nor the nullity.  The system has one row per operator term of
+the images, and the pipeline builds only its rows of t-degree at most 1
+(the "t-jet").
 The images of ``H`` = -∂_t are the only ones that lower a term's degree in
 t, by at most one, so these rows are exact when each partial image keeps
 its terms up to 1 plus the ``H`` letters still to go on.  Their nullspace
 contains the true one.  Each of its vectors gets a residual: the image
-of its ansatz part less its entries times the operators of their
+of its orbit-vector part less its entries times the operators of their
 auxiliary ``(operator, shift)`` columns.  That residual is linear in the
 vector, and the combinations whose residuals cancel are exactly the true
 nullspace.  A part that commutes with ``H`` has an image free of t,
@@ -211,9 +211,10 @@ def casimir_conditions_system(alg: LieAlgebra, columns: list[UEAElement]) -> Lin
     """Rows: [K, g] = 0 for the reduced generator set, where K is a
     combination of the column elements, with one row per (generator,
     monomial) pair appearing in a residual.  The columns must be
-    omega-fixed (``omega_sums``): omega-symmetry is imposed by the choice
-    of columns, not by rows.  Every column's commutators come from one
-    ``commutators`` call over the columns and that set."""
+    omega-fixed (``omega_orbit_vectors``, or combinations of them):
+    omega-symmetry is imposed by the choice of columns, not by rows.  Every
+    column's commutators come from one ``commutators`` call over the
+    columns and that set."""
     rows: dict[tuple, SparseVec] = {}
     checks = reduced_check_generators(alg)
     for ci, residuals in enumerate(commutators(alg, columns, checks)):
@@ -223,37 +224,12 @@ def casimir_conditions_system(alg: LieAlgebra, columns: list[UEAElement]) -> Lin
     return LinearSystem(columns=list(range(len(columns))), matrix=[rows[t] for t in sorted(rows)])
 
 
-def omega_sums(alg: LieAlgebra, basis: AnsatzBasis, vecs: list[SparseVec]) -> list[SparseVec]:
-    """v + omega(v) in ansatz coordinates for each of ``vecs``, or ``[]``
-    when omega maps the ansatz's grade to another grade.  These are the
-    condition system's columns on both routes.
-
-    Each sum is omega-fixed, since omega is an involution.  omega maps a
-    grade linearly, and the lower words of omega(m) keep the grade of its
-    top word, so either every word of every image lies in the ansatz or
-    none does; the first image's first word settles which.  Where none
-    does, nothing nonzero in the ansatz is omega-fixed.
-
-    The sums lose no omega-fixed element of the span of ``vecs``: such an
-    element C = sum a_i v_i equals (C + omega(C)) / 2 = sum a_i (v_i +
-    omega(v_i)) / 2.  On the pipeline every Casimir is a candidate, so the
-    sums of the candidates keep every omega-fixed Casimir; a sum outside
-    the candidate span still meets the reduced conditions and the
-    exhaustive check, so nothing false is admitted."""
-    index = basis.index
-    try:
-        return [accumulate(dict(v), ((index[w], c) for w, c in
-                                     omega(alg, vector_element(alg, basis, v)).terms.items()))
-                for v in vecs]
-    except KeyError:  # a word outside the ansatz
-        return []
-
-
 def omega_orbit_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
-    """A basis of the omega-fixed combinations of the ansatz: the
-    ``omega_sums`` m + omega(m) of the first monomial m, in ansatz order, of
-    each orbit of sigma, where sigma(m) is m's word with every letter mapped
-    by ``omega_positions`` and sorted.
+    """A basis of the omega-fixed combinations of the ansatz: m + omega(m)
+    in ansatz coordinates for the first monomial m, in ansatz order, of each
+    orbit of sigma, where sigma(m) is m's word with every letter mapped by
+    ``omega_positions`` and sorted.  These are the condition system's
+    columns on both routes, and the candidate system's on the pipeline.
 
     omega(m) is sigma(m) plus words of lower degree, so omega maps the
     ansatz into itself exactly when sigma does, and sigma maps a grade
@@ -266,10 +242,15 @@ def omega_orbit_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
     independent."""
     index = basis.index
     img = omega_positions(alg)
-    # a monomial whose sigma(m) leaves the ansatz is kept, and omega_sums
-    # then finds that omega(m) leaves it too
-    return omega_sums(alg, basis, [{i: 1} for i, m in enumerate(basis.monomials)
-                                   if index.get(tuple(sorted(img[p] for p in m)), i) >= i])
+    # a monomial whose sigma(m) leaves the ansatz is kept, and its omega(m)
+    # then leaves it too
+    try:
+        return [accumulate({i: 1}, ((index[w], c) for w, c in
+                                    omega(alg, UEAElement(alg, {m: 1})).terms.items()))
+                for i, m in enumerate(basis.monomials)
+                if index.get(tuple(sorted(img[p] for p in m)), i) >= i]
+    except KeyError:  # a word outside the ansatz
+        return []
 
 
 class _Realised:
@@ -287,30 +268,33 @@ class _Realised:
                              f"image terms, above the largest accepted; try --method algebraic")
 
 
-def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis, jet: Optional[int] = None,
+def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis, vecs: list[SparseVec],
+                                 jet: Optional[int] = None,
                                  charge: Optional[_Realised] = None) -> LinearSystem:
     """Rows demand that the realised combination equals a sum of the
     diagonal operators (identity, D, and J for d=2) with
     parameter-polynomial coefficients, identically in all variables: a
     Casimir acts on the realisation's lowest-weight structure through them.
 
-    Columns are the ansatz monomials, then one auxiliary ``(operator,
-    shift)`` column per diagonal operator and parameter monomial of the
-    ansatz's grade: the full operator, built once here, and the monomial as
-    a packed key offset.  A parameter has the grade of its generator
-    (``PARAMETER_GENERATORS``), and the monomials run up to the longest
-    word's length in parameter degree, since each generator image has
-    parameter degree at most 1; an empty ansatz gets no auxiliary column.
-    Candidate vectors are nullspace vectors projected onto the ansatz
-    block.  Leaving out the other grades' columns changes neither those
-    projections nor the nullity:
+    Columns are ``vecs``, combinations over the ansatz (on the pipeline its
+    ``omega_orbit_vectors``), then one auxiliary ``(operator, shift)``
+    column per diagonal operator and parameter monomial of the ansatz's
+    grade: the full operator, built once here, and the monomial as a packed
+    key offset.  Each ansatz monomial is realised once, and a column's
+    image is its coefficients times those images.  A parameter has the
+    grade of its generator (``PARAMETER_GENERATORS``), and the monomials
+    run up to the longest word's length in parameter degree, since each
+    generator image has parameter degree at most 1; an empty ansatz gets no
+    auxiliary column.  Candidate vectors are nullspace vectors projected
+    onto the ``vecs`` block.  Leaving out the other grades' columns changes
+    neither those projections nor the nullity:
 
     * rho is graded and the diagonal operators have grade 0, so the column
       ``(op, mu)`` has the grade of ``mu``, and the system with every
       auxiliary column is block-diagonal by grade;
-    * every ansatz column lies in one block, and a nullspace vector's part
-      in a block is itself a nullspace vector, so the projections onto the
-      ansatz are those of that block's nullspace, built here;
+    * every column of ``vecs`` lies in one block, and a nullspace vector's
+      part in a block is itself a nullspace vector, so the projections onto
+      ``vecs`` are those of that block's nullspace, built here;
     * the other blocks' columns are independent on the jet rows: rho(D) mu,
       and rho(J) mu at d=2, alone reach the rows x0 ∂_x0 mu and y0 ∂_y0 mu,
       and after them the identity's mu alone reaches the row mu; so they
@@ -321,11 +305,17 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis, jet: Optio
     image's terms are charged to ``charge``, a fresh count if none is
     given, so a ``ValueError`` once they pass ``MAX_SYSTEM_ENTRIES``."""
     charge = charge or _Realised()
-    rows: dict[int, SparseVec] = {}  # packed operator key -> row
-    for ci, op in realize_monomials(alg, basis.monomials, jet):
+    uses: list[list[tuple]] = [[] for _ in basis.monomials]  # monomial -> [(column, coeff)]
+    for ci, v in enumerate(vecs):
+        for i, a in v.items():
+            uses[i].append((ci, a))
+    rows: dict[int, dict] = {}  # packed operator key -> row
+    for i, op in realize_monomials(alg, basis.monomials, jet):
         charge(len(op.packed))
-        for k, c in op.packed.items():
-            rows.setdefault(k, {})[ci] = c
+        for k, x in op.packed.items():
+            row = rows.setdefault(k, {})
+            for ci, a in uses[i]:
+                row[ci] = row.get(ci, 0) + a * x
     vs = VarSet.for_spec(alg.spec)
     diagonal = [DiffOp.identity(vs)] + [realize_generator(alg.spec, alg.generator(x))
                                         for x in ("D", "J")[:alg.spec.d]]
@@ -334,7 +324,7 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis, jet: Optio
     grade = grade_of(alg, basis.monomials[0]) if basis.monomials else None
     tails = [tail for tail in iter_exponents(len(letters), pmax)
              if grade_of(alg, [p for p, e in zip(letters, tail) for _ in range(e)]) == grade]
-    columns: list = list(basis.monomials)
+    columns: list = list(vecs)
     for op in diagonal:
         cut = op if jet is None else t_jet(op, jet)
         for tail in tails:
@@ -345,28 +335,32 @@ def realization_candidate_system(alg: LieAlgebra, basis: AnsatzBasis, jet: Optio
                 # auxiliary directions are subtracted from the image
                 rows.setdefault(k + shift, {})[ci] = -c
     # rows in (deriv, expo) order: in arrival order, the tests' smallest-tag
-    # elimination of the full system at d=1 ell=11/2 ran past 2.4 GB
-    return LinearSystem(columns=columns, matrix=[rows[k] for k in sorted(rows, key=vs.unpack)])
+    # elimination of the full system at d=1 ell=11/2 ran past 2.4 GB.  The
+    # images of one column's words can cancel, so zeros and empty rows go
+    matrix = ({ci: c for ci, c in rows[k].items() if c} for k in sorted(rows, key=vs.unpack))
+    return LinearSystem(columns=columns, matrix=[row for row in matrix if row])
 
 
 # t-degree bound of the candidate rows.  K = 0 is exact too: the residuals
-# cut its larger nullspace (nullity 11-23 against 3-8 at d=1 ell 9/2 and
-# 17/2 and d=2 ell 3 and 5) to the true one, but most spurious vectors do
-# not commute with H, and realising their residuals made the candidate
-# stage 2-6x slower (0.19 s against 0.030 s at d=1 ell=17/2, 0.23 s
-# against 0.061 s at d=2 ell=5, best of three on a 2-vCPU Xeon).
+# cut its larger nullspace (nullity 6 against 3 at d=1 ell 9/2 and 17/2,
+# 13 against 8 at d=2 ell 2, 3 and 5) to the true one, but most spurious
+# vectors do not commute with H, and realising their residuals made the
+# candidate stage 3-5x slower (0.081 s against 0.016 s at d=1 ell=17/2,
+# 0.10 s against 0.038 s at d=2 ell=5, best of three on a 2-vCPU Xeon).
 JET = 1
 
 
-def candidate_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
-    """Echelon basis of the candidate combinations of the ansatz: the
-    nullspace of the realisation candidate system, projected onto the
-    ansatz block.
+def candidate_vectors(alg: LieAlgebra, basis: AnsatzBasis, vecs: list[SparseVec]
+                      ) -> list[SparseVec]:
+    """Echelon basis over the ansatz of the candidate combinations of
+    ``vecs``: the nullspace of the realisation candidate system, projected
+    onto the ``vecs`` block and written in ansatz coordinates.  Where
+    ``vecs`` is empty nothing is realised.
 
     Only ``H`` lowers a t-degree, so the system's rows of t-degree at most
     ``JET`` are built, and exactly.  They are a subset of the rows, so
     their nullspace contains the true one.  Each of its vectors then gets
-    its residual (``_residual``): the image of its ansatz part K less its
+    its residual (``_residual``): the image of its ``vecs`` part K less its
     auxiliary sum, the sum of each auxiliary column's full operator, moved
     by its shift and scaled by the vector's entry there.  The residual is
     linear in the vector, so the combinations of the vectors whose
@@ -389,31 +383,34 @@ def candidate_vectors(alg: LieAlgebra, basis: AnsatzBasis) -> list[SparseVec]:
     the others hold 1 to 23 words.  Every image term the stage realises,
     the jet rows and the composed residuals' products, counts towards
     ``MAX_SYSTEM_ENTRIES``."""
-    n = len(basis.monomials)
+    if not vecs:
+        return []
+    n = len(vecs)
     charge = _Realised()
-    sys = realization_candidate_system(alg, basis, JET, charge)
+    sys = realization_candidate_system(alg, basis, vecs, JET, charge)
     null = nullspace(sys)
+    parts = combine(({ci: c for ci, c in v.items() if ci < n} for v in null), vecs)
     rows: dict[int, SparseVec] = {}  # packed operator key -> {vector: residual}
-    for j, v in enumerate(null):
-        for k, c in _residual(alg, basis, sys.columns, v, charge).packed.items():
+    for j, (v, part) in enumerate(zip(null, parts)):
+        K = vector_element(alg, basis, part)
+        for k, c in _residual(alg, K, sys.columns, v, charge).packed.items():
             rows.setdefault(k, {})[j] = c
-    parts = [{i: c for i, c in v.items() if i < n} for v in null]
-    return rref(combine(nullspace_basis(list(rows.values()), len(null)), parts), n)[0]
+    return rref(combine(nullspace_basis(list(rows.values()), len(null)), parts),
+                len(basis.monomials))[0]
 
 
-def _residual(alg: LieAlgebra, basis: AnsatzBasis, columns: list, vec: SparseVec,
+def _residual(alg: LieAlgebra, K: UEAElement, columns: list, vec: SparseVec,
               charge: _Realised) -> DiffOp:
-    """The image of ``vec``'s ansatz part K less its auxiliary sum, where
-    ``columns`` are the candidate system's: the t-jet of that sum where
-    [K, H] = 0, by ``candidate_vectors``' proof, and otherwise K's image
-    by ``realize_element``, its products charged to ``charge``."""
-    n = len(basis.monomials)
+    """The image of K, ``vec``'s part over the ansatz, less ``vec``'s
+    auxiliary sum, where ``columns`` are the candidate system's: the t-jet
+    of that sum where [K, H] = 0, by ``candidate_vectors``' proof, and
+    otherwise K's image by ``realize_element``, its products charged to
+    ``charge``."""
     aux = DiffOp(VarSet.for_spec(alg.spec))
     for ci, c in vec.items():
-        if ci >= n:
+        if isinstance(columns[ci], tuple):  # an (operator, shift) column
             op, shift = columns[ci]
             accumulate(aux.packed, ((k + shift, c * x) for k, x in op.packed.items()))
-    K = vector_element(alg, basis, {i: c for i, c in vec.items() if i < n})
     if commutator(alg, K, alg.generator("H")).is_zero():
         image = t_jet(aux, JET)
     else:
@@ -441,7 +438,8 @@ class CasimirReport:
     """A solved Casimir subspace at one grade/degree target.  The vector
     fields are rows over the ansatz columns in reduced echelon form, each a
     primitive integer row with a positive pivot entry, as ``rref`` returns
-    them."""
+    them.  ``candidate_vectors`` are the pipeline's omega-fixed candidates
+    (``candidate_vectors``), and None on the algebraic route."""
 
     spec: AlgebraSpec
     grade: GradeVector
@@ -516,9 +514,10 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
                    method: str = "pipeline") -> CasimirReport:
     """Run the search at one (grade, degree) target.
 
-    ``method`` only chooses the columns of the condition system: the
-    ``omega_sums`` of the realisation candidates (``pipeline``) or of one
-    ansatz monomial per omega-orbit (``algebraic``).  The Casimir space is
+    Both methods take the condition system's columns from
+    ``omega_orbit_vectors``, and ``method`` only chooses whether the
+    realisation filter (``candidate_vectors``) first narrows them to the
+    candidates (``pipeline``) or not (``algebraic``).  The Casimir space is
     returned in reduced echelon form over the ansatz (identical for both
     methods when they agree); canonical representatives are the space's
     echelon form modulo products of lower Casimirs, read off one echelon
@@ -529,12 +528,10 @@ def solve_casimirs(alg: LieAlgebra, grade: GradeVector, max_degree: int,
     basis = enumerate_ansatz(alg, grade, max_degree)
     ncols = len(basis.monomials)
 
+    col_vecs = omega_orbit_vectors(alg, basis)
+    cand_vecs = None
     if method == "pipeline":
-        cand_vecs = candidate_vectors(alg, basis)
-        col_vecs = omega_sums(alg, basis, cand_vecs)
-    else:
-        cand_vecs = None
-        col_vecs = omega_orbit_vectors(alg, basis)
+        col_vecs = cand_vecs = candidate_vectors(alg, basis, col_vecs)
     columns = [vector_element(alg, basis, v) for v in col_vecs]
     # nullspace combinations of the columns, back in ansatz coordinates
     raw = combine(nullspace(casimir_conditions_system(alg, columns)), col_vecs)

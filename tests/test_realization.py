@@ -23,7 +23,7 @@ from cgcasimir.realization import (
     t_jet,
     verify_realization,
 )
-from cgcasimir.solver import nullspace, realization_candidate_system
+from cgcasimir.solver import combine, nullspace, omega_orbit_vectors, realization_candidate_system
 from cgcasimir.uea import UEAElement, from_term_list, multiply
 
 import known_casimirs as kc
@@ -475,11 +475,13 @@ def test_realize_element_of_each_jet_nullspace_vector_matches_word_folds(d, ell,
     # the elements the pipeline's certificate realises
     alg = algebra(d, ell)
     basis = _quartic_ansatz(alg)
-    n = len(basis.monomials)
-    null = nullspace(realization_candidate_system(alg, basis, solver.JET))
+    orbits = omega_orbit_vectors(alg, basis)
+    n = len(orbits)
+    null = nullspace(realization_candidate_system(alg, basis, orbits, solver.JET))
     assert null
     for v in null:
-        ansatz = {basis.monomials[i]: c for i, c in v.items() if i < n}
+        part = combine([{i: c for i, c in v.items() if i < n}], orbits)[0]
+        ansatz = {basis.monomials[i]: c for i, c in part.items()}
         expect = DiffOp(VarSet.for_spec(alg.spec))
         for w, c in ansatz.items():
             expect += _word_fold(alg, w).scale(c)
@@ -488,10 +490,12 @@ def test_realize_element_of_each_jet_nullspace_vector_matches_word_folds(d, ell,
 
 @pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 2)])
 def test_candidate_system_matches_build_from_folds(d, ell, algebra):
-    # the oracle has an auxiliary column for every parameter monomial; the
-    # system built is its restriction to the columns of the ansatz's grade
-    # and the rows they or the ansatz reach, and the oracle's nullspace has
-    # no entry on the other columns and the same ansatz projections
+    # the oracle has a column for every ansatz monomial and an auxiliary
+    # column for every parameter monomial; the system built is its ansatz
+    # block times the omega-orbit matrix, restricted to the auxiliary
+    # columns of the ansatz's grade and the rows left nonzero, and the
+    # oracle's nullspace has no entry on the other columns and the same
+    # ansatz projections, so the orbit columns lose no candidate here
     alg = algebra(d, ell)
     basis = _quartic_ansatz(alg)
     n = len(basis.monomials)
@@ -521,14 +525,23 @@ def test_candidate_system_matches_build_from_folds(d, ell, algebra):
     # block-diagonal: no row meets both kinds of column
     assert all(new.keys() >= row.keys() or not new.keys() & row.keys() for row in oracle)
     restricted = [{new[ci]: c for ci, c in row.items() if ci in new} for row in oracle]
-    sys = realization_candidate_system(alg, basis)
-    assert sys.columns == [columns[ci] for ci in kept]
-    assert sys.matrix == [row for row in restricted if row]
+    orbits = omega_orbit_vectors(alg, basis)
+    m = len(orbits)
+    times = []
+    for row in restricted:
+        # the row times the orbit matrix, each entry summed over the monomials
+        out = {j: sum(row.get(i, 0) * a for i, a in v.items()) for j, v in enumerate(orbits)}
+        out = {j: c for j, c in out.items() if c}
+        out.update((ci - n + m, c) for ci, c in row.items() if ci >= n)
+        times.append(out)
+    sys = realization_candidate_system(alg, basis, orbits)
+    assert sys.columns == orbits + [columns[ci] for ci in kept[n:]]
+    assert sys.matrix == [row for row in times if row]
     null = nullspace(solver.LinearSystem(columns, oracle))
     assert all(new.keys() >= v.keys() for v in null)
     ansatz = [{i: c for i, c in v.items() if i < n} for v in null]
     assert solver.rref(ansatz, n) == solver.rref(
-        ({i: c for i, c in v.items() if i < n} for v in nullspace(sys)), n)
+        combine(({i: c for i, c in v.items() if i < m} for v in nullspace(sys)), orbits), n)
 
 
 @pytest.mark.parametrize("d,ell", [(1, "7/2"), (2, 2)])

@@ -23,7 +23,6 @@ from cgcasimir.solver import (
     element_vector,
     nullspace,
     omega_orbit_vectors,
-    omega_sums,
     primitive,
     proportional,
     realization_candidate_system,
@@ -46,7 +45,8 @@ def candidates_via_realization(alg, grade, max_degree):
     """Combinations over the graded ansatz that behave like Casimirs when
     restricted to the realisation, as a reduced-echelon basis."""
     basis = enumerate_ansatz(alg, grade, max_degree)
-    return [primitive(vector_element(alg, basis, v)) for v in candidate_vectors(alg, basis)]
+    return [primitive(vector_element(alg, basis, v))
+            for v in candidate_vectors(alg, basis, omega_orbit_vectors(alg, basis))]
 
 
 def orbit_columns(alg, basis, coeff=int):
@@ -383,7 +383,7 @@ def test_echelon_certifies_the_kept_rows_without_a_fallback(d, ell, conditions, 
     if conditions:
         system = casimir_conditions_system(alg, orbit_columns(alg, basis))
     else:
-        system = realization_candidate_system(alg, basis)
+        system = realization_candidate_system(alg, basis, omega_orbit_vectors(alg, basis))
     ncols = len(system.columns)
     assert len(system.matrix) > ncols
     calls = _record_exact_inputs(monkeypatch)
@@ -391,28 +391,44 @@ def test_echelon_certifies_the_kept_rows_without_a_fallback(d, ell, conditions, 
     assert [len(rows) for rows in calls] == [len(pivots)]
 
 
+def _image_terms(alg, basis, jet=None):
+    """The number of operator terms of the ansatz images, each cut to its
+    t-degree ``jet``."""
+    return sum(len(op.packed) for _, op in realize_monomials(alg, basis.monomials, jet))
+
+
 def test_candidate_system_refuses_more_image_terms_than_the_bound(algebra, monkeypatch):
-    # the bound counts the ansatz block's entries, one per image term: that
-    # many are admitted, one fewer is refused
+    # the bound counts the image terms of the ansatz monomials, each
+    # realised once: that many are admitted, one fewer is refused
     alg = algebra(1, "3/2")
     basis = enumerate_ansatz(alg, (0, 6), 4)
-    n = len(basis.monomials)
-    system = realization_candidate_system(alg, basis)
-    size = sum(1 for row in system.matrix for c in row if c < n)
+    orbits = omega_orbit_vectors(alg, basis)
+    system = realization_candidate_system(alg, basis, orbits)
+    size = _image_terms(alg, basis)
     monkeypatch.setattr(solver, "MAX_SYSTEM_ENTRIES", size)
-    assert realization_candidate_system(alg, basis) == system
+    assert realization_candidate_system(alg, basis, orbits) == system
     monkeypatch.setattr(solver, "MAX_SYSTEM_ENTRIES", size - 1)
     with pytest.raises(ValueError, match=f"more than {size - 1} image terms"):
-        realization_candidate_system(alg, basis)
+        realization_candidate_system(alg, basis, orbits)
 
 
-def _full_system_nullspace(alg, basis):
-    """The candidate system's nullspace, built with no jet."""
-    return nullspace(realization_candidate_system(alg, basis))
+def _orbit_system(alg, basis, jet=None):
+    """The omega-orbit vectors and the candidate system built over them,
+    checked against its oracle: the system built over one column per
+    ansatz monomial, times the orbit matrix, cut to the auxiliary columns
+    of the ansatz's grade and to the rows left nonzero, in the same order."""
+    orbits = omega_orbit_vectors(alg, basis)
+    system = realization_candidate_system(alg, basis, orbits, jet)
+    _assert_cut(system, *_every_grade_system(alg, basis, jet, orbits))
+    return orbits, system
 
 
-def _ansatz_echelon(vectors, n):
-    return rref(({i: c for i, c in v.items() if i < n} for v in vectors), n)[0]
+def _ansatz_echelon(vectors, vecs, n):
+    """The echelon form over the n ansatz monomials of the ``vecs`` parts
+    of ``vectors``."""
+    m = len(vecs)
+    return rref(solver.combine(({i: c for i, c in v.items() if i < m} for v in vectors), vecs),
+                n)[0]
 
 
 def _record_builds(monkeypatch):
@@ -420,9 +436,9 @@ def _record_builds(monkeypatch):
     jets = []
     build = solver.realization_candidate_system
 
-    def recorded(alg, basis, jet=None, charge=None):
+    def recorded(alg, basis, vecs, jet=None, charge=None):
         jets.append(jet)
-        return build(alg, basis, jet, charge)
+        return build(alg, basis, vecs, jet, charge)
 
     monkeypatch.setattr(solver, "realization_candidate_system", recorded)
     return jets
@@ -442,10 +458,12 @@ def test_jet_candidates_equal_full_system_candidates(d, ell, grade, degree, alge
     # for vector, and candidate_vectors builds no other system
     alg = algebra(d, ell)
     basis = enumerate_ansatz(alg, grade, degree)
-    full = _full_system_nullspace(alg, basis)
-    assert nullspace(realization_candidate_system(alg, basis, solver.JET)) == full
+    orbits, system = _orbit_system(alg, basis, solver.JET)
+    full = nullspace(realization_candidate_system(alg, basis, orbits))
+    assert nullspace(system) == full
     jets = _record_builds(monkeypatch)
-    assert candidate_vectors(alg, basis) == _ansatz_echelon(full, len(basis.monomials))
+    assert candidate_vectors(alg, basis, orbits) == _ansatz_echelon(full, orbits,
+                                                                    len(basis.monomials))
     assert jets == [solver.JET]
 
 
@@ -455,22 +473,27 @@ def test_a_zero_jet_is_cut_to_the_full_system_candidates(algebra, monkeypatch):
     # from the one system built
     monkeypatch.setattr(solver, "JET", 0)
     jets = _record_builds(monkeypatch)
-    for d, ell, grade, jet_nullity, nullity in [(1, "9/2", (0, 18), 11, 3),
-                                                 (2, 2, (0, 2, 0), 17, 8)]:
+    for d, ell, grade, jet_nullity, nullity in [(1, "9/2", (0, 18), 6, 3),
+                                                 (2, 2, (0, 2, 0), 13, 8)]:
         alg = algebra(d, ell)
         basis = enumerate_ansatz(alg, grade, 4)
-        assert len(nullspace(realization_candidate_system(alg, basis, 0))) == jet_nullity
-        full = _full_system_nullspace(alg, basis)
+        assert len(nullspace(_orbit_system(alg, basis, 0)[1])) == jet_nullity
+        orbits, system = _orbit_system(alg, basis)
+        full = nullspace(system)
         assert len(full) == nullity
         jets.clear()
-        assert candidate_vectors(alg, basis) == _ansatz_echelon(full, len(basis.monomials))
+        assert candidate_vectors(alg, basis, orbits) == _ansatz_echelon(full, orbits,
+                                                                        len(basis.monomials))
         assert jets == [0]
 
 
-def _every_grade_system(alg, basis, jet):
-    """The candidate system with an auxiliary column for every parameter
-    monomial up to the longest word's length, whatever its grade, and the
-    set of columns whose monomial's grade is not the ansatz's."""
+def _every_grade_system(alg, basis, jet, vecs):
+    """The candidate system over ``vecs`` with an auxiliary column for every
+    parameter monomial up to the longest word's length, whatever its grade,
+    and the set of columns whose monomial's grade is not the ansatz's.  It
+    is built over one column per ansatz monomial, whose block is then
+    multiplied by the matrix of ``vecs``; zero entries and rows are
+    dropped."""
     vs = VarSet.for_spec(alg.spec)
     grades = generator_grades(alg)
     pgrades = [grades[alg.position(alg.generator(PARAMETER_GENERATORS[p]))] for p in vs.parameters]
@@ -492,7 +515,28 @@ def _every_grade_system(alg, basis, jet):
             for k, c in cut.packed.items():
                 rows.setdefault(k + shift, {})[len(columns)] = -c
             columns.append((op, shift))
-    return LinearSystem(columns, [rows[k] for k in sorted(rows, key=vs.unpack)]), off
+    n, m = len(basis.monomials), len(vecs)
+    mat = {}  # monomial -> {vector: coeff}, the orbit matrix's rows
+    for j, v in enumerate(vecs):
+        for i, a in v.items():
+            mat.setdefault(i, {})[j] = a
+    matrix = []
+    for k in sorted(rows, key=vs.unpack):
+        row = accumulate({}, ((j, c * a) for i, c in rows[k].items() if i < n
+                              for j, a in mat.get(i, {}).items()))
+        row.update((ci - n + m, c) for ci, c in rows[k].items() if ci >= n)
+        if row:
+            matrix.append(row)
+    return LinearSystem(vecs + columns[n:], matrix), {ci - n + m for ci in off}
+
+
+def _assert_cut(system, every, off):
+    """``system`` is ``every`` cut to the columns outside ``off`` and to the
+    rows left nonzero, in the same order."""
+    keep = {ci: j for j, ci in enumerate(c for c in range(len(every.columns)) if c not in off)}
+    assert system.columns == [every.columns[ci] for ci in keep]
+    cut = ({keep[ci]: c for ci, c in row.items() if ci in keep} for row in every.matrix)
+    assert system.matrix == [row for row in cut if row]
 
 
 @pytest.mark.parametrize("jet", [0, 1, None])
@@ -501,33 +545,42 @@ def test_the_other_grades_auxiliary_columns_change_no_nullspace(d, ell, jet, alg
     # at every grade up to degree 4, the build with every grade's auxiliary
     # columns has the nullity of the one built, and none of its nullspace
     # vectors has an entry on a column of another grade: those columns are
-    # independent of the ansatz block and of each other
+    # independent of the ansatz block and of each other.  The columns are
+    # the orbit vectors, or the monomials themselves at the grades omega
+    # moves, which have no orbit vectors
     alg = algebra(d, ell)
     for grade in _grades(alg, 4):
         basis = enumerate_ansatz(alg, grade, 4)
         n = len(basis.monomials)
-        built = nullspace(realization_candidate_system(alg, basis, jet))
-        every, off = _every_grade_system(alg, basis, jet)
+        vecs = omega_orbit_vectors(alg, basis) or [{i: 1} for i in range(n)]
+        system = realization_candidate_system(alg, basis, vecs, jet)
+        every, off = _every_grade_system(alg, basis, jet, vecs)
+        _assert_cut(system, every, off)
+        built = nullspace(system)
         null = nullspace(every)
         assert len(null) == len(built), grade
         assert not any(off.intersection(v) for v in null), grade
-        assert _ansatz_echelon(null, n) == _ansatz_echelon(built, n), grade
+        assert _ansatz_echelon(null, vecs, n) == _ansatz_echelon(built, vecs, n), grade
 
 
 def test_a_grade_no_parameter_monomial_has_gets_no_auxiliary_column(algebra):
     # H's grade: every parameter monomial has grade (0, 3k) at d=1 ell=3/2,
-    # so the system is the ansatz images alone, with the same candidates
+    # so the system over the monomials is their images alone, with the same
+    # candidates.  omega moves the grade, so there are no orbit vectors, and
+    # the pipeline's candidates are none
     alg = algebra(1, "3/2")
     basis = enumerate_ansatz(alg, (2, -1), 4)
     n = len(basis.monomials)
+    units = [{i: 1} for i in range(n)]
     for jet in (solver.JET, None):
-        assert realization_candidate_system(alg, basis, jet).columns == basis.monomials
-    every, off = _every_grade_system(alg, basis, None)
+        assert realization_candidate_system(alg, basis, units, jet).columns == units
+    every, off = _every_grade_system(alg, basis, None, units)
     assert off == set(range(n, len(every.columns)))
-    assert candidate_vectors(alg, basis) == _ansatz_echelon(nullspace(every), n)
+    assert candidate_vectors(alg, basis, units) == _ansatz_echelon(nullspace(every), units, n)
+    assert omega_orbit_vectors(alg, basis) == [] == candidate_vectors(alg, basis, [])
     # nor does an empty ansatz: no word reaches (5, 5)
     empty = enumerate_ansatz(alg, (5, 5), 2)
-    assert realization_candidate_system(alg, empty) == LinearSystem([], [])
+    assert realization_candidate_system(alg, empty, []) == LinearSystem([], [])
 
 
 def test_a_wrong_residual_image_cuts_exactly_one_candidate(algebra, monkeypatch):
@@ -543,12 +596,13 @@ def test_a_wrong_residual_image_cuts_exactly_one_candidate(algebra, monkeypatch)
         alg = algebra(d, ell)
         basis = enumerate_ansatz(alg, grade, 4)
         n = len(basis.monomials)
-        expect = candidate_vectors(alg, basis)
+        orbits = omega_orbit_vectors(alg, basis)
+        expect = candidate_vectors(alg, basis, orbits)
         assert len(expect) == dim
         with monkeypatch.context() as m:
             m.setattr(solver, "realize_element", off_by_one)
             jets = _record_builds(m)
-            got = candidate_vectors(alg, basis)
+            got = candidate_vectors(alg, basis, orbits)
         assert len(got) == dim - 1 and jets == [solver.JET]
         rows, pivots = rref(expect, n)
         assert all(span_contains(rows, pivots, v) for v in got)
@@ -572,10 +626,15 @@ def test_a_jet_vector_that_commutes_with_h_has_the_residual_its_image_gives(d, e
     monkeypatch.setattr(solver, "JET", jet)
     alg = algebra(d, ell)
     basis = enumerate_ansatz(alg, default_grade(alg.spec, 4), 4)
-    n = len(basis.monomials)
-    system = realization_candidate_system(alg, basis, jet)
+    orbits, system = _orbit_system(alg, basis, jet)
+    n = len(orbits)
+
+    def part(v):
+        return vector_element(alg, basis, solver.combine([{i: c for i, c in v.items() if i < n}],
+                                                         orbits)[0])
+
     null = nullspace(system)
-    parts = [vector_element(alg, basis, {i: c for i, c in v.items() if i < n}) for v in null]
+    parts = [part(v) for v in null]
     rows = {}  # word of [K, H] -> {vector: coeff}
     for j, K in enumerate(parts):
         for w, c in commutator(alg, K, alg.generator("H")).terms.items():
@@ -583,14 +642,14 @@ def test_a_jet_vector_that_commutes_with_h_has_the_residual_its_image_gives(d, e
     commuting = solver.combine(nullspace_basis(list(rows.values()), len(null)), null)
     assert len(commuting) == (2 if d == 1 else 6)
     for v in commuting:
-        K = vector_element(alg, basis, {i: c for i, c in v.items() if i < n})
+        K = part(v)
         aux = DiffOp(VarSet.for_spec(alg.spec))
         for ci, c in v.items():
             if ci >= n:
                 aux = aux + _moved(*system.columns[ci], c)
         image = realize_element(alg, K)
         assert image == t_jet(aux, jet)
-        assert solver._residual(alg, basis, system.columns, v, solver._Realised()) == image - aux
+        assert solver._residual(alg, K, system.columns, v, solver._Realised()) == image - aux
 
 
 def test_only_the_jet_vectors_that_do_not_commute_with_h_are_realised(algebra, monkeypatch):
@@ -606,8 +665,9 @@ def test_only_the_jet_vectors_that_do_not_commute_with_h_are_realised(algebra, m
     monkeypatch.setattr(solver, "realize_element", recorded)
     alg = algebra(1, "17/2")
     basis = enumerate_ansatz(alg, (0, 34), 4)
-    assert len(nullspace(realization_candidate_system(alg, basis, solver.JET))) == 3
-    assert len(candidate_vectors(alg, basis)) == 3
+    orbits = omega_orbit_vectors(alg, basis)
+    assert len(nullspace(realization_candidate_system(alg, basis, orbits, solver.JET))) == 3
+    assert len(candidate_vectors(alg, basis, orbits)) == 3
     assert calls == [1]
 
 
@@ -616,13 +676,13 @@ def test_candidate_stage_counts_the_certificate_products(algebra, monkeypatch):
     # products its vectors' residuals realise
     alg = algebra(1, "3/2")
     basis = enumerate_ansatz(alg, (0, 6), 4)
-    n = len(basis.monomials)
-    jet = realization_candidate_system(alg, basis, solver.JET)
-    size = sum(1 for row in jet.matrix for c in row if c < n)
+    orbits = omega_orbit_vectors(alg, basis)
+    jet = realization_candidate_system(alg, basis, orbits, solver.JET)
+    size = _image_terms(alg, basis, solver.JET)
     monkeypatch.setattr(solver, "MAX_SYSTEM_ENTRIES", size)
-    assert realization_candidate_system(alg, basis, solver.JET) == jet
+    assert realization_candidate_system(alg, basis, orbits, solver.JET) == jet
     with pytest.raises(ValueError, match=f"more than {size} image terms"):
-        candidate_vectors(alg, basis)
+        candidate_vectors(alg, basis, orbits)
 
 
 @pytest.mark.parametrize("d,ell", [(1, "7/2"), (1, "11/2"), (2, 2), (2, 3)])
@@ -631,7 +691,7 @@ def test_nullspace_matches_smallest_tag_oracle_on_solver_systems(d, ell, algebra
     grade = (0, 2 * alg.spec.two_ell) if d == 1 else (0, 2, 0)
     basis = enumerate_ansatz(alg, grade, 4)
     _assert_nullspace_matches_oracle(casimir_conditions_system(alg, orbit_columns(alg, basis, Fr)))
-    _assert_nullspace_matches_oracle(realization_candidate_system(alg, basis))
+    _assert_nullspace_matches_oracle(_orbit_system(alg, basis)[1])
 
 
 def _assert_span_contract(system):
@@ -660,7 +720,8 @@ def test_spans_and_nullspaces_are_primitive_int_rows(d, ell, algebra, solved):
     alg = algebra(d, ell)
     grade = (0, 2 * alg.spec.two_ell) if d == 1 else (0, 2, 0)
     basis = enumerate_ansatz(alg, grade, 4)
-    _assert_span_contract(realization_candidate_system(alg, basis))
+    _assert_span_contract(realization_candidate_system(alg, basis,
+                                                       omega_orbit_vectors(alg, basis)))
     _assert_span_contract(casimir_conditions_system(alg, orbit_columns(alg, basis)))
     rep = solved(d, ell, grade, 4, "pipeline")
     for vecs in (rep.casimir_vectors, rep.candidate_vectors):
@@ -995,23 +1056,6 @@ def test_omega_orbit_vectors_keep_the_lower_words_of_omega(algebra):
     _assert_orbit_vectors_span_the_fixed_space(alg, basis)
 
 
-def test_omega_sums_of_a_spanning_set_span_its_omega_fixed_part(algebra):
-    # the sums of all the unit vectors span what omega fixes in the ansatz,
-    # a fixed vector comes back doubled, and at a grade omega moves there
-    # are no sums
-    alg = algebra(2, 2)
-    basis = enumerate_ansatz(alg, (0, 1, 0), 4)
-    n = len(basis.monomials)
-    sums = omega_sums(alg, basis, [{i: 1} for i in range(n)])
-    assert len(sums) == n
-    assert rref(sums, n)[0] == _omega_fixed_oracle(alg, basis)[0]
-    fixed = omega_orbit_vectors(alg, basis)
-    assert omega_sums(alg, basis, fixed) == [{i: 2 * c for i, c in v.items()} for v in fixed]
-    alg = algebra(1, "5/2")
-    basis = enumerate_ansatz(alg, (2, 4), 4)
-    assert omega_sums(alg, basis, [{0: 1}]) == []
-
-
 def test_a_grade_omega_moves_has_no_omega_fixed_columns(algebra, solved):
     # omega maps grade (2, 4) at d=1 ell=5/2 to (-2, 6): no combination
     # there is omega-fixed, so both routes find no Casimir
@@ -1023,25 +1067,15 @@ def test_a_grade_omega_moves_has_no_omega_fixed_columns(algebra, solved):
         assert solved(1, "5/2", (2, 4), 4, method).casimir_dim == 0
 
 
-def test_the_pipeline_omega_step_drops_a_candidate_omega_moves(algebra, monkeypatch):
-    # 2*M*H + P0*P2 - P1^2 at d=1 ell=3/2 commutes with H and P3 but not
-    # with D, and omega moves its grade, (2, 2).  No natural input has a
-    # candidate that omega moves, so it is patched in as the one candidate:
-    # it leaves no omega-sum, so nothing is solved, and passed on without
-    # the omega step it meets the reduced conditions and the exhaustive
-    # check refuses it
-    alg = algebra(1, "3/2")
-    grade = (2, 2)
-    k = from_term_list(alg, [(2, ["M", "H"]), (1, ["P0", "P2"]), (-1, ["P1", "P1"])])
-    basis = enumerate_ansatz(alg, grade, 4)
-    vec = element_vector(basis, k)
-    assert omega_sums(alg, basis, [vec]) == []
-    assert all(commutator(alg, k, g).is_zero() for g in solver.reduced_check_generators(alg))
-    monkeypatch.setattr(solver, "candidate_vectors", lambda alg, basis: [vec])
-    assert solve_casimirs(alg, grade, 4).casimir_dim == 0
-    monkeypatch.setattr(solver, "omega_sums", lambda alg, basis, vecs: vecs)
-    with pytest.raises(solver.ReducedCheckError, match="residual against D is "):
-        solve_casimirs(alg, grade, 4)
+def test_a_grade_omega_moves_realises_nothing(algebra, monkeypatch):
+    # with no orbit vectors there is nothing to filter, so the pipeline
+    # returns no candidate before it realises any monomial
+    def refuse(*args):
+        raise AssertionError("a monomial was realised")
+
+    monkeypatch.setattr(solver, "realize_monomials", refuse)
+    rep = solve_casimirs(algebra(1, "5/2"), (2, 4), 4)
+    assert rep.casimir_dim == 0 and rep.candidate_dim == 0
 
 
 def _refusal(alg, method, monkeypatch):
@@ -1116,9 +1150,10 @@ def test_routes_agree_at_the_largest_ladder_points(d, ell, grade, solved):
 @pytest.mark.parametrize("d,ell,degree,count", [
     (1, "1/2", 4, 45), (1, "3/2", 4, 77), (1, "5/2", 4, 109), (2, 1, 4, 185), (2, 2, 3, 148)])
 def test_routes_agree_at_every_grade(d, ell, degree, count, algebra):
-    # both routes take their columns from omega_sums, over the candidates
-    # or over one monomial per orbit; at every grade, the ones omega moves
-    # included, they must find the same space and canonical basis
+    # both routes take their columns from the omega-orbit vectors, which the
+    # pipeline narrows to its candidates; at every grade, the ones omega
+    # moves included, they must find the same space and canonical basis,
+    # and every pipeline candidate is omega-fixed
     alg = algebra(d, ell)
     grades = _grades(alg, degree)
     assert len(grades) == count
@@ -1126,6 +1161,9 @@ def test_routes_agree_at_every_grade(d, ell, degree, count, algebra):
         a, b = (solve_casimirs(alg, grade, degree, method=m) for m in ("pipeline", "algebraic"))
         assert a.casimir_vectors == b.casimir_vectors, grade
         assert a.canonical == b.canonical, grade
+        for v in a.candidate_vectors:
+            K = vector_element(alg, a.ansatz, v)
+            assert omega(alg, K) == K, grade
 
 
 @pytest.mark.parametrize("method", ["pipeline", "algebraic"])
